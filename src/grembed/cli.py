@@ -12,6 +12,7 @@ Seed resolution order: ``--seed`` flag, then the config file, then the
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -64,30 +65,6 @@ def _open_input(path):
     if os.path.isdir(path):
         raise ConfigError(f"input path is a directory: {path}")
     return path
-
-
-def _labels_aligned(path, node_ids):
-    """id<TAB>label file -> int labels aligned to the given id order."""
-    _open_input(path)
-    raw = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            toks = line.split("\t") if "\t" in line else line.split()
-            if len(toks) != 2:
-                raise EdgeListParseError("expected id<TAB>label", lineno)
-            raw[toks[0]] = toks[1]
-    missing = [i for i in node_ids if i not in raw]
-    if missing:
-        raise ValidationError(
-            f"labels file is missing {len(missing)} node ids "
-            f"(first: {missing[0]!r})")
-    names = sorted(set(raw.values()))
-    lut = {s: i for i, s in enumerate(names)}
-    labels = np.array([lut[raw[i]] for i in node_ids], dtype=np.int64)
-    return labels, names
 
 
 def _shallow_config(args, dim_default=16):
@@ -236,7 +213,7 @@ def _cmd_subgraph(args):
 
 def _cmd_eval_nodes(args):
     table = load_embedding(_open_input(_need(args, "embedding")))
-    labels, _ = _labels_aligned(_need(args, "labels"), table.node_ids)
+    labels, _ = load_labels(_open_input(_need(args, "labels")), table)
     report = harness.node_classification_eval(
         table.vectors, labels, train_fraction=args.train_fraction,
         seeds=range(args.eval_seeds), epochs=args.epochs, lr=args.lr)
@@ -252,10 +229,8 @@ def _cmd_eval_links(args):
     method = args.method
 
     def embed_fn(residual, seed):
-        parts = {f: getattr(base_cfg, f)
-                 for f in base_cfg.__dataclass_fields__}
-        parts["seed"] = args.seed + 7919 * seed
-        return shallow.train_shallow(residual, method, ShallowConfig(**parts))
+        cfg = dataclasses.replace(base_cfg, seed=args.seed + 7919 * seed)
+        return shallow.train_shallow(residual, method, cfg)
 
     report = harness.link_prediction_eval(
         g, embed_fn, holdout_fraction=args.holdout,
@@ -267,7 +242,7 @@ def _cmd_eval_links(args):
 
 def _cmd_eval_cluster(args):
     table = load_embedding(_open_input(_need(args, "embedding")))
-    labels, names = _labels_aligned(_need(args, "labels"), table.node_ids)
+    labels, names = load_labels(_open_input(_need(args, "labels")), table)
     k = args.k if args.k is not None else len(names)
     report = harness.clustering_eval(table.vectors, labels, k,
                                      seed=args.seed, restarts=args.restarts)
@@ -325,14 +300,13 @@ def _cmd_ohmnet(args):
     else:
         graphs = [load_edge_list(layer_files[n]) for n in order]
 
-    cfg = _shallow_config(args, dim_default=8)
-    parts = {f: getattr(cfg, f) for f in cfg.__dataclass_fields__}
-    parts["epochs"] = args.epochs if args.epochs is not None else 4
-    parts["walk_length"] = args.walk_length if args.walk_length is not None else 10
-    parts["walks_per_node"] = (args.walks_per_node
-                               if args.walks_per_node is not None else 5)
-    parts["window"] = args.window if args.window is not None else 3
-    cfg = ShallowConfig(**parts)
+    cfg = dataclasses.replace(
+        _shallow_config(args, dim_default=8),
+        epochs=args.epochs if args.epochs is not None else 4,
+        walk_length=args.walk_length if args.walk_length is not None else 10,
+        walks_per_node=(args.walks_per_node
+                        if args.walks_per_node is not None else 5),
+        window=args.window if args.window is not None else 3)
 
     tables = multiscale.ohmnet_train(graphs, lam=args.lam, config=cfg,
                                      hierarchy_edges=tied,

@@ -494,11 +494,13 @@ def load_attributes(source, g):
 
 
 def load_labels(source, g):
-    """Parse ``id<TAB>label`` lines into an int vector aligned to g.
+    """Parse ``id<TAB>label`` lines into an int vector aligned to g.node_ids.
 
-    Labels may be arbitrary strings; they are mapped to 0..c-1 in
-    sorted label order. Returns (labels, label_names).
+    g is anything with a ``node_ids`` list, such as a Graph or an
+    EmbeddingTable. Labels may be arbitrary strings; they are mapped to
+    0..c-1 in sorted label order. Returns (labels, label_names).
     """
+    index = {nid: i for i, nid in enumerate(g.node_ids)}
     fh, close = _open_text(source)
     raw = {}
     try:
@@ -509,9 +511,8 @@ def load_labels(source, g):
             toks = line.split("\t") if "\t" in line else line.split()
             if len(toks) != 2:
                 raise EdgeListParseError("expected id<TAB>label", lineno)
-            try:
-                v = g.index_of(toks[0])
-            except KeyError:
+            v = index.get(toks[0])
+            if v is None:
                 raise EdgeListParseError(f"unknown node id {toks[0]!r}", lineno)
             if v in raw:
                 raise EdgeListParseError(f"duplicate label for {toks[0]!r}", lineno)
@@ -519,11 +520,13 @@ def load_labels(source, g):
     finally:
         if close:
             fh.close()
-    if len(raw) != g.node_count:
-        raise EdgeListParseError("label file does not cover every node")
+    if len(raw) != len(index):
+        first = next(nid for nid, v in index.items() if v not in raw)
+        raise EdgeListParseError(
+            f"label file does not cover every node (first missing: {first!r})")
     names = sorted(set(raw.values()))
     lut = {s: i for i, s in enumerate(names)}
-    labels = np.array([lut[raw[v]] for v in range(g.node_count)], dtype=np.int64)
+    labels = np.array([lut[raw[v]] for v in range(len(index))], dtype=np.int64)
     return labels, names
 
 

@@ -63,10 +63,6 @@ def _fmt(v):
 @dataclass
 class RunConfig:
     command: str
-    method: str = ""
-    hyper: dict = field(default_factory=dict)
-    inputs: list = field(default_factory=list)
-    outputs: list = field(default_factory=list)
     seed: int = 42
     workers: int = 1
     deterministic: bool = True

@@ -8,7 +8,7 @@ trainer embeds several graphs over a shared node universe and, after
 every epoch, nudges tied layers toward agreement on their shared nodes.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -120,11 +120,7 @@ def harp_train(g, base_method, levels, config=None):
     per_level = max(1, config.epochs // max(1, levels))
 
     def with_init(init):
-        kw = {f.name: getattr(config, f.name)
-              for f in config.__dataclass_fields__.values()}
-        kw["epochs"] = per_level
-        kw["initial"] = init
-        return ShallowConfig(**kw)
+        return replace(config, epochs=per_level, initial=init)
 
     table = train_shallow(maps[-1].coarse, base_method, with_init(None))
     for cm in reversed(maps):

@@ -6,6 +6,16 @@ cannot take a single step are skipped and counted, not emitted. Every
 start node draws from its own counter-based stream keyed by
 (seed, node), so the corpus is byte-identical however starts are
 scheduled.
+
+All walk kinds share one stepping kernel, ``_walk``. A kind supplies
+only its start nodes and ``pick(t, prev, cur)``: for step t and the
+alive walks' last two nodes it returns a group key per walk and a
+lookup from key to ``(targets, AliasTable or None)``. Walks sharing a
+key draw together, groups draw in ascending key order (``None`` draws
+uniformly), and a walk whose group has no targets ends. Uniform and
+metapath walks key on the current node; node2vec keys on it at step 1
+and on ``prev * n + cur`` afterwards, with its biased tables cached per
+key.
 """
 
 from dataclasses import dataclass, field
@@ -130,120 +140,94 @@ def load_corpus(source, g, config=None):
     return WalkCorpus(walks, cfg, g.node_count, node_ids=list(g.node_ids))
 
 
-def _weighted_samplers(g):
-    """Per-node neighbor sampler state: (targets, AliasTable-or-None)."""
-    samplers = []
-    for v in range(g.node_count):
-        nbrs = g.neighbors(v)
-        if len(nbrs) == 0:
-            samplers.append((nbrs, None))
-            continue
-        w = g.neighbor_weights(v)
-        if np.all(w == w[0]):
-            samplers.append((nbrs, None))  # uniform fast path
-        else:
-            samplers.append((nbrs, AliasTable(w)))
-    return samplers
+def _sampler(nbrs, weights):
+    """Neighbor draw state: (targets, AliasTable or None for uniform)."""
+    if len(nbrs) == 0 or np.all(weights == weights[0]):
+        return nbrs, None
+    return nbrs, AliasTable(weights)
 
 
-def _draw(nbrs, table, rng, size):
-    if table is None:
-        return nbrs[rng.integers(0, len(nbrs), size=size)]
-    return nbrs[table.sample(rng, size=size)]
+def _walk(g, config, starts, pick):
+    """Advance walks_per_node walks from each start, one step at a time.
 
-
-def sample_uniform_walks(g, config):
-    """First-order walks; step probability proportional to edge weight."""
-    samplers = _weighted_samplers(g)
-    walks = []
-    skipped = 0
+    Nodes not in starts count as skipped. prev and cur are read back
+    from each walk's row; at step 1 prev is the start itself. Draws come
+    from the start's own stream, so a kind reproduces a draw sequence
+    exactly only if its keys group walks the same way.
+    """
     T, N = config.length, config.walks_per_node
-    for v in range(g.node_count):
-        if len(samplers[v][0]) == 0:
-            skipped += 1
-            continue
+    walks = []
+    for v in starts:
         rng = node_stream(config.seed, v)
         batch = np.full((N, T + 1), -1, dtype=np.int64)
         batch[:, 0] = v
         alive = np.arange(N)
-        cur = np.full(N, v, dtype=np.int64)
         for t in range(1, T + 1):
             if alive.size == 0:
                 break
+            keys, lookup = pick(t, batch[alive, max(t - 2, 0)],
+                                batch[alive, t - 1])
             nxt = np.full(alive.size, -1, dtype=np.int64)
-            for u in np.unique(cur[alive]):
-                nbrs, table = samplers[u]
-                mask = cur[alive] == u
-                if len(nbrs) == 0:
+            for k in np.unique(keys):
+                targets, table = lookup(k)
+                if len(targets) == 0:
                     continue
-                nxt[mask] = _draw(nbrs, table, rng, int(mask.sum()))
+                mask = keys == k
+                size = int(mask.sum())
+                nxt[mask] = targets[
+                    rng.integers(0, len(targets), size=size) if table is None
+                    else table.sample(rng, size=size)]
             batch[alive, t] = nxt
-            keep = nxt >= 0
-            cur[alive[keep]] = nxt[keep]
-            alive = alive[keep]
-        for row in batch:
-            walks.append(row[row >= 0])
-    return WalkCorpus(walks, config, g.node_count, skipped,
+            alive = alive[nxt >= 0]
+        walks.extend(row[row >= 0] for row in batch)
+    return WalkCorpus(walks, config, g.node_count, g.node_count - len(starts),
                       node_ids=list(g.node_ids))
+
+
+def _first_order(g):
+    """Edge-weight samplers per node, plus the nodes that can step."""
+    samplers = [_sampler(g.neighbors(v), g.neighbor_weights(v))
+                for v in range(g.node_count)]
+    return samplers, [v for v in range(g.node_count) if len(samplers[v][0])]
+
+
+def sample_uniform_walks(g, config):
+    """First-order walks; step probability proportional to edge weight."""
+    samplers, starts = _first_order(g)
+    return _walk(g, config, starts,
+                 lambda t, prev, cur: (cur, samplers.__getitem__))
 
 
 def _node2vec_table(g, prev, cur, p, q):
     """Alias table over cur's neighbors biased by distance to prev."""
     nbrs = g.neighbors(cur)
-    w = g.neighbor_weights(cur).copy()
-    prev_nbrs = g.neighbors(prev)
-    back = nbrs == prev
-    pos = np.searchsorted(prev_nbrs, nbrs)
-    pos = np.clip(pos, 0, max(len(prev_nbrs) - 1, 0))
-    dist1 = len(prev_nbrs) > 0
-    dist1 = (prev_nbrs[pos] == nbrs) if dist1 else np.zeros(len(nbrs), bool)
-    factor = np.where(back, 1.0 / p, np.where(dist1, 1.0, 1.0 / q))
-    return nbrs, AliasTable(w * factor)
+    if len(nbrs) == 0:
+        return nbrs, None
+    prev_nbrs = g.neighbors(prev)  # sorted and nonempty: it holds cur
+    pos = np.minimum(np.searchsorted(prev_nbrs, nbrs), len(prev_nbrs) - 1)
+    dist1 = prev_nbrs[pos] == nbrs
+    factor = np.where(nbrs == prev, 1.0 / p, np.where(dist1, 1.0, 1.0 / q))
+    return nbrs, AliasTable(g.neighbor_weights(cur) * factor)
 
 
 def sample_node2vec_walks(g, config):
     """Second-order walks: return bias 1/p, stay-close 1, explore 1/q."""
-    samplers = _weighted_samplers(g)
+    samplers, starts = _first_order(g)
+    n = g.node_count
     cache = {}
-    walks = []
-    skipped = 0
-    T, N = config.length, config.walks_per_node
-    for v in range(g.node_count):
-        if len(samplers[v][0]) == 0:
-            skipped += 1
-            continue
-        rng = node_stream(config.seed, v)
-        batch = np.full((N, T + 1), -1, dtype=np.int64)
-        batch[:, 0] = v
-        nbrs, table = samplers[v]
-        first = _draw(nbrs, table, rng, N)
-        batch[:, 1] = first
-        prev = np.full(N, v, dtype=np.int64)
-        cur = first.copy()
-        alive = np.arange(N)
-        for t in range(2, T + 1):
-            if alive.size == 0:
-                break
-            nxt = np.full(alive.size, -1, dtype=np.int64)
-            states = prev[alive] * g.node_count + cur[alive]
-            for s in np.unique(states):
-                pv, cu = divmod(int(s), g.node_count)
-                mask = states == s
-                if len(g.neighbors(cu)) == 0:
-                    continue
-                if s not in cache:
-                    cache[s] = _node2vec_table(g, pv, cu, config.p, config.q)
-                cn, ct = cache[s]
-                nxt[mask] = cn[ct.sample(rng, size=int(mask.sum()))]
-            batch[alive, t] = nxt
-            keep = nxt >= 0
-            prev[alive[keep]] = cur[alive[keep]]
-            cur[alive[keep]] = nxt[keep]
-            alive = alive[keep]
-        for row in batch:
-            walks.append(row[row >= 0])
-    return WalkCorpus(walks, config, g.node_count, skipped,
-                      node_ids=list(g.node_ids))
+
+    def biased(state):
+        if state not in cache:
+            pv, cu = divmod(int(state), n)
+            cache[state] = _node2vec_table(g, pv, cu, config.p, config.q)
+        return cache[state]
+
+    def pick(t, prev, cur):
+        if t == 1:
+            return cur, samplers.__getitem__
+        return prev * n + cur, biased
+
+    return _walk(g, config, starts, pick)
 
 
 def sample_metapath_walks(g, config):
@@ -257,67 +241,32 @@ def sample_metapath_walks(g, config):
         raise ContractError("metapath walks need config.metapath")
     if g.node_types is None:
         raise ValidationError("graph has no node_types")
-    mp = config.metapath
-    present = set(np.unique(g.node_types).tolist())
+    mp, types = config.metapath, g.node_types
+    present = set(np.unique(types).tolist())
     missing = [t for t in mp if t not in present]
     if missing:
         raise ValidationError(f"metapath types absent from graph: {missing}")
+    starts = [v for v in range(g.node_count)
+              if types[v] == mp[0] and len(g.neighbors(v))]
 
-    T, N = config.length, config.walks_per_node
-    L = len(mp)
-    walks = []
-    skipped = 0
-    types = g.node_types
-    for v in range(g.node_count):
-        if types[v] != mp[0] or len(g.neighbors(v)) == 0:
-            skipped += 1
-            continue
-        rng = node_stream(config.seed, v)
-        batch = np.full((N, T + 1), -1, dtype=np.int64)
-        batch[:, 0] = v
-        cur = np.full(N, v, dtype=np.int64)
-        alive = np.arange(N)
-        for t in range(1, T + 1):
-            if alive.size == 0:
-                break
-            want = mp[t % L]
-            nxt = np.full(alive.size, -1, dtype=np.int64)
-            for u in np.unique(cur[alive]):
-                nbrs = g.neighbors(u)
-                ok = types[nbrs] == want
-                cand = nbrs[ok]
-                mask = cur[alive] == u
-                if cand.size == 0:
-                    continue
-                w = g.neighbor_weights(u)[ok]
-                if np.all(w == w[0]):
-                    nxt[mask] = cand[rng.integers(0, cand.size,
-                                                  size=int(mask.sum()))]
-                else:
-                    nxt[mask] = cand[AliasTable(w).sample(
-                        rng, size=int(mask.sum()))]
-            batch[alive, t] = nxt
-            keep = nxt >= 0
-            cur[alive[keep]] = nxt[keep]
-            alive = alive[keep]
-        for row in batch:
-            walks.append(row[row >= 0])
-    return WalkCorpus(walks, config, g.node_count, skipped,
-                      node_ids=list(g.node_ids))
+    def pick(t, prev, cur):
+        want = mp[t % len(mp)]
+
+        def typed(u):
+            nbrs = g.neighbors(u)
+            ok = types[nbrs] == want
+            return _sampler(nbrs[ok], g.neighbor_weights(u)[ok])
+        return cur, typed
+
+    return _walk(g, config, starts, pick)
 
 
-def extract_pairs(corpus, window):
-    """(center, context) pairs within the sliding window, both directions."""
-    if window < 1:
-        raise ContractError("window must be >= 1")
-    if window >= corpus.config.length:
-        raise ContractError(
-            f"window {window} must be < walk length {corpus.config.length}")
+def _pairs(corpus, offsets):
+    """Both directions of each hop in ascending offsets, walk by walk."""
     out = []
     for walk in corpus.walks:
-        L = len(walk)
-        for off in range(1, window + 1):
-            if off >= L:
+        for off in offsets:
+            if off >= len(walk):
                 break
             a, b = walk[:-off], walk[off:]
             out.append(np.stack([a, b], axis=1))
@@ -327,20 +276,21 @@ def extract_pairs(corpus, window):
     return np.concatenate(out, axis=0)
 
 
+def _check_hops(name, k, corpus):
+    if k < 1:
+        raise ContractError(f"{name} must be >= 1")
+    if k >= corpus.config.length:
+        raise ContractError(
+            f"{name} {k} must be < walk length {corpus.config.length}")
+
+
+def extract_pairs(corpus, window):
+    """(center, context) pairs within the sliding window, both directions."""
+    _check_hops("window", window, corpus)
+    return _pairs(corpus, range(1, window + 1))
+
+
 def extract_offset_pairs(corpus, offset):
     """Pairs at signed hop offset exactly +-offset (skip-length sampling)."""
-    if offset < 1:
-        raise ContractError("offset must be >= 1")
-    if offset >= corpus.config.length:
-        raise ContractError(
-            f"offset {offset} must be < walk length {corpus.config.length}")
-    out = []
-    for walk in corpus.walks:
-        if len(walk) <= offset:
-            continue
-        a, b = walk[:-offset], walk[offset:]
-        out.append(np.stack([a, b], axis=1))
-        out.append(np.stack([b, a], axis=1))
-    if not out:
-        return np.zeros((0, 2), dtype=np.int64)
-    return np.concatenate(out, axis=0)
+    _check_hops("offset", offset, corpus)
+    return _pairs(corpus, (offset,))

@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import grembed
 from grembed import cli
 from grembed.fixtures import cycles_and_paths, karate_club, two_layer_graphs
 from grembed.graph import export_edge_list
@@ -240,6 +242,25 @@ def test_eval_nodes_per_seed_mean_matches(data_dir, tmp_path, capsys):
     assert np.isclose(np.mean(per_seed), float(rep["accuracy_mean"]))
 
 
+def test_eval_nodes_rejects_duplicate_label_with_line(data_dir, tmp_path,
+                                                      capsys):
+    z = tmp_path / "z.tsv"
+    code, _, _ = run_cli(capsys, "embed", "--method", "laplacian_eigenmaps",
+                         "--input", str(data_dir / "karate.edges"),
+                         "--dim", "4", "--seed", "0", "--out", str(z))
+    assert code == 0
+    lines = (data_dir / "karate.labels").read_text().splitlines()
+    first_id = lines[0].split("\t")[0]
+    dup = tmp_path / "dup.labels"
+    dup.write_text("\n".join(lines + [f"{first_id}\t9"]) + "\n")
+    code, stdout, stderr = run_cli(capsys, "eval-nodes", "--embedding", str(z),
+                                   "--labels", str(dup))
+    assert code == 2
+    assert stdout == ""
+    assert f"line {len(lines) + 1}" in stderr
+    assert "duplicate" in stderr
+
+
 def test_eval_links_reports_auc(data_dir, capsys):
     code, stdout, _ = run_cli(
         capsys, "eval-links", "--input", str(data_dir / "karate.edges"),
@@ -329,14 +350,20 @@ def test_report_file_matches_stdout(data_dir, tmp_path, capsys):
     assert rep_file.read_text() == stdout
 
 
+# child interpreters import the same grembed as this one, installed or not
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+    os.path.dirname(os.path.dirname(grembed.__file__)),
+    os.environ.get("PYTHONPATH")]))}
+
+
 def test_console_entry_byte_identical(data_dir, tmp_path):
     cmd = [sys.executable, "-m", "grembed.cli", "embed",
            "--method", "deepwalk", "--input", str(data_dir / "karate.edges"),
            "--dim", "8", "--seed", "7", "--epochs", "1"]
     r1 = subprocess.run(cmd + ["--out", str(tmp_path / "z1.tsv")],
-                        capture_output=True, text=True)
+                        capture_output=True, text=True, env=CHILD_ENV)
     r2 = subprocess.run(cmd + ["--out", str(tmp_path / "z2.tsv")],
-                        capture_output=True, text=True)
+                        capture_output=True, text=True, env=CHILD_ENV)
     assert r1.returncode == 0 and r2.returncode == 0
     assert (tmp_path / "z1.tsv").read_bytes() == \
         (tmp_path / "z2.tsv").read_bytes()
@@ -344,11 +371,11 @@ def test_console_entry_byte_identical(data_dir, tmp_path):
 
 def test_console_entry_error_codes(tmp_path):
     r = subprocess.run([sys.executable, "-m", "grembed.cli"],
-                       capture_output=True, text=True)
+                       capture_output=True, text=True, env=CHILD_ENV)
     assert r.returncode == 2
     r = subprocess.run(
         [sys.executable, "-m", "grembed.cli", "embed", "--input",
          str(tmp_path / "ghost.edges"), "--out", str(tmp_path / "z.tsv")],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=CHILD_ENV)
     assert r.returncode == 2
     assert "ghost.edges" in r.stderr

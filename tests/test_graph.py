@@ -177,9 +177,9 @@ def test_label_parsing():
     assert names == ["a", "b"]
     np.testing.assert_array_equal(
         labels[[g.index_of("0"), g.index_of("1"), g.index_of("2")]], [0, 1, 0])
-    with pytest.raises(EdgeListParseError):
+    with pytest.raises(EdgeListParseError, match="first missing: '2'"):
         load_labels(io.StringIO("0\ta\n1\tb\n"), g)
-    with pytest.raises(EdgeListParseError):
+    with pytest.raises(EdgeListParseError, match="line 2"):
         load_labels(io.StringIO("0\ta\n0\tb\n1\ta\n2\ta\n"), g)
 
 

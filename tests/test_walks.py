@@ -221,6 +221,30 @@ def test_metapath_validation():
         sample_metapath_walks(g, WalkConfig(length=3, walks_per_node=1))
 
 
+@pytest.mark.parametrize("kind", ["uniform", "node2vec", "metapath"])
+def test_directed_walks_follow_arcs_and_stop_at_sinks(kind):
+    from grembed.graph import Graph
+
+    # DAG 4->0->{1,2}, 1->2->3: node 3 is the only sink
+    arcs = [(4, 0), (0, 1), (0, 2), (1, 2), (2, 3)]
+    g = Graph.from_edges(arcs, directed=True, node_types=[0] * 5,
+                         node_ids=[str(i) for i in range(5)])
+    cfg = WalkConfig(length=6, walks_per_node=20, p=0.5, q=2.0, seed=8,
+                     metapath=(0,) if kind == "metapath" else None)
+    sampler = {"uniform": sample_uniform_walks,
+               "node2vec": sample_node2vec_walks,
+               "metapath": sample_metapath_walks}[kind]
+    corpus = sampler(g, cfg)
+    assert corpus.skipped_starts == 1  # the sink cannot start a walk
+    assert len(corpus) == 4 * 20
+    adj = set(zip(g.csr_sources.tolist(), g.csr_targets.tolist()))
+    assert adj == {(g.index_of(str(a)), g.index_of(str(b))) for a, b in arcs}
+    sink = g.index_of("3")
+    for w in corpus.walks:
+        assert w[0] != sink and w[-1] == sink and len(w) <= 5
+        assert all((a, b) in adj for a, b in zip(w[:-1].tolist(), w[1:].tolist()))
+
+
 def _toy_corpus(walks, length):
     from grembed.walks import WalkCorpus
 
