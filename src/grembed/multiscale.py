@@ -19,7 +19,8 @@ from .rng import derived_rng
 from .shallow import (
     EmbeddingTable,
     ShallowConfig,
-    negative_sampling_loss,
+    _negsamp_step,
+    _sparse_sgd,
     train_shallow,
     unigram_noise,
 )
@@ -253,18 +254,15 @@ def ohmnet_train(layer_graphs, lam=0.1, config=None, hierarchy_edges=None,
             order = derived_rng(config.seed, "ohmnet_shuffle", li, epoch
                                 ).permutation(len(pairs))
             noise_rng = derived_rng(config.seed, "ohmnet_noise", li, epoch)
-            opt = ad.Sgd([tensors[li]], lr=config.lr)
-            for lo in range(0, len(order), config.batch_size):
+            for b, lo in enumerate(range(0, len(order), config.batch_size)):
                 batch = pairs[order[lo:lo + config.batch_size]]
-                # summed loss: step scaled per pair, as in the base trainer
-                opt.lr = config.lr / max(1, len(batch))
                 negs = noise_tables[li].sample(
                     noise_rng, (len(batch), config.negatives))
-                opt.zero_grad()
-                with ad.Tape():
-                    loss = negative_sampling_loss(tensors[li], batch, negs)
-                    ad.backward(loss)
-                opt.step()
+                _, updates = _negsamp_step(tensors[li].data, None, batch, negs)
+                # summed loss: step scaled per pair, as in the base trainer
+                _sparse_sgd(updates, config.lr / len(batch),
+                            f"negsamp skip-gram, layer {li}, epoch {epoch}, "
+                            f"batch {b}")
         penalty_opt.zero_grad()
         with ad.Tape():
             pen = ohmnet_penalty(tensors, id_lists, lam, tied=tied,

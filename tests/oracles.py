@@ -8,6 +8,18 @@ other way round.
 
 import numpy as np
 
+from grembed import autodiff as ad
+from grembed.rng import derived_rng
+from grembed.shallow import (
+    HierarchicalSoftmaxTree,
+    _init_table,
+    hierarchical_softmax_loss,
+    negative_sampling_loss,
+    softmax_cross_entropy_loss,
+    unigram_noise,
+)
+from grembed.walks import AliasTable
+
 
 def scan_edge_file(path):
     """Count nodes / undirected edges / per-id degree straight off the file."""
@@ -181,3 +193,66 @@ def nmi_from_counts(a, b):
     if ha == 0.0 or hb == 0.0:
         return 0.0
     return mi / ((ha + hb) / 2.0)
+
+
+def tape_skipgram_train(g, pairs, config, loss_kind, context_table=False,
+                        pair_weights=None, dim=None, init=None, seed_tag=""):
+    """Skip-gram minibatch SGD through the autodiff tape.
+
+    Same arguments, streams and lr schedule as shallow._skipgram_train;
+    every batch builds its tape loss, runs backward and takes a dense
+    Sgd step over whole tables.
+    """
+    dim = dim or config.dim
+    n = g.node_count
+    z = ad.parameter(_init_table(g, dim, config.seed, init))
+    params = [z]
+    tree = w_tree = ctx = noise_table = None
+    if loss_kind == "hsoftmax":
+        tree = HierarchicalSoftmaxTree(g.degrees(weighted=True))
+        w_tree = ad.parameter(np.zeros((tree.n_internal, dim)))
+        params.append(w_tree)
+    if loss_kind == "negsamp":
+        if context_table:
+            rng = derived_rng(config.seed, "ctx_init", seed_tag)
+            ctx = ad.parameter(rng.uniform(-0.5, 0.5, size=(n, dim)) / dim)
+            params.append(ctx)
+            counts = g.degrees(weighted=True)
+        else:
+            counts = np.bincount(pairs[:, 1], minlength=n).astype(np.float64)
+            if counts.sum() == 0:
+                counts = g.degrees(weighted=True)
+        noise_table = AliasTable(unigram_noise(counts, config.noise_power))
+    total_batches = config.epochs * int(np.ceil(len(pairs) / config.batch_size))
+    opt = ad.Sgd(params)
+    history = []
+    batch_no = 0
+    for epoch in range(config.epochs):
+        order = derived_rng(config.seed, "shuffle", seed_tag, epoch
+                            ).permutation(len(pairs))
+        noise_rng = derived_rng(config.seed, "noise", seed_tag, epoch)
+        epoch_loss = 0.0
+        for lo in range(0, len(pairs), config.batch_size):
+            rows = order[lo:lo + config.batch_size]
+            batch = pairs[rows]
+            annealed = config.lr + (config.lr_min - config.lr) * (
+                batch_no / max(1, total_batches - 1))
+            opt.lr = annealed / len(batch)
+            opt.zero_grad()
+            with ad.Tape():
+                if loss_kind == "hsoftmax":
+                    loss = hierarchical_softmax_loss(z, w_tree, batch, tree)
+                elif loss_kind == "softmax":
+                    loss = softmax_cross_entropy_loss(z, batch)
+                else:
+                    negs = noise_table.sample(
+                        noise_rng, size=(len(batch), config.negatives))
+                    bw = None if pair_weights is None else pair_weights[rows]
+                    loss = negative_sampling_loss(z, batch, negs, context_t=ctx,
+                                                  pair_weights=bw)
+                epoch_loss += loss.item()
+                ad.backward(loss)
+            opt.step()
+            batch_no += 1
+        history.append(epoch_loss / len(pairs))
+    return z.data, history

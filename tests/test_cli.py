@@ -102,6 +102,18 @@ def test_unknown_method_exits_2(data_dir, tmp_path, capsys):
     assert "word2vec" in err
 
 
+def test_embed_rejects_nonpositive_batch_size(data_dir, tmp_path, capsys):
+    out = tmp_path / "z.tsv"
+    for size in ("-1", "0"):
+        code, stdout, err = run_cli(
+            capsys, "embed", "--method", "deepwalk",
+            "--input", str(data_dir / "karate.edges"),
+            "--batch-size", size, "--out", str(out))
+        assert code == 2
+        assert "batch_size must be >= 1" in err
+        assert stdout == "" and not out.exists()
+
+
 def test_no_subcommand_exits_2(capsys):
     code, _, _ = run_cli(capsys)
     assert code == 2

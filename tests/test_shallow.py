@@ -3,9 +3,10 @@ import io
 import numpy as np
 import pytest
 
+import oracles
 from grembed import autodiff as ad
 from grembed import fixtures
-from grembed.errors import ContractError, ValidationError
+from grembed.errors import ContractError, NumericError, ValidationError
 from grembed.shallow import (
     EmbeddingTable,
     HierarchicalSoftmaxTree,
@@ -19,10 +20,13 @@ from grembed.shallow import (
     load_embedding,
     negative_sampling_loss,
     softmax_cross_entropy_loss,
+    _init_table,
+    _skipgram_train,
     train_shallow,
     unigram_noise,
     weighted_distance_loss,
 )
+from grembed.walks import WalkConfig, extract_pairs, sample_uniform_walks
 
 
 def rnd(seed, *shape):
@@ -383,3 +387,68 @@ def test_warm_start_initial_embeddings():
     bad = ShallowConfig(dim=4, initial=np.zeros((3, 4)))
     with pytest.raises(ContractError):
         train_shallow(g, "deepwalk", bad)
+
+
+# -- fused skip-gram vs the tape oracle ----------------------------------------
+
+
+def karate_skipgram_cases():
+    g = fixtures.karate_club()[0]
+    corpus = sample_uniform_walks(
+        g, WalkConfig(length=6, walks_per_node=3, seed=3))
+    walk_pairs = extract_pairs(corpus, 2)
+    edge_pairs = np.concatenate([g.edge_pairs, g.edge_pairs[:, ::-1]])
+    weights = np.random.default_rng(4).uniform(0.5, 2.0, len(edge_pairs))
+    return g, {
+        "deepwalk-hsoftmax": (walk_pairs, dict(loss_kind="hsoftmax")),
+        "deepwalk-negsamp": (walk_pairs, dict(loss_kind="negsamp")),
+        "deepwalk-softmax": (walk_pairs, dict(loss_kind="softmax")),
+        "line1": (edge_pairs, dict(loss_kind="negsamp", pair_weights=weights,
+                                   seed_tag="line1")),
+        "line2": (edge_pairs, dict(loss_kind="negsamp", pair_weights=weights,
+                                   context_table=True, seed_tag="line2")),
+    }
+
+
+@pytest.mark.parametrize("case", ["deepwalk-hsoftmax", "deepwalk-negsamp",
+                                  "deepwalk-softmax", "line1", "line2"])
+def test_fused_skipgram_matches_tape_oracle(case):
+    g, cases = karate_skipgram_cases()
+    pairs, kw = cases[case]
+    cfg = small_config(dim=8, epochs=2, lr=2.0, seed=11)
+    z, hist = _skipgram_train(g, pairs, cfg, **kw)
+    z_tape, hist_tape = oracles.tape_skipgram_train(g, pairs, cfg, **kw)
+    np.testing.assert_allclose(z, z_tape, atol=1e-10, rtol=0)
+    np.testing.assert_allclose(hist, hist_tape, rtol=1e-12)
+    # the run moved the table well beyond the tolerance
+    assert np.abs(z - _init_table(g, 8, 11)).max() > 1e-3
+
+
+@pytest.mark.parametrize("case,batch_size", [("line2", 64),
+                                             ("deepwalk-hsoftmax", 5)])
+def test_fused_step_leaves_untouched_rows_bitwise(case, batch_size):
+    # both write z only at batch centers; hsoftmax needs a second batch,
+    # as its zero-initialized tree vectors give z no gradient in the first
+    g, cases = karate_skipgram_cases()
+    pairs, kw = cases[case]
+    pairs = pairs[:10]
+    if "pair_weights" in kw:
+        kw = dict(kw, pair_weights=kw["pair_weights"][:10])
+    init = rnd(40, g.node_count, 4)
+    cfg = small_config(epochs=1, lr=1.0, batch_size=batch_size)
+    z, _ = _skipgram_train(g, pairs, cfg, init=init, **kw)
+    touched = np.zeros(g.node_count, dtype=bool)
+    touched[pairs[:, 0]] = True
+    assert np.array_equal(z[~touched].view(np.uint64),
+                          init[~touched].view(np.uint64))
+    assert np.any(z[touched] != init[touched])
+
+
+def test_nonfinite_gradient_names_loss_epoch_batch():
+    g = fixtures.karate_club()[0]
+    init = rnd(41, g.node_count, 4) * 0.1
+    init[5, 2] = np.inf
+    cfg = small_config(initial=init, batch_size=16)
+    with pytest.raises(NumericError, match=r"^non-finite gradient in hsoftmax "
+                       r"skip-gram, epoch 0, batch \d+$"):
+        train_shallow(g, "deepwalk", cfg)
