@@ -24,6 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ContractError, ValidationError
+from .graph import _open_text
 from .rng import derived_rng
 from .shallow import EmbeddingTable, negative_sampling_loss, unigram_noise
 from .walks import AliasTable
@@ -364,29 +365,19 @@ def save_checkpoint(target, kind, config_dict, named_arrays):
                           "data": ["%.17g" % v for v in arr.reshape(-1)]}
                    for name, arr in named_arrays.items()},
     }
-    from .graph import _open_text
-
-    fh, close = _open_text(target, "w")
-    try:
+    with _open_text(target, "w") as fh:
         json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
         fh.write("\n")
-    finally:
-        if close:
-            fh.close()
 
 
 def load_checkpoint(source, expect_kind=None):
-    from .graph import _open_text
     from .errors import EdgeListParseError
 
-    fh, close = _open_text(source)
-    try:
-        doc = json.load(fh)
-    except json.JSONDecodeError as e:
-        raise EdgeListParseError(f"bad checkpoint JSON: {e}")
-    finally:
-        if close:
-            fh.close()
+    with _open_text(source) as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as e:
+            raise EdgeListParseError(f"bad checkpoint JSON: {e}")
     if doc.get("format") != CHECKPOINT_FORMAT:
         raise ContractError("not a checkpoint file")
     if doc.get("version") != CHECKPOINT_VERSION:

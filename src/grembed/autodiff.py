@@ -529,6 +529,13 @@ def dot_rows(a, b):
 # ---------------------------------------------------------------------
 
 
+def _check_grads(params):
+    """Raise before a step writes anything if any gradient is non-finite."""
+    for p in params:
+        if p.grad is not None and not np.all(np.isfinite(p.grad)):
+            raise NumericError("non-finite gradient in optimizer step")
+
+
 class Sgd:
     """Plain stochastic gradient descent with optional momentum."""
 
@@ -539,11 +546,10 @@ class Sgd:
         self._vel = [np.zeros_like(p.data) for p in self.params]
 
     def step(self):
+        _check_grads(self.params)
         for p, v in zip(self.params, self._vel):
             if p.grad is None:
                 continue
-            if not np.all(np.isfinite(p.grad)):
-                raise NumericError("non-finite gradient in optimizer step")
             if self.momentum:
                 v *= self.momentum
                 v += p.grad
@@ -568,13 +574,12 @@ class Adam:
         self._t = 0
 
     def step(self):
+        _check_grads(self.params)
         self._t += 1
         b1, b2 = self.beta1, self.beta2
         for p, m, v in zip(self.params, self._m, self._v):
             if p.grad is None:
                 continue
-            if not np.all(np.isfinite(p.grad)):
-                raise NumericError("non-finite gradient in optimizer step")
             m *= b1
             m += (1 - b1) * p.grad
             v *= b2

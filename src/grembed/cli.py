@@ -1,14 +1,19 @@
 """Command line front end.
 
-Each subcommand reads flags, optionally merges a JSON config file
-(flags always win over the file), runs the corresponding library
-routine, and emits a machine-readable report of key<TAB>value lines
-behind a ``#version`` header on stdout, with a one-line human summary
-on stderr. Exit codes: 0 on success, 2 on configuration or input
-problems, 3 on runtime failures.
+Each subcommand reads flags, optionally merges a JSON config file, runs
+the corresponding library routine, and emits a machine-readable report
+of key<TAB>value lines behind a ``#version`` header on stdout, with a
+one-line human summary on stderr. Exit codes: 0 on success, 2 on
+configuration or input problems, 3 on runtime failures.
 
-Seed resolution order: ``--seed`` flag, then the config file, then the
-``GREMBED_SEED`` environment variable, then 42.
+An option's value comes from the first of: its flag, in any form
+argparse accepts (``--epochs 3``, ``--epochs=3``, ``--epoch 3``); the
+``--config`` file, keyed by option name (``walk-length`` or
+``walk_length``); for ``--seed`` the ``GREMBED_SEED`` environment
+variable, then 42. An option set by neither flag nor file is not passed
+on, so the library routine's own default applies (``ShallowConfig``,
+``AutoencoderConfig``, ``WalkConfig``, ``struc2vec_embed``,
+``multiscale.OHMNET_CONFIG``).
 """
 
 import argparse
@@ -29,7 +34,7 @@ from .errors import (
     ValidationError,
 )
 from .graph import load_edge_list, load_labels
-from .harness import EvalReport, RunConfig
+from .harness import EvalReport
 from .shallow import ShallowConfig, load_embedding
 from .walks import WalkConfig
 
@@ -39,8 +44,6 @@ WALK_KINDS = ("uniform", "node2vec", "metapath")
 
 def _ints(value):
     """Comma-separated string or JSON list -> tuple of ints."""
-    if value is None:
-        return None
     if isinstance(value, str):
         parts = [p for p in value.split(",") if p.strip()]
     else:
@@ -67,25 +70,22 @@ def _open_input(path):
     return path
 
 
-def _shallow_config(args, dim_default=16):
-    def pick(flag, fallback):
-        return fallback if flag is None else flag
+_SHALLOW_OPTIONS = ("dim", "epochs", "lr", "batch_size", "walk_length",
+                    "walks_per_node", "window", "p", "q", "negatives",
+                    "power_max", "offsets")
+_INT_LISTS = ("hidden", "offsets")
 
-    return ShallowConfig(
-        dim=pick(args.dim, dim_default),
-        epochs=pick(args.epochs, 5),
-        lr=pick(args.lr, 0.025),
-        batch_size=pick(getattr(args, "batch_size", None), 256),
-        walk_length=pick(args.walk_length, 10),
-        walks_per_node=pick(args.walks_per_node, 10),
-        window=pick(args.window, 5),
-        p=pick(getattr(args, "p", None), 1.0),
-        q=pick(getattr(args, "q", None), 1.0),
-        negatives=pick(getattr(args, "negatives", None), 5),
-        power_max=pick(getattr(args, "power_max", None), 4),
-        offsets=_ints(getattr(args, "offsets", None)) or (1, 2),
-        seed=args.seed,
-    )
+
+def _given(args, *names):
+    """The named options that a flag or the config file set."""
+    values = {name: getattr(args, name) for name in names}
+    return {name: _ints(v) if name in _INT_LISTS else v
+            for name, v in values.items() if v is not None}
+
+
+def _shallow_config(args, base=ShallowConfig()):
+    return dataclasses.replace(base, seed=args.seed,
+                               **_given(args, *_SHALLOW_OPTIONS))
 
 
 # ---------------------------------------------------------------------
@@ -100,16 +100,10 @@ def _cmd_embed(args):
     if method in shallow.METHODS:
         cfg = _shallow_config(args)
         table = shallow.train_shallow(g, method, cfg)
-        dim = cfg.dim
     elif method in ("sdne", "dngr"):
-        acfg = autoenc.AutoencoderConfig(
-            dim=args.dim if args.dim is not None else 16,
-            hidden=_ints(args.hidden) or (32,),
-            epochs=args.epochs if args.epochs is not None else 100,
-            lr=args.lr if args.lr is not None else 0.01,
-            seed=args.seed)
-        table, _ = autoenc.train_autoencoder(g, method, acfg)
-        dim = acfg.dim
+        cfg = autoenc.AutoencoderConfig(
+            seed=args.seed, **_given(args, "dim", "hidden", "epochs", "lr"))
+        table, _ = autoenc.train_autoencoder(g, method, cfg)
     else:
         raise ConfigError(
             f"unknown method {method!r}; choose one of {EMBED_METHODS}")
@@ -117,7 +111,7 @@ def _cmd_embed(args):
     return EvalReport(
         task="embed",
         metrics={"node_count": g.node_count, "edge_count": g.edge_count,
-                 "dim": dim},
+                 "dim": cfg.dim},
         config={"method": method, "seed": args.seed,
                 "input": args.input, "out": args.out})
 
@@ -132,8 +126,8 @@ def _cmd_walk(args):
         node_types, _ = load_labels(_open_input(types_path), g)
         g = g.with_types(node_types=node_types)
         metapath = _ints(_need(args, "metapath"))
-    cfg = WalkConfig(length=args.length, walks_per_node=args.walks_per_node,
-                     p=args.p, q=args.q, metapath=metapath, seed=args.seed)
+    cfg = WalkConfig(metapath=metapath, seed=args.seed,
+                     **_given(args, "length", "walks_per_node", "p", "q"))
     if kind == "uniform":
         corpus = walks.sample_uniform_walks(g, cfg)
     elif kind == "node2vec":
@@ -148,9 +142,9 @@ def _cmd_walk(args):
         metrics={"walk_count": len(corpus),
                  "skipped_starts": corpus.skipped_starts,
                  "node_count": g.node_count},
-        config={"kind": kind, "length": args.length,
-                "walks_per_node": args.walks_per_node, "p": args.p,
-                "q": args.q, "seed": args.seed, "input": args.input,
+        config={"kind": kind, "length": cfg.length,
+                "walks_per_node": cfg.walks_per_node, "p": cfg.p,
+                "q": cfg.q, "seed": args.seed, "input": args.input,
                 "out": args.out})
 
 
@@ -174,18 +168,13 @@ def _cmd_roles(args):
                     "input": args.input, "out": out})
     if args.mode == "struc2vec":
         table = structural.struc2vec_embed(
-            g, k_max=args.k_max, dim=args.dim if args.dim is not None else 16,
-            walk_length=args.walk_length if args.walk_length is not None else 20,
-            walks_per_node=(args.walks_per_node
-                            if args.walks_per_node is not None else 8),
-            window=args.window if args.window is not None else 4,
-            epochs=args.epochs if args.epochs is not None else 3,
-            seed=args.seed)
+            g, seed=args.seed, **_given(args, "k_max", "dim", "walk_length",
+                                        "walks_per_node", "window", "epochs"))
         table.save(out)
         return EvalReport(
             task="roles",
             metrics={"node_count": g.node_count, "dim": table.dim},
-            config={"mode": "struc2vec", "k_max": args.k_max,
+            config={"mode": "struc2vec", "k_max": table.metadata["k_max"],
                     "seed": args.seed, "input": args.input, "out": out})
     raise ConfigError(f"unknown roles mode {args.mode!r}")
 
@@ -294,23 +283,16 @@ def _cmd_ohmnet(args):
     if args.hierarchy is not None:
         hier = multiscale.load_hierarchy(_open_input(args.hierarchy),
                                          layer_files)
-        order = hier.names()
+        order = hier.names
         graphs = [hier.layers[n] for n in order]
         tied = hier.tied_index_pairs()
     else:
         graphs = [load_edge_list(layer_files[n]) for n in order]
 
-    cfg = dataclasses.replace(
-        _shallow_config(args, dim_default=8),
-        epochs=args.epochs if args.epochs is not None else 4,
-        walk_length=args.walk_length if args.walk_length is not None else 10,
-        walks_per_node=(args.walks_per_node
-                        if args.walks_per_node is not None else 5),
-        window=args.window if args.window is not None else 3)
-
-    tables = multiscale.ohmnet_train(graphs, lam=args.lam, config=cfg,
-                                     hierarchy_edges=tied,
-                                     squared=not args.unsquared)
+    cfg = _shallow_config(args, multiscale.OHMNET_CONFIG)
+    tables = multiscale.ohmnet_train(graphs, config=cfg, hierarchy_edges=tied,
+                                     squared=not args.unsquared,
+                                     **_given(args, "lam"))
     prefix = _need(args, "out_prefix")
     for name, table in zip(order, tables):
         table.save(f"{prefix}{name}.tsv")
@@ -320,7 +302,7 @@ def _cmd_ohmnet(args):
         task="ohmnet",
         metrics={"layer_count": len(graphs), "inter_layer_gap": gap,
                  "dim": cfg.dim},
-        config={"lam": args.lam, "seed": args.seed,
+        config={"lam": tables[0].metadata["lam"], "seed": args.seed,
                 "layers": ",".join(order), "out_prefix": prefix})
 
 
@@ -349,9 +331,6 @@ def _add_common(sp):
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--report", default=None,
                     help="also write the report lines to this file")
-    sp.add_argument("--workers", type=int, default=1)
-    sp.add_argument("--deterministic", action=argparse.BooleanOptionalAction,
-                    default=True)
 
 
 def _add_shallow_flags(sp, with_method=True):
@@ -392,10 +371,10 @@ def build_parser():
     sp.add_argument("--out", default=None)
     sp.add_argument("--directed", action="store_true")
     sp.add_argument("--kind", default="uniform", choices=WALK_KINDS)
-    sp.add_argument("--length", type=int, default=10)
-    sp.add_argument("--walks-per-node", type=int, default=10)
-    sp.add_argument("--p", type=float, default=1.0)
-    sp.add_argument("--q", type=float, default=1.0)
+    sp.add_argument("--length", type=int, default=None)
+    sp.add_argument("--walks-per-node", type=int, default=None)
+    sp.add_argument("--p", type=float, default=None)
+    sp.add_argument("--q", type=float, default=None)
     sp.add_argument("--types", default=None,
                     help="id<TAB>type file for metapath walks")
     sp.add_argument("--metapath", default=None,
@@ -413,7 +392,7 @@ def build_parser():
     sp.add_argument("--t-points", type=int, default=50)
     sp.add_argument("--t-max", type=float, default=100.0)
     sp.add_argument("--include-psi", action="store_true")
-    sp.add_argument("--k-max", type=int, default=3)
+    sp.add_argument("--k-max", type=int, default=None)
     sp.add_argument("--dim", type=int, default=None)
     sp.add_argument("--walk-length", type=int, default=None)
     sp.add_argument("--walks-per-node", type=int, default=None)
@@ -482,7 +461,7 @@ def build_parser():
     sp.add_argument("--layer", action="append", default=None,
                     metavar="NAME=PATH")
     sp.add_argument("--hierarchy", default=None)
-    sp.add_argument("--lam", type=float, default=0.1)
+    sp.add_argument("--lam", type=float, default=None)
     sp.add_argument("--unsquared", action="store_true")
     sp.add_argument("--out-prefix", default=None)
     _add_shallow_flags(sp, with_method=False)
@@ -492,52 +471,37 @@ def build_parser():
     return parser, built
 
 
-def _load_config_file(argv):
-    if "--config" not in argv:
-        return {}
-    i = argv.index("--config")
-    if i + 1 >= len(argv):
-        raise ConfigError("--config needs a file path")
-    path = _open_input(argv[i + 1])
-    with open(path) as fh:
+def _load_config_file(path, sub):
+    """The config file's options, keyed by the subcommand's dests."""
+    with open(_open_input(path)) as fh:
         try:
             cfg = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(cfg, dict):
         raise ConfigError("config file must hold a JSON object")
-    return cfg
-
-
-def _explicit_dests(argv, sub):
-    """Dests whose flags literally appear on the command line."""
-    opt_to_dest = {}
-    for action in sub._actions:
-        for opt in action.option_strings:
-            opt_to_dest[opt] = action.dest
-    seen = set()
-    for tok in argv:
-        if tok.startswith("--"):
-            name = tok.split("=", 1)[0]
-            if name in opt_to_dest:
-                seen.add(opt_to_dest[name])
-    return seen
+    dests = {a.dest for a in sub._actions}
+    options = {}
+    for key, value in cfg.items():
+        dest = key.replace("-", "_")
+        if dest not in dests:
+            raise ConfigError(f"unknown config key {key!r}")
+        options[dest] = value
+    return options
 
 
 def parse_args(argv):
     parser, built = build_parser()
     args = parser.parse_args(argv)
-    sub = built[args.command_name]
-    cfg = _load_config_file(argv)
-    if cfg:
-        explicit = _explicit_dests(argv, sub)
-        valid = {a.dest for a in sub._actions}
-        for key, value in cfg.items():
-            dest = key.replace("-", "_")
-            if dest not in valid:
-                raise ConfigError(f"unknown config key {key!r}")
-            if dest not in explicit:
-                setattr(args, dest, value)
+    if args.config is not None:
+        # the file's options become defaults for a second pass over the
+        # same argv, so a flag wins however it is spelled; argparse type
+        # conversion applies to a string from the file as to a flag
+        sub = built[args.command_name]
+        sub.set_defaults(**_load_config_file(args.config, sub))
+        flags, args = args, parser.parse_args(argv)
+        if getattr(flags, "layer", None) is not None:
+            args.layer = flags.layer  # not appended to the file's list
     if args.seed is None:
         env_seed = os.environ.get("GREMBED_SEED")
         if env_seed is not None:
@@ -556,9 +520,6 @@ def main(argv=None):
     started = time.perf_counter()
     try:
         args = parse_args(argv)
-        # surfaces the deterministic/workers contradiction before any work
-        RunConfig(command=args.command_name, seed=args.seed,
-                  workers=args.workers, deterministic=args.deterministic)
         report = _COMMANDS[args.command_name](args)
     except SystemExit as exc:
         return int(exc.code or 0)

@@ -10,6 +10,7 @@ summing their weights.
 Dense matrices returned by this module are plain float64 numpy arrays.
 """
 
+import contextlib
 import io
 
 import numpy as np
@@ -382,10 +383,17 @@ def disjoint_union(graphs):
 # -- file formats ------------------------------------------------------
 
 
+@contextlib.contextmanager
 def _open_text(source, mode="r"):
+    """``source`` itself if it is a file object, else the opened path.
+
+    Only a file opened here is closed on exit.
+    """
     if hasattr(source, "read") or hasattr(source, "write"):
-        return source, False
-    return open(source, mode, encoding="utf-8"), True
+        yield source
+    else:
+        with open(source, mode, encoding="utf-8") as fh:
+            yield fh
 
 
 def load_edge_list(source, directed=False, allow_self_loops=False):
@@ -395,10 +403,9 @@ def load_edge_list(source, directed=False, allow_self_loops=False):
     skipped. Weight column is optional but must be consistent: mixing
     2- and 3-token lines is a parse error, as are negative weights.
     """
-    fh, close = _open_text(source)
     edges, weights = [], []
     ncols = None
-    try:
+    with _open_text(source) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -424,9 +431,6 @@ def load_edge_list(source, directed=False, allow_self_loops=False):
                 if w < 0:
                     raise EdgeListParseError(f"negative weight {w}", lineno)
                 weights.append(w)
-    finally:
-        if close:
-            fh.close()
     if not edges:
         raise EdgeListParseError("no edges in input")
     return Graph.from_edges(edges, weights=weights if ncols == 3 else None,
@@ -435,8 +439,7 @@ def load_edge_list(source, directed=False, allow_self_loops=False):
 
 def export_edge_list(g, target):
     """Write the canonical edge list (sorted index pairs, external ids)."""
-    fh, close = _open_text(target, "w")
-    try:
+    with _open_text(target, "w") as fh:
         order = np.lexsort((g.edge_pairs[:, 1], g.edge_pairs[:, 0]))
         for k in order:
             i, j = g.edge_pairs[k]
@@ -444,9 +447,6 @@ def export_edge_list(g, target):
                 fh.write(f"{g.node_ids[i]}\t{g.node_ids[j]}\t{g.pair_weights[k]:.10g}\n")
             else:
                 fh.write(f"{g.node_ids[i]}\t{g.node_ids[j]}\n")
-    finally:
-        if close:
-            fh.close()
 
 
 def load_attributes(source, g):
@@ -455,8 +455,7 @@ def load_attributes(source, g):
     Every graph node must appear exactly once; ids absent from the
     graph are rejected.
     """
-    fh, close = _open_text(source)
-    try:
+    with _open_text(source) as fh:
         header = fh.readline()
         if not header.strip():
             raise EdgeListParseError("empty attribute file", 1)
@@ -483,9 +482,6 @@ def load_attributes(source, g):
             except ValueError:
                 raise EdgeListParseError("bad feature value", lineno)
             out[:, v] = vals
-    finally:
-        if close:
-            fh.close()
     if np.isnan(out).any():
         missing = [g.node_ids[v] for v in
                    np.nonzero(np.isnan(out).any(axis=0))[0][:5]]
@@ -501,9 +497,8 @@ def load_labels(source, g):
     0..c-1 in sorted label order. Returns (labels, label_names).
     """
     index = {nid: i for i, nid in enumerate(g.node_ids)}
-    fh, close = _open_text(source)
     raw = {}
-    try:
+    with _open_text(source) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -517,9 +512,6 @@ def load_labels(source, g):
             if v in raw:
                 raise EdgeListParseError(f"duplicate label for {toks[0]!r}", lineno)
             raw[v] = toks[1]
-    finally:
-        if close:
-            fh.close()
     if len(raw) != len(index):
         first = next(nid for nid, v in index.items() if v not in raw)
         raise EdgeListParseError(

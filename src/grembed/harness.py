@@ -17,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .aggenc import cross_entropy_loss
 from .errors import ConfigError, ContractError, ValidationError
-from .graph import Graph
+from .graph import Graph, _open_text
 from .rng import derived_rng
 
 REPORT_VERSION = 1
@@ -58,21 +58,6 @@ def _fmt(v):
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     return "%.17g" % float(v)
-
-
-@dataclass
-class RunConfig:
-    command: str
-    seed: int = 42
-    workers: int = 1
-    deterministic: bool = True
-
-    def __post_init__(self):
-        if self.seed is None:
-            self.seed = 42
-        if self.deterministic and self.workers > 1:
-            raise ConfigError(
-                "deterministic runs cannot use more than one worker")
 
 
 # ---------------------------------------------------------------------
@@ -260,11 +245,8 @@ def link_prediction_eval(g, embed_fn, holdout_fraction=0.2, seeds=range(10),
     for seed in seeds:
         held = holdout_edges(g, holdout_fraction, seed)
         keep = np.setdiff1d(np.arange(g.edge_pairs.shape[0]), held)
-        residual = Graph.from_edges(
-            [(g.node_ids[int(a)], g.node_ids[int(b)])
-             for a, b in g.edge_pairs[keep]],
-            weights=g.pair_weights[keep], node_ids=list(g.node_ids),
-            weighted=g.weighted)
+        residual = Graph(g.node_ids, g.edge_pairs[keep], g.pair_weights[keep],
+                         directed=g.directed, weighted=g.weighted)
         table = embed_fn(residual, seed)
         z = table.vectors if hasattr(table, "vectors") else np.asarray(table)
 
@@ -406,16 +388,10 @@ def pca_project(z, dims=2):
 def export_projection(target, z, node_ids, dims=2):
     """TSV of node_id and projected coordinates."""
     coords = pca_project(z, dims=dims)
-    from .graph import _open_text
-
-    fh, close = _open_text(target, "w")
-    try:
+    with _open_text(target, "w") as fh:
         fh.write("node_id" + "".join(f"\tpc{j + 1}" for j in range(dims))
                  + "\n")
         for i, nid in enumerate(node_ids):
             vals = "".join("\t%.17g" % c for c in coords[i])
             fh.write(f"{nid}{vals}\n")
-    finally:
-        if close:
-            fh.close()
     return coords

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ContractError, ValidationError
-from .graph import Graph, load_edge_list
+from .graph import Graph, _open_text, load_edge_list
 from .rng import derived_rng
 from .shallow import (
     EmbeddingTable,
@@ -27,6 +27,9 @@ from .shallow import (
 from .walks import AliasTable, WalkConfig, extract_pairs, sample_uniform_walks
 
 HARP_BASES = ("deepwalk", "node2vec", "line1", "line2")
+# ohmnet_train's config when none is given: small per-layer walk corpora
+OHMNET_CONFIG = ShallowConfig(dim=8, epochs=4, walk_length=10,
+                              walks_per_node=5, window=3)
 
 
 @dataclass
@@ -217,8 +220,7 @@ def ohmnet_train(layer_graphs, lam=0.1, config=None, hierarchy_edges=None,
     nodes together; with lam=0 that gradient is exactly zero and the
     run matches independent per-layer training bit for bit.
     """
-    config = config or ShallowConfig(dim=8, epochs=4, walk_length=10,
-                                     walks_per_node=5, window=3)
+    config = config or OHMNET_CONFIG
     graphs = list(layer_graphs)
     if not graphs:
         raise ValidationError("no layers given")
@@ -328,10 +330,7 @@ def load_hierarchy(source, layer_files):
 
     layer_files maps layer id to an edge-list path (or open file).
     """
-    from .graph import _open_text
-
-    fh, close = _open_text(source)
-    try:
+    with _open_text(source) as fh:
         parent = {}
         order = []
         for raw in fh:
@@ -345,9 +344,6 @@ def load_hierarchy(source, layer_files):
             layer, par = bits
             order.append(layer)
             parent[layer] = None if par == "-" else par
-    finally:
-        if close:
-            fh.close()
     layers = {}
     for name in order:
         if name not in layer_files:

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ContractError, NumericError, ValidationError
+from .graph import _open_text
 from .rng import derived_rng
 from .similarity import SimilaritySpec, build_similarity
 from .walks import (
@@ -76,25 +77,17 @@ class EmbeddingTable:
         return self.vectors[self.node_ids.index(str(node_id))]
 
     def save(self, target):
-        from .graph import _open_text
-
-        fh, close = _open_text(target, "w")
-        try:
+        with _open_text(target, "w") as fh:
             fh.write(f"node_id\t{self.dim}\n")
             ids = self.node_ids or [str(i) for i in range(self.node_count)]
             for nid, row in zip(ids, self.vectors):
                 fh.write(nid + "\t" + " ".join("%.17g" % x for x in row) + "\n")
-        finally:
-            if close:
-                fh.close()
 
 
 def load_embedding(source):
-    from .graph import _open_text
     from .errors import EdgeListParseError
 
-    fh, close = _open_text(source)
-    try:
+    with _open_text(source) as fh:
         header = fh.readline().rstrip("\n").split("\t")
         if len(header) != 2 or header[0] != "node_id":
             raise EdgeListParseError("bad embedding header", 1)
@@ -114,9 +107,6 @@ def load_embedding(source):
                     f"expected {d} values, got {len(vals)}", lineno)
             ids.append(nid)
             rows.append([float(x) for x in vals])
-    finally:
-        if close:
-            fh.close()
     return EmbeddingTable(np.array(rows, dtype=np.float64), ids)
 
 

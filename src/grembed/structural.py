@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, NumericError, ResourceLimitError
-from .graph import DENSE_NODE_CAP
+from .graph import DENSE_NODE_CAP, _open_text
 from .rng import derived_rng
 from .shallow import EmbeddingTable, ShallowConfig, _skipgram_train
 from .walks import WalkConfig, WalkCorpus, extract_pairs
@@ -227,19 +227,13 @@ def signature_matrix(signatures):
 
 def export_signatures(target, signatures, node_ids, include_psi=False):
     """TSV rows: node_id then the samples (psi appended on request)."""
-    from .graph import _open_text
-
-    fh, close = _open_text(target, "w")
-    try:
+    with _open_text(target, "w") as fh:
         for sig in signatures:
             row = [str(node_ids[sig.node])]
             row.extend("%.17g" % x for x in sig.char_samples)
             if include_psi:
                 row.extend("%.17g" % x for x in sig.psi)
             fh.write("\t".join(row) + "\n")
-    finally:
-        if close:
-            fh.close()
 
 
 def degree_refinement_classes(g, rounds=None):

@@ -21,7 +21,7 @@ from .errors import (
     EdgeListParseError,
     ValidationError,
 )
-from .graph import Graph, disjoint_union
+from .graph import Graph, _open_text, disjoint_union
 from .rng import derived_rng
 from .shallow import EmbeddingTable
 
@@ -403,10 +403,7 @@ def parse_multigraph_file(source):
     Blank lines separate graphs. Returns a list of SubgraphSpec with
     every spec covering its whole standalone graph.
     """
-    from .graph import _open_text
-
-    fh, close = _open_text(source)
-    try:
+    with _open_text(source) as fh:
         specs = []
         header = None
         edges = []
@@ -458,9 +455,6 @@ def parse_multigraph_file(source):
                 raise EdgeListParseError(
                     f"bad weight {bits[2]!r}", line_no)
         flush(line_no)
-    finally:
-        if close:
-            fh.close()
     return specs
 
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, ValidationError
+from .graph import _open_text
 from .rng import node_stream
 
 
@@ -108,34 +109,22 @@ class WalkCorpus:
 
     def dump(self, target):
         """One walk per line, space-separated external node ids."""
-        from .graph import _open_text
-
-        fh, close = _open_text(target, "w")
-        try:
+        with _open_text(target, "w") as fh:
             ids = self.node_ids or [str(i) for i in range(self.node_count)]
             for walk in self.walks:
                 fh.write(" ".join(ids[v] for v in walk))
                 fh.write("\n")
-        finally:
-            if close:
-                fh.close()
 
 
 def load_corpus(source, g, config=None):
-    from .graph import _open_text
-
-    fh, close = _open_text(source)
     walks = []
-    try:
+    with _open_text(source) as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             walks.append(np.array([g.index_of(t) for t in line.split()],
                                   dtype=np.int64))
-    finally:
-        if close:
-            fh.close()
     cfg = config or WalkConfig(length=max((len(w) - 1 for w in walks), default=2))
     return WalkCorpus(walks, cfg, g.node_count, node_ids=list(g.node_ids))
 

@@ -286,6 +286,25 @@ def test_optimizer_rejects_non_finite_gradient():
         ad.Adam([w]).step()
 
 
+@pytest.mark.parametrize("make", [ad.Sgd, ad.Adam])
+def test_optimizer_checks_every_gradient_before_writing(make):
+    a = ad.parameter([[1.0]])
+    b = ad.parameter([[2.0]])
+    a.grad = np.array([[5.0]])
+    b.grad = np.array([[np.nan]])
+    opt = make([a, b], lr=0.1)
+    with pytest.raises(NumericError):
+        opt.step()
+    assert a.data[0, 0] == 1.0 and b.data[0, 0] == 2.0
+    b.grad = np.array([[1.0]])
+    opt.step()  # a failed Adam step does not count toward bias correction
+    fresh = [ad.parameter([[1.0]]), ad.parameter([[2.0]])]
+    fresh[0].grad, fresh[1].grad = a.grad, b.grad
+    make(fresh, lr=0.1).step()
+    assert a.data[0, 0] == fresh[0].data[0, 0]
+    assert b.data[0, 0] == fresh[1].data[0, 0]
+
+
 def test_make_optimizer_dispatch():
     w = ad.parameter([[1.0]])
     assert isinstance(ad.make_optimizer("sgd", [w]), ad.Sgd)

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 import grembed
-from grembed import cli
+from grembed import cli, multiscale, shallow
 from grembed.fixtures import cycles_and_paths, karate_club, two_layer_graphs
-from grembed.graph import export_edge_list
+from grembed.graph import export_edge_list, load_edge_list
 
 
 @pytest.fixture(scope="module")
@@ -136,6 +136,93 @@ def test_config_file_fills_defaults_flags_win(data_dir, tmp_path, capsys):
     assert report_dict(stdout)["dim"] == "4"
 
 
+def _embed_bytes(capsys, data_dir, path, *flags):
+    code, _, err = run_cli(
+        capsys, "embed", "--input", str(data_dir / "karate.edges"),
+        "--out", str(path), "--dim", "4", "--walk-length", "6",
+        "--walks-per-node", "1", *flags)
+    assert code == 0, err
+    return path.read_bytes()
+
+
+def test_config_file_given_with_equals_sign(data_dir, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dim": 6, "epochs": 1}))
+    code, stdout, _ = run_cli(
+        capsys, "embed", "--input", str(data_dir / "karate.edges"),
+        "--out", str(tmp_path / "z.tsv"), f"--config={cfg}")
+    assert code == 0
+    assert report_dict(stdout)["dim"] == "6"
+
+
+def test_abbreviated_flag_beats_config_file(data_dir, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"epochs": 1}))
+    abbreviated = _embed_bytes(capsys, data_dir, tmp_path / "a.tsv",
+                               "--config", str(cfg), "--epoch", "3")
+    spelled_out = _embed_bytes(capsys, data_dir, tmp_path / "b.tsv",
+                               "--epochs", "3")
+    from_file = _embed_bytes(capsys, data_dir, tmp_path / "c.tsv",
+                             "--config", str(cfg))
+    assert abbreviated == spelled_out
+    assert abbreviated != from_file
+
+
+def test_config_file_string_value_is_converted(data_dir, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dim": "4", "epochs": "1"}))
+    code, stdout, err = run_cli(
+        capsys, "embed", "--input", str(data_dir / "karate.edges"),
+        "--out", str(tmp_path / "z.tsv"), "--config", str(cfg))
+    assert code == 0, err
+    assert report_dict(stdout)["dim"] == "4"
+    assert (tmp_path / "z.tsv").read_text().splitlines()[0] == "node_id\t4"
+
+    cfg.write_text(json.dumps({"dim": "four"}))
+    code, _, err = run_cli(
+        capsys, "embed", "--input", str(data_dir / "karate.edges"),
+        "--out", str(tmp_path / "z.tsv"), "--config", str(cfg))
+    assert code == 2
+    assert "--dim" in err
+
+
+def test_embed_without_options_runs_library_defaults(data_dir, tmp_path,
+                                                    capsys, monkeypatch):
+    monkeypatch.delenv("GREMBED_SEED", raising=False)
+    out = tmp_path / "z.tsv"
+    code, stdout, _ = run_cli(capsys, "embed", "--input",
+                              str(data_dir / "karate.edges"), "--out", str(out))
+    assert code == 0
+    defaults = shallow.ShallowConfig()
+    rep = report_dict(stdout)
+    assert rep["dim"] == str(defaults.dim)
+    assert rep["config.method"] == "deepwalk"
+    assert rep["config.seed"] == str(defaults.seed)
+    ref = tmp_path / "ref.tsv"
+    shallow.train_shallow(load_edge_list(str(data_dir / "karate.edges")),
+                          "deepwalk", defaults).save(str(ref))
+    assert out.read_bytes() == ref.read_bytes()
+
+
+def test_ohmnet_without_options_runs_library_defaults(data_dir, tmp_path,
+                                                     capsys, monkeypatch):
+    monkeypatch.delenv("GREMBED_SEED", raising=False)
+    prefix = str(tmp_path / "oh_")
+    code, stdout, _ = run_cli(
+        capsys, "ohmnet", "--layer", f"A={data_dir / 'la.edges'}",
+        "--layer", f"B={data_dir / 'lb.edges'}", "--out-prefix", prefix)
+    assert code == 0
+    rep = report_dict(stdout)
+    assert rep["dim"] == str(multiscale.OHMNET_CONFIG.dim)
+    tables = multiscale.ohmnet_train(
+        [load_edge_list(str(data_dir / f"{n}.edges")) for n in ("la", "lb")])
+    assert rep["config.lam"] == str(tables[0].metadata["lam"])
+    for name, table in zip("AB", tables):
+        table.save(str(tmp_path / f"ref_{name}.tsv"))
+        assert (tmp_path / f"oh_{name}.tsv").read_bytes() == \
+            (tmp_path / f"ref_{name}.tsv").read_bytes()
+
+
 def test_config_file_unknown_key_exits_2(data_dir, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"dimme": 6}))
@@ -171,12 +258,15 @@ def test_env_seed_garbage_exits_2(data_dir, tmp_path, capsys, monkeypatch):
     assert "GREMBED_SEED" in err
 
 
-def test_deterministic_multiworker_exits_2(data_dir, tmp_path, capsys):
-    code, _, err = run_cli(
-        capsys, "embed", "--input", str(data_dir / "karate.edges"),
-        "--out", str(tmp_path / "z.tsv"), "--workers", "4")
-    assert code == 2
-    assert "worker" in err
+def test_workers_and_deterministic_flags_are_unknown(data_dir, tmp_path,
+                                                     capsys):
+    for flag in (["--workers", "4"], ["--no-deterministic"]):
+        code, stdout, err = run_cli(
+            capsys, "embed", "--input", str(data_dir / "karate.edges"),
+            "--out", str(tmp_path / "z.tsv"), *flag)
+        assert code == 2
+        assert "unrecognized arguments" in err and flag[0] in err
+        assert stdout == "" and not (tmp_path / "z.tsv").exists()
 
 
 def test_walk_dumps_corpus(data_dir, tmp_path, capsys):
@@ -335,6 +425,34 @@ def test_ohmnet_writes_layer_tables(data_dir, tmp_path, capsys):
     assert float(rep["inter_layer_gap"]) >= 0
     assert (tmp_path / "oh_A.tsv").exists()
     assert (tmp_path / "oh_B.tsv").exists()
+
+
+def test_ohmnet_with_hierarchy_file(data_dir, tmp_path, capsys):
+    hier = tmp_path / "layers.hier"
+    hier.write_text("A\t-\nB\tA\n")
+    layers = ["--layer", f"A={data_dir / 'la.edges'}",
+              "--layer", f"B={data_dir / 'lb.edges'}"]
+    code, stdout, err = run_cli(
+        capsys, "ohmnet", *layers, "--hierarchy", str(hier), "--lam", "0.5",
+        "--epochs", "1", "--seed", "0", "--out-prefix", str(tmp_path / "h_"))
+    assert code == 0, err
+    rep = report_dict(stdout)
+    assert rep["config.layers"] == "A,B"
+    assert float(rep["inter_layer_gap"]) >= 0
+    assert (tmp_path / "h_A.tsv").exists() and (tmp_path / "h_B.tsv").exists()
+
+
+def test_ohmnet_layer_flags_replace_config_layers(data_dir, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"layer": [f"C={data_dir / 'la.edges'}"],
+                               "epochs": 1}))
+    code, stdout, err = run_cli(
+        capsys, "ohmnet", "--config", str(cfg),
+        "--layer", f"A={data_dir / 'la.edges'}",
+        "--layer", f"B={data_dir / 'lb.edges'}",
+        "--out-prefix", str(tmp_path / "oh_"))
+    assert code == 0, err
+    assert report_dict(stdout)["config.layers"] == "A,B"
 
 
 def test_ohmnet_rejects_bad_layer_spec(data_dir, capsys):

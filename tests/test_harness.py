@@ -4,9 +4,9 @@ import pytest
 import oracles
 from grembed.errors import ConfigError, ContractError, ValidationError
 from grembed.fixtures import karate_club
+from grembed.graph import Graph
 from grembed.harness import (
     EvalReport,
-    RunConfig,
     auc_score,
     clustering_eval,
     export_projection,
@@ -39,13 +39,6 @@ def test_report_lines_have_header_and_no_wall_clock():
 def test_report_rejects_non_finite_metric():
     with pytest.raises(ValidationError):
         EvalReport("demo", {"x": float("nan")})
-
-
-def test_runconfig_deterministic_worker_guard():
-    RunConfig("embed", workers=1)
-    with pytest.raises(ConfigError):
-        RunConfig("embed", workers=4, deterministic=True)
-    RunConfig("embed", workers=4, deterministic=False)
 
 
 def test_stratified_split_proportions():
@@ -165,6 +158,45 @@ def test_link_eval_with_oracle_scorer():
 
     rep = link_prediction_eval(g, embed, 0.2, seeds=range(5), score_fn=coin)
     assert abs(rep.metrics["auc_mean"] - 0.5) < 0.25
+
+
+def _residuals(g, holdout, seeds):
+    seen = []
+
+    def embed(residual, seed):
+        seen.append(residual)
+        return np.ones((residual.node_count, 2))
+
+    link_prediction_eval(g, embed, holdout, seeds=seeds)
+    return seen
+
+
+def test_link_residual_keeps_direction_and_other_arcs():
+    arcs = [(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 0), (0, 2)]
+    g = Graph(["a", "b", "c", "d"], arcs, directed=True)
+    for seed, residual in zip(range(3), _residuals(g, 0.2, range(3))):
+        held = holdout_edges(g, 0.2, seed)
+        keep = np.setdiff1d(np.arange(len(arcs)), held)
+        assert residual.directed and not residual.weighted
+        assert residual.node_ids == g.node_ids
+        np.testing.assert_array_equal(residual.edge_pairs, g.edge_pairs[keep])
+        assert residual.edge_count == len(arcs) - len(held)
+
+
+def test_link_residual_matches_rebuild_from_ids():
+    g, _ = karate_club()
+    g = Graph(g.node_ids, g.edge_pairs, np.arange(1.0, g.edge_count + 1))
+    for seed, residual in zip(range(2), _residuals(g, 0.2, range(2))):
+        keep = np.setdiff1d(np.arange(g.edge_count),
+                            holdout_edges(g, 0.2, seed))
+        ref = Graph.from_edges(
+            [(g.node_ids[a], g.node_ids[b]) for a, b in g.edge_pairs[keep]],
+            weights=g.pair_weights[keep], node_ids=g.node_ids, weighted=True)
+        for name in ("edge_pairs", "pair_weights", "csr_offsets",
+                     "csr_targets", "csr_weights", "csr_sources"):
+            np.testing.assert_array_equal(getattr(residual, name),
+                                          getattr(ref, name))
+        assert residual.weighted and not residual.directed
 
 
 def test_kmeans_two_blobs():
