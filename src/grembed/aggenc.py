@@ -18,7 +18,7 @@ structure both shape the encoder.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -28,9 +28,6 @@ from .graph import _open_text
 from .rng import derived_rng
 from .shallow import EmbeddingTable, negative_sampling_loss, unigram_noise
 from .walks import AliasTable
-
-_ACTS = {"relu": ad.relu, "tanh": ad.tanh, "sigmoid": ad.sigmoid,
-         "identity": lambda t: t}
 
 AGGREGATORS = ("mean", "weighted_mean", "maxpool")
 COMBINERS = ("concat", "sum", "agg_only")
@@ -58,7 +55,7 @@ class AggConfig:
             raise ContractError(f"unknown aggregator {self.aggregator!r}")
         if self.combiner not in COMBINERS:
             raise ContractError(f"unknown combiner {self.combiner!r}")
-        if self.activation not in _ACTS:
+        if self.activation not in ad.ACTIVATIONS:
             raise ContractError(f"unknown activation {self.activation!r}")
         if self.sym_norm and self.aggregator != "weighted_mean":
             raise ContractError("sym_norm applies to the weighted_mean aggregator")
@@ -102,7 +99,7 @@ class AggParams:
             agg_dim = d_in
             if config.aggregator == "maxpool":
                 pool = config.maxpool_hidden or d_in
-                layer["pool_w"] = _glorot(rng, d_in, pool)
+                layer["pool_w"] = ad.glorot(rng, d_in, pool)
                 layer["pool_b"] = ad.parameter(np.zeros((1, pool)))
                 agg_dim = pool
             if config.combiner == "concat":
@@ -113,13 +110,13 @@ class AggParams:
                 comb = d_in
             else:
                 comb = agg_dim
-            layer["w"] = _glorot(rng, comb, d_out)
+            layer["w"] = ad.glorot(rng, comb, d_out)
             layer["b"] = ad.parameter(np.zeros((1, d_out)))
             if config.interpolate:
                 if d_out != d_in:
                     raise ContractError(
                         "interpolation needs equal input/output widths per layer")
-                layer["gate_w"] = _glorot(rng, d_in + agg_dim, 1)
+                layer["gate_w"] = ad.glorot(rng, d_in + agg_dim, 1)
                 layer["gate_b"] = ad.parameter(np.zeros((1, 1)))
             self.layers.append(layer)
             d_in = d_out
@@ -135,16 +132,25 @@ class AggParams:
         return int(sum(t.data.size for t in self.tensors()))
 
 
-def _glorot(rng, fan_in, fan_out):
-    s = np.sqrt(6.0 / (fan_in + fan_out))
-    return ad.parameter(rng.uniform(-s, s, size=(fan_in, fan_out)))
-
-
 def default_attributes(g):
     """Fallback input features: degree scaled to [0, 1], shape (n, 1)."""
     deg = g.degrees(weighted=True)
     top = deg.max() if deg.max() > 0 else 1.0
     return (deg / top).reshape(-1, 1)
+
+
+def node_features(g, x=None):
+    """Encoder input: ``x``, else the graph's attribute rows, else
+    ``default_attributes``; checked as a float64 (node_count, m) array."""
+    if x is None:
+        x = g.attribute_rows()
+    if x is None:
+        x = default_attributes(g)
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[0] != g.node_count:
+        raise ValidationError(
+            f"attributes must be (node_count, m), got {x.shape}")
+    return x
 
 
 def _edge_arrays(g, config, rng=None):
@@ -200,18 +206,11 @@ def encode_tensors(g, params, x=None, rng=None):
     neighborhoods and is deterministic.
     """
     config = params.config
-    if x is None:
-        x = g.attribute_rows()
-        if x is None:
-            x = default_attributes(g)
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] != g.node_count:
-        raise ValidationError(
-            f"attributes must be (node_count, m), got {x.shape}")
+    x = node_features(g, x)
     if x.shape[1] != params.input_dim:
         raise ContractError(
             f"params built for {params.input_dim} input features, got {x.shape[1]}")
-    act = _ACTS[config.activation]
+    act = ad.ACTIVATIONS[config.activation]
     n = g.node_count
     src, dst, w = _edge_arrays(g, config, rng)
     h = ad.constant(x)
@@ -248,11 +247,8 @@ def encode_all(g, config=None, params=None, x=None):
     if params is None:
         if config is None:
             raise ContractError("encode_all needs a config or trained params")
-        feats = x if x is not None else g.attribute_rows()
-        if feats is None:
-            feats = default_attributes(g)
-        params = AggParams(np.asarray(feats).shape[1], config)
-        x = feats
+        x = node_features(g, x)
+        params = AggParams(x.shape[1], config)
     h = encode_tensors(g, params, x)
     meta = {"depth": params.config.depth,
             "aggregator": params.config.aggregator,
@@ -263,6 +259,21 @@ def encode_all(g, config=None, params=None, x=None):
 # ---------------------------------------------------------------------
 # supervised / joint training
 # ---------------------------------------------------------------------
+
+
+def classifier_head(rng, width, n_classes, std):
+    """Linear head (theta, bias) over width-wide inputs: one sigmoid
+    column for two classes, one softmax column per class beyond."""
+    cols = 1 if n_classes <= 2 else n_classes
+    return (ad.parameter(rng.normal(0.0, std, size=(width, cols))),
+            ad.parameter(np.zeros((1, cols))))
+
+
+def predict_classes(scores):
+    """Class index per row of head scores (> 0 for a single column)."""
+    if scores.shape[1] == 1:
+        return (scores.reshape(-1) > 0).astype(np.int64)
+    return scores.argmax(axis=1)
 
 
 def cross_entropy_loss(z_t, theta, theta_b, labels, mask=None):
@@ -302,16 +313,11 @@ def train_supervised(g, labels, config, x=None, mode="replace", sup_weight=1.0,
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (g.node_count,):
         raise ValidationError("labels must align with nodes")
-    feats = x if x is not None else g.attribute_rows()
-    if feats is None:
-        feats = default_attributes(g)
-    feats = np.asarray(feats, dtype=np.float64)
+    feats = node_features(g, x)
     params = AggParams(feats.shape[1], config)
-    n_classes = int(labels.max()) + 1
-    head_cols = 1 if n_classes <= 2 else n_classes
-    rng = derived_rng(config.seed, "head_init")
-    theta = ad.parameter(rng.normal(0.0, 0.1, size=(config.dims[-1], head_cols)))
-    theta_b = ad.parameter(np.zeros((1, head_cols)))
+    theta, theta_b = classifier_head(derived_rng(config.seed, "head_init"),
+                                     config.dims[-1], int(labels.max()) + 1,
+                                     0.1)
     opt = ad.Adam(params.tensors() + [theta, theta_b], lr=lr)
     history = []
     pairs = _edge_pairs_both_ways(g) if mode == "joint" else None
@@ -340,10 +346,7 @@ def predict_labels(g, params, head, x=None):
     """Class predictions from a trained encoder + head."""
     z = encode_tensors(g, params, x)
     theta, theta_b = head
-    logits = ad.add(ad.matmul(z, theta), theta_b).data
-    if logits.shape[1] == 1:
-        return (logits.reshape(-1) > 0).astype(np.int64)
-    return np.argmax(logits, axis=1)
+    return predict_classes(ad.add(ad.matmul(z, theta), theta_b).data)
 
 
 # ---------------------------------------------------------------------
@@ -400,32 +403,13 @@ def save_agg_checkpoint(target, params):
     for k, layer in enumerate(params.layers):
         for name in sorted(layer):
             named[f"layer{k}.{name}"] = layer[name].data
-    cfg = {
-        "input_dim": params.input_dim,
-        "dims": list(params.config.dims),
-        "aggregator": params.config.aggregator,
-        "combiner": params.config.combiner,
-        "activation": params.config.activation,
-        "normalize": params.config.normalize,
-        "interpolate": params.config.interpolate,
-        "self_loops": params.config.self_loops,
-        "sym_norm": params.config.sym_norm,
-        "maxpool_hidden": params.config.maxpool_hidden,
-        "neighbor_samples": params.config.neighbor_samples,
-        "seed": params.config.seed,
-    }
+    cfg = {"input_dim": params.input_dim, **asdict(params.config)}
     save_checkpoint(target, "aggenc", cfg, named)
 
 
 def load_agg_checkpoint(source):
     kind, cfg, arrays = load_checkpoint(source, expect_kind="aggenc")
-    config = AggConfig(dims=tuple(cfg["dims"]), aggregator=cfg["aggregator"],
-                       combiner=cfg["combiner"], activation=cfg["activation"],
-                       normalize=cfg["normalize"], interpolate=cfg["interpolate"],
-                       self_loops=cfg["self_loops"], sym_norm=cfg["sym_norm"],
-                       maxpool_hidden=cfg["maxpool_hidden"],
-                       neighbor_samples=cfg["neighbor_samples"],
-                       seed=cfg["seed"])
+    config = AggConfig(**{f.name: cfg[f.name] for f in fields(AggConfig)})
     params = AggParams(int(cfg["input_dim"]), config)
     for k, layer in enumerate(params.layers):
         for name in sorted(layer):

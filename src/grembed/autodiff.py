@@ -280,9 +280,6 @@ def scale(a, c):
     return _record(out, (a,), lambda g: (g * c,))
 
 
-elementwise_mul = mul
-
-
 def transpose(a):
     a = _wrap(a)
     out = Tensor(a.data.T.copy())
@@ -393,11 +390,6 @@ def reduce_sum(a, axis=None):
     return _record(out, (a,), back)
 
 
-def mean_all(a):
-    a = _wrap(a)
-    return scale(reduce_sum(a), 1.0 / a.data.size)
-
-
 def _sigmoid_np(x):
     s = np.empty_like(x)
     pos = x >= 0
@@ -440,6 +432,16 @@ def relu(a):
     mask = a.data > 0
     out = Tensor(a.data * mask)
     return _record(out, (a,), lambda g: (g * mask,))
+
+
+ACTIVATIONS = {"relu": relu, "tanh": tanh, "sigmoid": sigmoid,
+               "identity": lambda t: t}
+
+
+def glorot(rng, fan_in, fan_out):
+    """Glorot-uniform (fan_in, fan_out) weight parameter."""
+    s = np.sqrt(6.0 / (fan_in + fan_out))
+    return parameter(rng.uniform(-s, s, size=(fan_in, fan_out)))
 
 
 def exp(a):

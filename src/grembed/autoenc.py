@@ -9,7 +9,7 @@ adjacency rows with the coupling term on, "dngr" on PPMI rows of
 random-walk co-occurrence with it off.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,9 +18,6 @@ from .errors import ContractError
 from .rng import derived_rng
 from .shallow import EmbeddingTable, weighted_distance_loss
 from .similarity import SimilaritySpec, build_similarity
-
-_ACTS = {"tanh": ad.tanh, "sigmoid": ad.sigmoid, "relu": ad.relu,
-         "identity": lambda t: t}
 
 
 @dataclass(frozen=True)
@@ -37,7 +34,7 @@ class AutoencoderConfig:
     def __post_init__(self):
         if self.dim < 1:
             raise ContractError("dim must be >= 1")
-        if self.activation not in _ACTS:
+        if self.activation not in ad.ACTIVATIONS:
             raise ContractError(f"unknown activation {self.activation!r}")
         if self.le_weight < 0:
             raise ContractError("le_weight must be >= 0")
@@ -82,7 +79,7 @@ def _init_stack(dims, rng):
 
 
 def _run_stack(x, stack, activation, last_linear=False):
-    act = _ACTS[activation]
+    act = ad.ACTIVATIONS[activation]
     for i, (w, b) in enumerate(stack):
         x = ad.add(ad.matmul(x, w), b)
         if not (last_linear and i == len(stack) - 1):

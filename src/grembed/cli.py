@@ -13,7 +13,10 @@ argparse accepts (``--epochs 3``, ``--epochs=3``, ``--epoch 3``); the
 variable, then 42. An option set by neither flag nor file is not passed
 on, so the library routine's own default applies (``ShallowConfig``,
 ``AutoencoderConfig``, ``WalkConfig``, ``struc2vec_embed``,
-``multiscale.OHMNET_CONFIG``).
+``multiscale.OHMNET_CONFIG``, ``subgraph.classify_subgraphs`` and the
+``harness`` evaluations); reports read the values back from the
+library. The graphwave flags of ``roles`` keep their own defaults,
+because ``structural.default_t_grid`` takes no parameters.
 """
 
 import argparse
@@ -86,6 +89,13 @@ def _given(args, *names):
 def _shallow_config(args, base=ShallowConfig()):
     return dataclasses.replace(base, seed=args.seed,
                                **_given(args, *_SHALLOW_OPTIONS))
+
+
+def _eval_seeds(args):
+    """The ``seeds`` keyword for an ``--eval-seeds`` count, if one was set."""
+    if args.eval_seeds is None:
+        return {}
+    return {"seeds": range(args.eval_seeds)}
 
 
 # ---------------------------------------------------------------------
@@ -182,9 +192,8 @@ def _cmd_roles(args):
 def _cmd_subgraph(args):
     specs = subgraph.parse_multigraph_file(_open_input(_need(args, "dataset")))
     model, acc = subgraph.classify_subgraphs(
-        specs, rounds=args.rounds, edge_dim=args.edge_dim,
-        out_dim=args.out_dim, epochs=args.epochs, lr=args.lr,
-        seed=args.seed, target_acc=args.target_acc)
+        specs, seed=args.seed, target_acc=args.target_acc,
+        **_given(args, "rounds", "edge_dim", "out_dim", "epochs", "lr"))
     if args.out is not None:
         picked = model.predict(specs)
         with open(args.out, "w") as fh:
@@ -195,8 +204,9 @@ def _cmd_subgraph(args):
         task="subgraph",
         metrics={"train_accuracy": acc, "graph_count": len(specs),
                  "epochs_run": len(model.history)},
-        config={"rounds": args.rounds, "edge_dim": args.edge_dim,
-                "out_dim": args.out_dim, "seed": args.seed,
+        config={"rounds": model.params.rounds,
+                "edge_dim": model.params.edge_dim,
+                "out_dim": model.params.out_dim, "seed": args.seed,
                 "dataset": args.dataset})
 
 
@@ -204,10 +214,9 @@ def _cmd_eval_nodes(args):
     table = load_embedding(_open_input(_need(args, "embedding")))
     labels, _ = load_labels(_open_input(_need(args, "labels")), table)
     report = harness.node_classification_eval(
-        table.vectors, labels, train_fraction=args.train_fraction,
-        seeds=range(args.eval_seeds), epochs=args.epochs, lr=args.lr)
-    report.config.update({"embedding": args.embedding, "labels": args.labels,
-                          "train_fraction": args.train_fraction})
+        table.vectors, labels, **_eval_seeds(args),
+        **_given(args, "train_fraction", "epochs", "lr"))
+    report.config.update({"embedding": args.embedding, "labels": args.labels})
     return report
 
 
@@ -221,10 +230,12 @@ def _cmd_eval_links(args):
         cfg = dataclasses.replace(base_cfg, seed=args.seed + 7919 * seed)
         return shallow.train_shallow(residual, method, cfg)
 
-    report = harness.link_prediction_eval(
-        g, embed_fn, holdout_fraction=args.holdout,
-        seeds=range(args.eval_seeds))
-    report.config.update({"method": method, "holdout": args.holdout,
+    options = _eval_seeds(args)
+    if args.holdout is not None:
+        options["holdout_fraction"] = args.holdout
+    report = harness.link_prediction_eval(g, embed_fn, **options)
+    report.config.update({"method": method,
+                          "holdout": report.config["holdout_fraction"],
                           "seed": args.seed, "input": args.input})
     return report
 
@@ -234,7 +245,8 @@ def _cmd_eval_cluster(args):
     labels, names = load_labels(_open_input(_need(args, "labels")), table)
     k = args.k if args.k is not None else len(names)
     report = harness.clustering_eval(table.vectors, labels, k,
-                                     seed=args.seed, restarts=args.restarts)
+                                     seed=args.seed,
+                                     **_given(args, "restarts"))
     report.config.update({"embedding": args.embedding, "labels": args.labels,
                           "seed": args.seed})
     return report
@@ -243,11 +255,11 @@ def _cmd_eval_cluster(args):
 def _cmd_project(args):
     table = load_embedding(_open_input(_need(args, "embedding")))
     out = _need(args, "out")
-    harness.export_projection(out, table.vectors, table.node_ids,
-                              dims=args.dims)
+    coords = harness.export_projection(out, table.vectors, table.node_ids,
+                                       **_given(args, "dims"))
     return EvalReport(
         task="project",
-        metrics={"node_count": len(table.vectors), "dims": args.dims},
+        metrics={"node_count": len(table.vectors), "dims": coords.shape[1]},
         config={"embedding": args.embedding, "out": out})
 
 
@@ -404,11 +416,11 @@ def build_parser():
     sp = subs.add_parser("subgraph", help="whole-graph classification")
     sp.add_argument("--dataset", default=None)
     sp.add_argument("--out", default=None)
-    sp.add_argument("--rounds", type=int, default=2)
-    sp.add_argument("--edge-dim", type=int, default=8)
-    sp.add_argument("--out-dim", type=int, default=8)
-    sp.add_argument("--epochs", type=int, default=200)
-    sp.add_argument("--lr", type=float, default=0.01)
+    sp.add_argument("--rounds", type=int, default=None)
+    sp.add_argument("--edge-dim", type=int, default=None)
+    sp.add_argument("--out-dim", type=int, default=None)
+    sp.add_argument("--epochs", type=int, default=None)
+    sp.add_argument("--lr", type=float, default=None)
     sp.add_argument("--target-acc", type=float, default=None)
     _add_common(sp)
     built["subgraph"] = sp
@@ -416,18 +428,18 @@ def build_parser():
     sp = subs.add_parser("eval-nodes", help="node classification quality")
     sp.add_argument("--embedding", default=None)
     sp.add_argument("--labels", default=None)
-    sp.add_argument("--train-fraction", type=float, default=0.1)
-    sp.add_argument("--eval-seeds", type=int, default=10)
-    sp.add_argument("--epochs", type=int, default=300)
-    sp.add_argument("--lr", type=float, default=0.1)
+    sp.add_argument("--train-fraction", type=float, default=None)
+    sp.add_argument("--eval-seeds", type=int, default=None)
+    sp.add_argument("--epochs", type=int, default=None)
+    sp.add_argument("--lr", type=float, default=None)
     _add_common(sp)
     built["eval-nodes"] = sp
 
     sp = subs.add_parser("eval-links", help="link prediction quality")
     sp.add_argument("--input", default=None)
     sp.add_argument("--directed", action="store_true")
-    sp.add_argument("--holdout", type=float, default=0.2)
-    sp.add_argument("--eval-seeds", type=int, default=10)
+    sp.add_argument("--holdout", type=float, default=None)
+    sp.add_argument("--eval-seeds", type=int, default=None)
     _add_shallow_flags(sp)
     _add_common(sp)
     built["eval-links"] = sp
@@ -436,14 +448,14 @@ def build_parser():
     sp.add_argument("--embedding", default=None)
     sp.add_argument("--labels", default=None)
     sp.add_argument("--k", type=int, default=None)
-    sp.add_argument("--restarts", type=int, default=10)
+    sp.add_argument("--restarts", type=int, default=None)
     _add_common(sp)
     built["eval-cluster"] = sp
 
     sp = subs.add_parser("project", help="2-d PCA projection")
     sp.add_argument("--embedding", default=None)
     sp.add_argument("--out", default=None)
-    sp.add_argument("--dims", type=int, default=2)
+    sp.add_argument("--dims", type=int, default=None)
     _add_common(sp)
     built["project"] = sp
 

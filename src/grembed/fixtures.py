@@ -35,10 +35,6 @@ def star_graph(n_leaves):
     return Graph.from_edges([(0, i) for i in range(1, n_leaves + 1)])
 
 
-def complete_graph(n):
-    return Graph.from_edges([(i, j) for i in range(n) for j in range(i + 1, n)])
-
-
 def grid_graph(rows, cols):
     def nid(r, c):
         return r * cols + c

@@ -20,13 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .aggenc import load_checkpoint, save_checkpoint
+from .aggenc import load_checkpoint, node_features, save_checkpoint
 from .errors import ContractError, ConvergenceError, ValidationError
 from .rng import derived_rng
 from .shallow import EmbeddingTable
-
-_ACTS = {"tanh": ad.tanh, "sigmoid": ad.sigmoid, "relu": ad.relu,
-         "identity": lambda t: t}
 
 
 class Mlp:
@@ -35,17 +32,15 @@ class Mlp:
     def __init__(self, dims, seed=42, activation="tanh", rng=None):
         if len(dims) < 2:
             raise ContractError("mlp needs input and output widths")
-        if activation not in _ACTS:
+        if activation not in ad.ACTIVATIONS:
             raise ContractError(f"unknown activation {activation!r}")
         rng = rng or derived_rng(seed, "mlp_init", *dims)
         self.dims = tuple(int(d) for d in dims)
         self.activation = activation
         self.layers = []
         for din, dout in zip(self.dims[:-1], self.dims[1:]):
-            s = np.sqrt(6.0 / (din + dout))
-            w = ad.parameter(rng.uniform(-s, s, size=(din, dout)))
-            b = ad.parameter(np.zeros((1, dout)))
-            self.layers.append((w, b))
+            self.layers.append((ad.glorot(rng, din, dout),
+                                ad.parameter(np.zeros((1, dout)))))
 
     def tensors(self):
         out = []
@@ -54,7 +49,7 @@ class Mlp:
         return out
 
     def apply(self, x):
-        act = _ACTS[self.activation]
+        act = ad.ACTIVATIONS[self.activation]
         for i, (w, b) in enumerate(self.layers):
             x = ad.add(ad.matmul(x, w), b)
             if i < len(self.layers) - 1:
@@ -81,15 +76,7 @@ def spectral_norm(w, iters=100):
 
 
 def _pad_attributes(g, x, dim):
-    if x is None:
-        x = g.attribute_rows()
-        if x is None:
-            from .aggenc import default_attributes
-
-            x = default_attributes(g)
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] != g.node_count:
-        raise ValidationError(f"attributes must be (node_count, m), got {x.shape}")
+    x = node_features(g, x)
     if x.shape[1] > dim:
         raise ContractError(
             f"attribute width {x.shape[1]} exceeds state width {dim}")
@@ -119,14 +106,7 @@ def gnn_fixed_point(g, x=None, hidden_dim=8, mlp=None, mlp_hidden=(16,),
         raise ContractError("contraction_scale must be in (0, 1)")
     if g.directed:
         raise ValidationError("fixed-point states need an undirected graph")
-    xr = x if x is not None else g.attribute_rows()
-    if xr is None:
-        from .aggenc import default_attributes
-
-        xr = default_attributes(g)
-    xr = np.asarray(xr, dtype=np.float64)
-    if xr.ndim != 2 or xr.shape[0] != g.node_count:
-        raise ValidationError(f"attributes must be (node_count, m), got {xr.shape}")
+    xr = node_features(g, x)
     m = xr.shape[1]
     if mlp is None:
         mlp = Mlp((hidden_dim + 2 * m, *mlp_hidden, hidden_dim), seed=seed)
@@ -351,12 +331,12 @@ def ggnn_forward(g, dim=8, rounds=3, seed=42, x=None, params=None):
 # ---------------------------------------------------------------------
 
 
+_MPNN_PARTS = ("message", "update")
+
+
 def save_mpnn_checkpoint(target, config):
-    named = {}
-    for i, t in enumerate(config.message.tensors()):
-        named[f"message.{i}"] = t.data
-    for i, t in enumerate(config.update.tensors()):
-        named[f"update.{i}"] = t.data
+    named = {f"{part}.{i}": t.data for part in _MPNN_PARTS
+             for i, t in enumerate(getattr(config, part).tensors())}
     cfg = {"dim": config.dim, "rounds": config.rounds,
            "message": type(config.message).__name__,
            "update": type(config.update).__name__, "seed": config.seed}
@@ -375,14 +355,10 @@ def load_mpnn_checkpoint(source):
                         update=upd_cls[cfg["update"]](int(cfg["dim"]),
                                                       seed=cfg["seed"]),
                         seed=cfg["seed"])
-    for i, t in enumerate(config.message.tensors()):
-        arr = arrays.get(f"message.{i}")
-        if arr is None or arr.shape != t.data.shape:
-            raise ContractError(f"checkpoint dim mismatch at message.{i}")
-        t.data = arr
-    for i, t in enumerate(config.update.tensors()):
-        arr = arrays.get(f"update.{i}")
-        if arr is None or arr.shape != t.data.shape:
-            raise ContractError(f"checkpoint dim mismatch at update.{i}")
-        t.data = arr
+    for part in _MPNN_PARTS:
+        for i, t in enumerate(getattr(config, part).tensors()):
+            arr = arrays.get(f"{part}.{i}")
+            if arr is None or arr.shape != t.data.shape:
+                raise ContractError(f"checkpoint dim mismatch at {part}.{i}")
+            t.data = arr
     return config

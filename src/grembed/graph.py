@@ -190,27 +190,6 @@ class Graph:
                    edge_pair_types=et, weighted=weighted if weighted is not None
                    else (weights is not None))
 
-    @classmethod
-    def from_adjacency(cls, dense, directed=False, node_ids=None, **kw):
-        """Build from a dense adjacency matrix (nonzeros become edges)."""
-        a = np.asarray(dense, dtype=np.float64)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValidationError("adjacency must be square")
-        n = a.shape[0]
-        if node_ids is None:
-            node_ids = [str(i) for i in range(n)]
-        if directed:
-            src, dst = np.nonzero(a)
-        else:
-            if not np.allclose(a, a.T):
-                raise ValidationError("undirected adjacency must be symmetric")
-            src, dst = np.nonzero(np.triu(a))
-        edges = [(node_ids[i], node_ids[j]) for i, j in zip(src, dst)]
-        wts = a[src, dst]
-        unw = bool(np.all(wts == 1.0))
-        return cls.from_edges(edges, weights=None if unw else wts, directed=directed,
-                              node_ids=node_ids, allow_self_loops=True, **kw)
-
     def with_attributes(self, node_attributes):
         return Graph(self.node_ids, self.edge_pairs, self.pair_weights,
                      directed=self.directed, node_attributes=node_attributes,
@@ -396,6 +375,34 @@ def _open_text(source, mode="r"):
             yield fh
 
 
+def _edge_line(line, lineno, weighted):
+    """``(src, dst, weight)`` of one stripped ``src dst [weight]`` line.
+
+    weight is None on a 2-field line. ``weighted`` is what earlier lines
+    of the same list had (None before the first), so a list that mixes
+    2- and 3-field lines fails at the first line that differs.
+    """
+    toks = line.split()
+    if len(toks) not in (2, 3):
+        raise EdgeListParseError(
+            f"expected 2 or 3 fields, got {len(toks)}", lineno)
+    if weighted is not None and (len(toks) == 3) != weighted:
+        raise EdgeListParseError(
+            "inconsistent column count (mixed weighted/unweighted lines)",
+            lineno)
+    if len(toks) == 2:
+        return toks[0], toks[1], None
+    try:
+        w = float(toks[2])
+    except ValueError:
+        raise EdgeListParseError(f"bad weight {toks[2]!r}", lineno)
+    if not np.isfinite(w):
+        raise EdgeListParseError(f"non-finite weight {toks[2]!r}", lineno)
+    if w < 0:
+        raise EdgeListParseError(f"negative weight {w}", lineno)
+    return toks[0], toks[1], w
+
+
 def load_edge_list(source, directed=False, allow_self_loops=False):
     """Parse an edge-list file: ``src dst [weight]`` per line.
 
@@ -404,47 +411,38 @@ def load_edge_list(source, directed=False, allow_self_loops=False):
     2- and 3-token lines is a parse error, as are negative weights.
     """
     edges, weights = [], []
-    ncols = None
+    weighted = None
     with _open_text(source) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            toks = line.split()
-            if len(toks) not in (2, 3):
-                raise EdgeListParseError(
-                    f"expected 2 or 3 fields, got {len(toks)}", lineno)
-            if ncols is None:
-                ncols = len(toks)
-            elif len(toks) != ncols:
-                raise EdgeListParseError(
-                    "inconsistent column count (mixed weighted/unweighted lines)",
-                    lineno)
-            edges.append((toks[0], toks[1]))
-            if ncols == 3:
-                try:
-                    w = float(toks[2])
-                except ValueError:
-                    raise EdgeListParseError(f"bad weight {toks[2]!r}", lineno)
-                if not np.isfinite(w):
-                    raise EdgeListParseError(f"non-finite weight {toks[2]!r}", lineno)
-                if w < 0:
-                    raise EdgeListParseError(f"negative weight {w}", lineno)
+            u, v, w = _edge_line(line, lineno, weighted)
+            weighted = w is not None
+            edges.append((u, v))
+            if weighted:
                 weights.append(w)
     if not edges:
         raise EdgeListParseError("no edges in input")
-    return Graph.from_edges(edges, weights=weights if ncols == 3 else None,
+    return Graph.from_edges(edges, weights=weights if weighted else None,
                             directed=directed, allow_self_loops=allow_self_loops)
 
 
 def export_edge_list(g, target):
-    """Write the canonical edge list (sorted index pairs, external ids)."""
+    """Write the canonical edge list (sorted index pairs, external ids).
+
+    The weight column is written when the graph is weighted or a
+    duplicate edge summed to a weight other than 1, each weight as the
+    shortest text that reads back to the same float.
+    """
+    weighted = g.weighted or bool(np.any(g.pair_weights != 1.0))
     with _open_text(target, "w") as fh:
         order = np.lexsort((g.edge_pairs[:, 1], g.edge_pairs[:, 0]))
         for k in order:
             i, j = g.edge_pairs[k]
-            if g.weighted:
-                fh.write(f"{g.node_ids[i]}\t{g.node_ids[j]}\t{g.pair_weights[k]:.10g}\n")
+            if weighted:
+                w = np.format_float_positional(g.pair_weights[k], trim="-")
+                fh.write(f"{g.node_ids[i]}\t{g.node_ids[j]}\t{w}\n")
             else:
                 fh.write(f"{g.node_ids[i]}\t{g.node_ids[j]}\n")
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .aggenc import cross_entropy_loss
+from .aggenc import classifier_head, cross_entropy_loss, predict_classes
 from .errors import ConfigError, ContractError, ValidationError
 from .graph import Graph, _open_text
 from .rng import derived_rng
@@ -69,27 +69,20 @@ def train_logistic(x, y, epochs=300, lr=0.1, seed=0):
     """Multinomial (or sigmoid-binary) regression; returns (theta, b)."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
-    classes = int(y.max()) + 1
-    cols = 1 if classes == 2 else classes
-    rng = derived_rng(seed, "logistic_init")
-    theta = ad.parameter(rng.normal(0.0, 0.01, size=(x.shape[1], cols)))
-    bias = ad.parameter(np.zeros((1, cols)))
+    theta, bias = classifier_head(derived_rng(seed, "logistic_init"),
+                                  x.shape[1], int(y.max()) + 1, 0.01)
     opt = ad.Adam([theta, bias], lr=lr)
-    xt = x
     for _ in range(epochs):
         opt.zero_grad()
         with ad.Tape():
-            loss = cross_entropy_loss(ad.constant(xt), theta, bias, y)
+            loss = cross_entropy_loss(ad.constant(x), theta, bias, y)
             ad.backward(loss)
         opt.step()
     return theta.data, bias.data
 
 
 def predict_logistic(x, theta, bias):
-    scores = np.asarray(x) @ theta + bias
-    if scores.shape[1] == 1:
-        return (scores.reshape(-1) > 0).astype(np.int64)
-    return scores.argmax(axis=1)
+    return predict_classes(np.asarray(x) @ theta + bias)
 
 
 def stratified_split(labels, train_fraction, seed):
@@ -212,7 +205,9 @@ def holdout_edges(g, fraction, seed):
 
 
 def sample_non_edges(g, count, seed):
-    existing = {(int(a), int(b)) for a, b in g.edge_pairs}
+    """``count`` distinct (lo, hi) node pairs joined by no edge or arc in
+    either direction, since the decoder scores are symmetric."""
+    existing = {(min(a, b), max(a, b)) for a, b in g.edge_pairs.tolist()}
     rng = derived_rng(seed, "non_edges")
     out = []
     guard = 0

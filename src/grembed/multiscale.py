@@ -328,7 +328,9 @@ class LayerHierarchy:
 def load_hierarchy(source, layer_files):
     """Parse `layer_id<TAB>parent|-` lines and attach per-layer graphs.
 
-    layer_files maps layer id to an edge-list path (or open file).
+    layer_files maps layer id to an edge-list path (or open file); the
+    file must name every layer in it, and every layer it names must be
+    in layer_files.
     """
     with _open_text(source) as fh:
         parent = {}
@@ -344,6 +346,10 @@ def load_hierarchy(source, layer_files):
             layer, par = bits
             order.append(layer)
             parent[layer] = None if par == "-" else par
+    for name in layer_files:
+        if name not in parent:
+            raise ValidationError(
+                f"hierarchy file does not name layer {name!r}")
     layers = {}
     for name in order:
         if name not in layer_files:

@@ -11,11 +11,6 @@ import numpy as np
 _MASK64 = (1 << 64) - 1
 
 
-def base_rng(seed):
-    """Fresh Generator for a plain integer seed."""
-    return np.random.default_rng(int(seed))
-
-
 def derived_rng(seed, *stream):
     """Independent Generator for a (seed, *ints-or-strings) stream key."""
     parts = []

@@ -7,7 +7,7 @@ of the first T transition-matrix powers, matching the position-
 marginal of sampled walks.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -132,7 +132,3 @@ def build_similarity(g, spec, cap=DENSE_NODE_CAP):
     else:  # unreachable, __post_init__ guards
         raise ContractError(spec.kind)
     return SimilarityMatrix(values, spec)
-
-
-def with_power(spec, k):
-    return replace(spec, power=k)

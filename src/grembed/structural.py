@@ -254,7 +254,7 @@ def degree_refinement_classes(g, rounds=None):
         for v in range(n):
             nbr = tuple(sorted(colors[u] for u in g.neighbors(v)))
             keys.append((colors[v], nbr))
-        new = _canonical_keys(keys)
+        new = _canonical(keys)
         if np.array_equal(new, colors):
             break
         colors = new
@@ -268,14 +268,4 @@ def _canonical(values):
         if v not in seen:
             seen[v] = len(seen)
         out[i] = seen[v]
-    return out
-
-
-def _canonical_keys(keys):
-    seen = {}
-    out = np.empty(len(keys), dtype=np.int64)
-    for i, k in enumerate(keys):
-        if k not in seen:
-            seen[k] = len(seen)
-        out[i] = seen[k]
     return out

@@ -15,17 +15,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .aggenc import cross_entropy_loss, default_attributes
+from .aggenc import (
+    classifier_head,
+    cross_entropy_loss,
+    node_features,
+    predict_classes,
+)
 from .errors import (
     ContractError,
     EdgeListParseError,
     ValidationError,
 )
-from .graph import Graph, _open_text, disjoint_union
+from .graph import Graph, _edge_line, _open_text, disjoint_union
 from .rng import derived_rng
 from .shallow import EmbeddingTable
-
-_ACTS = {"tanh": ad.tanh, "sigmoid": ad.sigmoid, "relu": ad.relu}
 
 
 @dataclass
@@ -215,7 +218,7 @@ class EdgeMessageParams:
                  activation="tanh"):
         if rounds < 0:
             raise ContractError("rounds must be >= 0")
-        if activation not in _ACTS:
+        if activation not in ad.ACTIVATIONS:
             raise ContractError(f"unknown activation {activation!r}")
         self.attr_dim = attr_dim
         self.edge_dim = edge_dim
@@ -224,16 +227,11 @@ class EdgeMessageParams:
         self.activation = activation
         rng = derived_rng(seed, "edge_message", attr_dim, edge_dim, out_dim,
                           rounds)
-
-        def glorot(din, dout):
-            s = np.sqrt(6.0 / (din + dout))
-            return ad.parameter(rng.uniform(-s, s, size=(din, dout)))
-
-        self.edge_w = [glorot(attr_dim + edge_dim, edge_dim)
+        self.edge_w = [ad.glorot(rng, attr_dim + edge_dim, edge_dim)
                        for _ in range(rounds)]
         self.edge_b = [ad.parameter(np.zeros((1, edge_dim)))
                        for _ in range(rounds)]
-        self.node_w = glorot(attr_dim + edge_dim, out_dim)
+        self.node_w = ad.glorot(rng, attr_dim + edge_dim, out_dim)
         self.node_b = ad.parameter(np.zeros((1, out_dim)))
 
     def tensors(self):
@@ -263,17 +261,11 @@ def edge_message_tensors(g, params, x=None):
     """
     if g.directed:
         raise ValidationError("edge messages need both edge orientations")
-    if x is None:
-        x = g.attribute_rows()
-        if x is None:
-            x = default_attributes(g)
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] != g.node_count:
-        raise ValidationError(f"attributes must be (node_count, m), got {x.shape}")
+    x = node_features(g, x)
     if x.shape[1] != params.attr_dim:
         raise ContractError(
             f"attribute width {x.shape[1]} != params.attr_dim {params.attr_dim}")
-    act = _ACTS[params.activation]
+    act = ad.ACTIVATIONS[params.activation]
     src = g.csr_sources
     dst = g.csr_targets
     rev = _reverse_entry_index(g)
@@ -319,22 +311,14 @@ class SubgraphClassifier:
         return logits.data
 
     def predict(self, specs):
-        logits = self.scores(specs)
-        if logits.shape[1] == 1:
-            picked = (logits.reshape(-1) > 0).astype(np.int64)
-        else:
-            picked = logits.argmax(axis=1)
-        return [self.classes[c] for c in picked]
+        return [self.classes[c] for c in predict_classes(self.scores(specs))]
 
 
 def _batch_specs(specs):
     """Disjoint union of induced subgraphs plus membership and attrs."""
     graphs = [s.induced() for s in specs]
     union, _offsets, membership = disjoint_union(graphs)
-    blocks = []
-    for sub in graphs:
-        xs = sub.attribute_rows()
-        blocks.append(xs if xs is not None else default_attributes(sub))
+    blocks = [node_features(sub) for sub in graphs]
     widths = {b.shape[1] for b in blocks}
     if len(widths) != 1:
         raise ValidationError("subgraphs carry mixed attribute widths")
@@ -360,10 +344,8 @@ def classify_subgraphs(specs, rounds=2, edge_dim=8, out_dim=8, epochs=200,
     union, batch, x = _batch_specs(specs)
     params = EdgeMessageParams(x.shape[1], edge_dim, out_dim, rounds,
                                seed=seed, activation=activation)
-    head_cols = 1 if len(classes) == 2 else len(classes)
-    rng = derived_rng(seed, "subgraph_head")
-    theta = ad.parameter(rng.normal(0.0, 0.1, size=(out_dim, head_cols)))
-    theta_b = ad.parameter(np.zeros((1, head_cols)))
+    theta, theta_b = classifier_head(derived_rng(seed, "subgraph_head"),
+                                     out_dim, len(classes), 0.1)
     all_params = params.tensors() + [theta, theta_b]
     opt = ad.Adam(all_params, lr=lr)
 
@@ -380,11 +362,7 @@ def classify_subgraphs(specs, rounds=2, edge_dim=8, out_dim=8, epochs=200,
         pooled_now = np.zeros((len(specs), out_dim))
         np.add.at(pooled_now, batch,
                   edge_message_tensors(union, params, x).data)
-        score = pooled_now @ theta.data + theta_b.data
-        if head_cols == 1:
-            pred = (score.reshape(-1) > 0).astype(np.int64)
-        else:
-            pred = score.argmax(axis=1)
+        pred = predict_classes(pooled_now @ theta.data + theta_b.data)
         accuracy = float((pred == y).mean())
         model.history.append((loss.item(), accuracy))
         if target_acc is not None and accuracy >= target_acc:
@@ -400,14 +378,15 @@ def classify_subgraphs(specs, rounds=2, edge_dim=8, out_dim=8, epochs=200,
 def parse_multigraph_file(source):
     """Blocks of edge lines, each opened by `#graph <id> <label>`.
 
-    Blank lines separate graphs. Returns a list of SubgraphSpec with
-    every spec covering its whole standalone graph.
+    Blank lines separate graphs. Edge lines follow ``load_edge_list``'s
+    rules, with the weight column on every line of a block or on none.
+    Returns a list of SubgraphSpec with every spec covering its whole
+    standalone graph.
     """
     with _open_text(source) as fh:
         specs = []
         header = None
-        edges = []
-        weights = []
+        edges, weights, weighted = [], [], None
 
         def flush(line_no):
             if header is None:
@@ -425,35 +404,23 @@ def parse_multigraph_file(source):
         line_no = 0
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
-            if not line:
+            if not line or line.startswith("#graph"):
                 flush(line_no)
                 header = None
-                edges = []
-                weights = []
-                continue
-            if line.startswith("#graph"):
-                if header is not None:
-                    flush(line_no)
-                    edges = []
-                    weights = []
-                bits = line.split()
-                if len(bits) != 3:
-                    raise EdgeListParseError(
-                        f"malformed graph header: {line!r}", line_no)
-                header = (bits[1], bits[2])
+                edges, weights, weighted = [], [], None
+                if line:
+                    bits = line.split()
+                    if len(bits) != 3:
+                        raise EdgeListParseError(
+                            f"malformed graph header: {line!r}", line_no)
+                    header = (bits[1], bits[2])
                 continue
             if line.startswith("#"):
                 continue
-            bits = line.split()
-            if len(bits) not in (2, 3):
-                raise EdgeListParseError(
-                    f"edge line needs 2 or 3 fields: {line!r}", line_no)
-            edges.append((bits[0], bits[1]))
-            try:
-                weights.append(float(bits[2]) if len(bits) == 3 else 1.0)
-            except ValueError:
-                raise EdgeListParseError(
-                    f"bad weight {bits[2]!r}", line_no)
+            u, v, w = _edge_line(line, line_no, weighted)
+            weighted = w is not None
+            edges.append((u, v))
+            weights.append(w if weighted else 1.0)
         flush(line_no)
     return specs
 

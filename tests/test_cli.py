@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -7,9 +8,9 @@ import numpy as np
 import pytest
 
 import grembed
-from grembed import cli, multiscale, shallow
+from grembed import cli, harness, multiscale, shallow, subgraph
 from grembed.fixtures import cycles_and_paths, karate_club, two_layer_graphs
-from grembed.graph import export_edge_list, load_edge_list
+from grembed.graph import export_edge_list, load_edge_list, load_labels
 
 
 @pytest.fixture(scope="module")
@@ -221,6 +222,95 @@ def test_ohmnet_without_options_runs_library_defaults(data_dir, tmp_path,
         table.save(str(tmp_path / f"ref_{name}.tsv"))
         assert (tmp_path / f"oh_{name}.tsv").read_bytes() == \
             (tmp_path / f"ref_{name}.tsv").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def spectral_z(data_dir):
+    path = data_dir / "spectral.tsv"
+    shallow.train_shallow(load_edge_list(str(data_dir / "karate.edges")),
+                          "laplacian_eigenmaps",
+                          shallow.ShallowConfig(dim=4)).save(str(path))
+    return path
+
+
+def assert_report_has(stdout, report):
+    rep = report_dict(stdout)
+    for line in report.lines()[1:]:
+        key, _, value = line.partition("\t")
+        assert rep[key] == value, key
+
+
+def test_eval_nodes_without_options_runs_library_defaults(
+        data_dir, spectral_z, capsys):
+    code, stdout, _ = run_cli(capsys, "eval-nodes", "--embedding",
+                              str(spectral_z), "--labels",
+                              str(data_dir / "karate.labels"))
+    assert code == 0
+    table = shallow.load_embedding(str(spectral_z))
+    labels, _ = load_labels(str(data_dir / "karate.labels"), table)
+    assert_report_has(stdout,
+                      harness.node_classification_eval(table.vectors, labels))
+
+
+def test_eval_cluster_without_options_runs_library_defaults(
+        data_dir, spectral_z, capsys, monkeypatch):
+    monkeypatch.delenv("GREMBED_SEED", raising=False)
+    code, stdout, _ = run_cli(capsys, "eval-cluster", "--embedding",
+                              str(spectral_z), "--labels",
+                              str(data_dir / "karate.labels"))
+    assert code == 0
+    table = shallow.load_embedding(str(spectral_z))
+    labels, names = load_labels(str(data_dir / "karate.labels"), table)
+    assert_report_has(stdout, harness.clustering_eval(
+        table.vectors, labels, len(names), seed=42))
+
+
+def test_eval_links_without_options_runs_library_defaults(data_dir, capsys):
+    code, stdout, _ = run_cli(
+        capsys, "eval-links", "--input", str(data_dir / "karate.edges"),
+        "--method", "line1", "--epochs", "1")
+    assert code == 0
+    rep = report_dict(stdout)
+    params = inspect.signature(harness.link_prediction_eval).parameters
+    holdout = str(params["holdout_fraction"].default)
+    assert rep["config.holdout"] == rep["config.holdout_fraction"] == holdout
+    assert rep["per_seed.seed"] == ",".join(
+        str(s) for s in params["seeds"].default)
+
+
+def test_project_without_options_runs_library_defaults(spectral_z, tmp_path,
+                                                       capsys):
+    out = tmp_path / "proj.tsv"
+    code, stdout, _ = run_cli(capsys, "project", "--embedding",
+                              str(spectral_z), "--out", str(out))
+    assert code == 0
+    table = shallow.load_embedding(str(spectral_z))
+    ref = tmp_path / "ref.tsv"
+    coords = harness.export_projection(str(ref), table.vectors, table.node_ids)
+    assert report_dict(stdout)["dims"] == str(coords.shape[1])
+    assert out.read_bytes() == ref.read_bytes()
+
+
+def test_subgraph_without_options_runs_library_defaults(
+        data_dir, tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("GREMBED_SEED", raising=False)
+    out = tmp_path / "preds.tsv"
+    dataset = str(data_dir / "toy.graphs")
+    code, stdout, _ = run_cli(capsys, "subgraph", "--dataset", dataset,
+                              "--out", str(out))
+    assert code == 0
+    specs = subgraph.parse_multigraph_file(dataset)
+    model, acc = subgraph.classify_subgraphs(specs, seed=42)
+    rep = report_dict(stdout)
+    assert float(rep["train_accuracy"]) == acc
+    assert rep["epochs_run"] == str(len(model.history))
+    assert (rep["config.rounds"], rep["config.edge_dim"],
+            rep["config.out_dim"]) == tuple(str(v) for v in (
+                model.params.rounds, model.params.edge_dim,
+                model.params.out_dim))
+    rows = [f"{s.name}\t{p}\t{s.label}"
+            for s, p in zip(specs, model.predict(specs))]
+    assert out.read_text().splitlines()[1:] == rows
 
 
 def test_config_file_unknown_key_exits_2(data_dir, tmp_path, capsys):
@@ -440,6 +530,19 @@ def test_ohmnet_with_hierarchy_file(data_dir, tmp_path, capsys):
     assert rep["config.layers"] == "A,B"
     assert float(rep["inter_layer_gap"]) >= 0
     assert (tmp_path / "h_A.tsv").exists() and (tmp_path / "h_B.tsv").exists()
+
+
+def test_ohmnet_hierarchy_must_name_every_layer(data_dir, tmp_path, capsys):
+    hier = tmp_path / "a_only.hier"
+    hier.write_text("A\t-\n")
+    code, stdout, err = run_cli(
+        capsys, "ohmnet", "--layer", f"A={data_dir / 'la.edges'}",
+        "--layer", f"B={data_dir / 'lb.edges'}", "--hierarchy", str(hier),
+        "--epochs", "1", "--out-prefix", str(tmp_path / "h_"))
+    assert code == 2
+    assert stdout == ""
+    assert "'B'" in err
+    assert not (tmp_path / "h_A.tsv").exists()
 
 
 def test_ohmnet_layer_flags_replace_config_layers(data_dir, tmp_path, capsys):

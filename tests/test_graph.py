@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grembed import fixtures
 from grembed.errors import (
@@ -18,6 +20,7 @@ from grembed.graph import (
     load_edge_list,
     load_labels,
 )
+from grembed.subgraph import parse_multigraph_file
 
 import oracles
 
@@ -92,6 +95,39 @@ def test_export_round_trip():
     g2 = load_edge_list(io.StringIO(text))
     assert edge_list_string(g2) == text
     assert g2.node_count == g.node_count
+
+
+@st.composite
+def _graphs(draw):
+    """Graphs from id pairs with duplicates, optional float weights."""
+    n = draw(st.integers(2, 12))
+    pairs = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+            lambda p: p[0] != p[1]), min_size=1, max_size=25))
+    weights = draw(st.none() | st.lists(
+        st.floats(0.0, 1e3), min_size=len(pairs), max_size=len(pairs)))
+    prefix = draw(st.sampled_from(["", "n"]))  # numeric or text id order
+    edges = [(f"{prefix}{u}", f"{prefix}{v}") for u, v in pairs]
+    return Graph.from_edges(edges, weights=weights,
+                            directed=draw(st.booleans()))
+
+
+def _assert_same_graph(got, want):
+    assert got.node_ids == want.node_ids
+    assert got.directed == want.directed
+    np.testing.assert_array_equal(got.edge_pairs, want.edge_pairs)
+    np.testing.assert_array_equal(got.pair_weights, want.pair_weights)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_graphs())
+def test_exported_text_parses_back_to_the_same_graph(g):
+    text = edge_list_string(g)
+    _assert_same_graph(
+        load_edge_list(io.StringIO(text), directed=g.directed), g)
+    if not g.directed:
+        (spec,) = parse_multigraph_file(io.StringIO(f"#graph g0 x\n{text}"))
+        _assert_same_graph(spec.graph, g)
 
 
 def test_numeric_id_ordering():

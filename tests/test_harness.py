@@ -132,6 +132,17 @@ def test_sample_non_edges_valid():
         seen.add(key)
 
 
+def test_sample_non_edges_skips_both_directions_of_an_arc():
+    arcs = [(i, (i + 1) % 10) for i in range(10)] + \
+        [(i, (i + 3) % 10) for i in range(10)]
+    g = Graph.from_edges(arcs, directed=True)
+    either_way = {(int(a), int(b)) for a, b in g.edge_pairs}
+    either_way |= {(b, a) for a, b in either_way}
+    pairs = sample_non_edges(g, 20, seed=0)
+    assert len(pairs) == 20
+    assert not {(int(a), int(b)) for a, b in pairs} & either_way
+
+
 def test_link_eval_with_oracle_scorer():
     g, _ = karate_club()
 

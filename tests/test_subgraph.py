@@ -207,6 +207,17 @@ def test_edge_message_round_zero_ignores_structure():
     assert np.allclose(a, b)
 
 
+def test_edge_message_identity_activation_is_affine():
+    # with no rounds every edge state is zero, so the readout is x @ W + b
+    g = path_graph(3)
+    params = EdgeMessageParams(1, 2, 2, rounds=0, seed=4,
+                               activation="identity")
+    x = np.array([[0.3], [-0.8], [0.5]])
+    got = edge_message_tensors(g, params, x).data
+    expect = x @ params.node_w.data[:1] + params.node_b.data
+    np.testing.assert_allclose(got, expect, rtol=0, atol=1e-15)
+
+
 def test_edge_message_hand_unrolled_three_node_path():
     # path a-b-c: the state of edge (b,a) aggregates b's other incoming
     # state, i.e. the edge (c,b); edge (a,b) has nothing to aggregate
@@ -335,8 +346,8 @@ b c
 
 #graph g2 1
 x y 2.5
-y z
-z x
+y z 1
+z x 1
 """
     specs = parse_multigraph_file(io.StringIO(text))
     assert len(specs) == 2
@@ -354,3 +365,27 @@ def test_parse_multigraph_errors():
         parse_multigraph_file(io.StringIO("#graph g1\na b\n"))
     with pytest.raises(EdgeListParseError):
         parse_multigraph_file(io.StringIO("#graph g1 0\na b x\n"))
+
+
+@pytest.mark.parametrize("weight", ["-1", "nan", "inf"])
+def test_parse_multigraph_rejects_bad_weight_with_line(weight):
+    text = f"#graph g1 0\na b 1\nb c {weight}\n"
+    with pytest.raises(EdgeListParseError) as e:
+        parse_multigraph_file(io.StringIO(text))
+    assert e.value.line_number == 3
+
+
+def test_parse_multigraph_weight_column_consistent_per_block():
+    with pytest.raises(EdgeListParseError) as e:
+        parse_multigraph_file(io.StringIO("#graph g1 0\na b\nb c 2\n"))
+    assert e.value.line_number == 3
+    specs = parse_multigraph_file(
+        io.StringIO("#graph g1 0\na b\n#graph g2 1\nx y 2\ny z 1\n"))
+    assert [s.graph.weighted for s in specs] == [False, True]
+    assert [s.graph.edge_count for s in specs] == [1, 2]
+
+
+def test_parse_multigraph_rejects_edges_before_first_header():
+    with pytest.raises(EdgeListParseError) as e:
+        parse_multigraph_file(io.StringIO("a b\n#graph g1 0\nb c\n"))
+    assert e.value.line_number == 2
