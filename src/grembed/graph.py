@@ -124,6 +124,8 @@ class Graph:
         self.csr_types = et[order] if et is not None else None
         self.csr_sources = src.astype(np.int64)
         self.csr_sources.setflags(write=False)
+        # one increasing key per arc, then n*n so a lookup stays in range
+        self._arc_keys = np.append(self.csr_sources * n + self.csr_targets, n * n)
 
     # -- construction -------------------------------------------------
 
@@ -228,6 +230,12 @@ class Graph:
     def neighbor_weights(self, v):
         v = self._check_node(v)
         return self.csr_weights[self.csr_offsets[v]:self.csr_offsets[v + 1]]
+
+    def arc_slots(self, src, dst):
+        """CSR slot of each arc src[i] -> dst[i], or -1 where there is none."""
+        keys = np.asarray(src, dtype=np.int64) * self.node_count + dst
+        pos = np.searchsorted(self._arc_keys, keys)
+        return np.where(self._arc_keys[pos] == keys, pos, -1)
 
     def degrees(self, weighted=False):
         if weighted:

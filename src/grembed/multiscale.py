@@ -335,14 +335,14 @@ def load_hierarchy(source, layer_files):
     with _open_text(source) as fh:
         parent = {}
         order = []
-        for raw in fh:
+        for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             bits = line.split("\t")
             if len(bits) != 2:
-                raise ValidationError(
-                    f"hierarchy line needs 2 tab-separated fields: {line!r}")
+                raise ValidationError(f"line {lineno}: hierarchy line needs "
+                                      f"2 tab-separated fields: {line!r}")
             layer, par = bits
             order.append(layer)
             parent[layer] = None if par == "-" else par

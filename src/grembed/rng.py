@@ -1,9 +1,10 @@
 """Seeded random-number plumbing.
 
 Every stochastic routine takes an integer seed and derives independent
-streams with ``derived_rng``; walk sampling uses counter-based Philox
-streams keyed by (seed, start node) so the sampled corpus is identical
-no matter how start nodes are scheduled.
+streams with ``derived_rng``. Walk sampling instead hashes its draws:
+``hashed_uniforms`` gives the uniform for (seed, walk, step) by a
+counter-based splitmix64 hash, so a walk's draws do not depend on which
+other walks are stepped with it or in what order.
 """
 
 import numpy as np
@@ -24,11 +25,17 @@ def derived_rng(seed, *stream):
     return np.random.default_rng(ss)
 
 
-def node_stream(seed, node_index):
-    """Counter-based stream for one walk start node.
+def _mix64(z):
+    """splitmix64's output function on a uint64 array (wrapping)."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
 
-    Philox keyed by the 128-bit concatenation (seed << 64) | node gives
-    each start node its own stream independent of processing order.
-    """
-    key = ((int(seed) & _MASK64) << 64) | (int(node_index) & _MASK64)
-    return np.random.Generator(np.random.Philox(key=key))
+
+def hashed_uniforms(seed, streams, step):
+    """Uniform in [0, 1) per stream: the step-th output, top 53 bits, of a
+    splitmix64 generator whose state starts at mix(mix(seed) ^ stream)."""
+    key = _mix64(np.array([int(seed) & _MASK64], dtype=np.uint64))
+    state = _mix64(key ^ np.asarray(streams, dtype=np.uint64))
+    h = _mix64(state + np.uint64(0x9E3779B97F4A7C15 * int(step) & _MASK64))
+    return (h >> np.uint64(11)) * 2.0 ** -53

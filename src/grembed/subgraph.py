@@ -240,16 +240,6 @@ class EdgeMessageParams:
         return out
 
 
-def _reverse_entry_index(g):
-    pos = {}
-    for e, (i, j) in enumerate(zip(g.csr_sources, g.csr_targets)):
-        pos[(int(i), int(j))] = e
-    rev = np.empty(len(g.csr_sources), dtype=np.int64)
-    for e, (i, j) in enumerate(zip(g.csr_sources, g.csr_targets)):
-        rev[e] = pos[(int(j), int(i))]
-    return rev
-
-
 def edge_message_tensors(g, params, x=None):
     """Node embeddings from the directed-edge state recursion.
 
@@ -268,7 +258,7 @@ def edge_message_tensors(g, params, x=None):
     act = ad.ACTIVATIONS[params.activation]
     src = g.csr_sources
     dst = g.csr_targets
-    rev = _reverse_entry_index(g)
+    rev = g.arc_slots(dst, src)
     n_entries = len(src)
     x_src = ad.constant(x[src])
     eta = ad.constant(np.zeros((n_entries, params.edge_dim)))

@@ -2,20 +2,18 @@
 
 A walk of length T takes T steps, so each stored walk holds T+1 node
 indices (truncated early only when a dead end is hit). Start nodes that
-cannot take a single step are skipped and counted, not emitted. Every
-start node draws from its own counter-based stream keyed by
-(seed, node), so the corpus is byte-identical however starts are
-scheduled.
+cannot take a single step are skipped and counted, not emitted.
 
-All walk kinds share one stepping kernel, ``_walk``. A kind supplies
-only its start nodes and ``pick(t, prev, cur)``: for step t and the
-alive walks' last two nodes it returns a group key per walk and a
-lookup from key to ``(targets, AliasTable or None)``. Walks sharing a
-key draw together, groups draw in ascending key order (``None`` draws
-uniformly), and a walk whose group has no targets ends. Uniform and
-metapath walks key on the current node; node2vec keys on it at step 1
-and on ``prev * n + cur`` afterwards, with its biased tables cached per
-key.
+All walk kinds share one lockstep kernel, ``_walk``: every alive walk
+takes its step t at once over the CSR arrays. A walk at cur weighs each
+of cur's CSR slots by its edge weight times a per-kind factor of
+(t, prev, target): none for uniform walks, node2vec's 1/p (back to
+prev), 1 (an arc prev -> target exists) or 1/q (otherwise) from step 2
+on, and a 0/1 type mask for metapath walks. It then takes one slot by
+that exact law; a walk whose slots all weigh 0 ends. Walk j from start
+v draws its step t from a uniform hashed from (seed, v * walks_per_node
++ j, t), so the corpus is byte-identical however the walks are cut into
+chunks or scheduled.
 """
 
 from dataclasses import dataclass, field
@@ -24,7 +22,11 @@ import numpy as np
 
 from .errors import ContractError, ValidationError
 from .graph import _open_text
-from .rng import node_stream
+from .rng import hashed_uniforms
+
+# CSR slots laid out per chunk of walks in one step, plus at most one
+# node's degree; bounds the step's scratch arrays.
+CHUNK_SLOTS = 1 << 17
 
 
 class AliasTable:
@@ -129,94 +131,85 @@ def load_corpus(source, g, config=None):
     return WalkCorpus(walks, cfg, g.node_count, node_ids=list(g.node_ids))
 
 
-def _sampler(nbrs, weights):
-    """Neighbor draw state: (targets, AliasTable or None for uniform)."""
-    if len(nbrs) == 0 or np.all(weights == weights[0]):
-        return nbrs, None
-    return nbrs, AliasTable(weights)
+def _step(g, cur, prev, u, t, factor):
+    """Next node of each walk at cur, or -1 where no arc has weight.
+
+    The walks' CSR slots are laid out row after row; each slot weighs
+    its edge weight times factor(t, prev, target), each row is scaled
+    to sum to 1, and walk i takes the slot where u[i] falls in its row
+    of the running sum. Zero-weight slots are dropped first, so the
+    slot taken always has positive weight.
+    """
+    off, deg = g.csr_offsets[cur], g.csr_offsets[cur + 1] - g.csr_offsets[cur]
+    row = np.repeat(np.arange(cur.size), deg)
+    slot = np.arange(row.size) + np.repeat(off - (np.cumsum(deg) - deg), deg)
+    w = g.csr_weights[slot]
+    if factor is not None:
+        w = w * factor(t, prev[row], g.csr_targets[slot])
+    keep = w > 0
+    row, slot, w = row[keep], slot[keep], w[keep]
+    w /= np.bincount(row, weights=w, minlength=cur.size)[row]
+    cum = np.concatenate(([0.0], np.cumsum(w)))
+    kept = np.bincount(row, minlength=cur.size)
+    ok = np.flatnonzero(kept)
+    hi = np.cumsum(kept)[ok]
+    lo = hi - kept[ok]
+    nxt = np.full(cur.size, -1, dtype=np.int64)
+    x = cum[lo] + u[ok] * (cum[hi] - cum[lo])
+    k = np.clip(np.searchsorted(cum, x, side="right") - 1, lo, hi - 1)
+    nxt[ok] = g.csr_targets[slot[k]]
+    return nxt
 
 
-def _walk(g, config, starts, pick):
-    """Advance walks_per_node walks from each start, one step at a time.
+def _walk(g, config, factor=None, starts=None):
+    """Step walks_per_node walks from each start, all walks in lockstep.
 
-    Nodes not in starts count as skipped. prev and cur are read back
-    from each walk's row; at step 1 prev is the start itself. Draws come
-    from the start's own stream, so a kind reproduces a draw sequence
-    exactly only if its keys group walks the same way.
+    starts defaults to every node with an out-arc; nodes not in starts
+    count as skipped. Walk j from start v has id v * walks_per_node + j,
+    and its step t draws the uniform hashed from (seed, id, t). At each
+    step the alive walks are cut into runs by the CHUNK_SLOTS block their
+    first CSR slot falls in, which bounds memory and, since each draw is
+    keyed to its walk, leaves the corpus unchanged.
     """
     T, N = config.length, config.walks_per_node
-    walks = []
-    for v in starts:
-        rng = node_stream(config.seed, v)
-        batch = np.full((N, T + 1), -1, dtype=np.int64)
-        batch[:, 0] = v
-        alive = np.arange(N)
-        for t in range(1, T + 1):
-            if alive.size == 0:
-                break
-            keys, lookup = pick(t, batch[alive, max(t - 2, 0)],
-                                batch[alive, t - 1])
-            nxt = np.full(alive.size, -1, dtype=np.int64)
-            for k in np.unique(keys):
-                targets, table = lookup(k)
-                if len(targets) == 0:
-                    continue
-                mask = keys == k
-                size = int(mask.sum())
-                nxt[mask] = targets[
-                    rng.integers(0, len(targets), size=size) if table is None
-                    else table.sample(rng, size=size)]
-            batch[alive, t] = nxt
-            alive = alive[nxt >= 0]
-        walks.extend(row[row >= 0] for row in batch)
-    return WalkCorpus(walks, config, g.node_count, g.node_count - len(starts),
+    deg = np.diff(g.csr_offsets)
+    starts = np.flatnonzero(deg) if starts is None else starts
+    ids = (starts[:, None] * N + np.arange(N)).ravel()
+    batch = np.full((ids.size, T + 1), -1, dtype=np.int64)
+    batch[:, 0] = np.repeat(starts, N)
+    alive = np.arange(ids.size)
+    for t in range(1, T + 1):
+        if alive.size == 0:
+            break
+        cur, prev = batch[alive, t - 1], batch[alive, max(t - 2, 0)]
+        u = hashed_uniforms(config.seed, ids[alive], t)
+        first_slot = np.cumsum(deg[cur]) - deg[cur]
+        cuts = np.flatnonzero(np.diff(first_slot // CHUNK_SLOTS)) + 1
+        nxt = np.concatenate([_step(g, c, pv, uu, t, factor) for c, pv, uu in
+                              zip(*(np.split(a, cuts) for a in (cur, prev, u)))])
+        batch[alive, t] = nxt
+        alive = alive[nxt >= 0]
+    lengths = (batch >= 0).sum(axis=1)
+    walks = [row[:k] for row, k in zip(batch, lengths.tolist())]
+    return WalkCorpus(walks, config, g.node_count, g.node_count - starts.size,
                       node_ids=list(g.node_ids))
-
-
-def _first_order(g):
-    """Edge-weight samplers per node, plus the nodes that can step."""
-    samplers = [_sampler(g.neighbors(v), g.neighbor_weights(v))
-                for v in range(g.node_count)]
-    return samplers, [v for v in range(g.node_count) if len(samplers[v][0])]
 
 
 def sample_uniform_walks(g, config):
     """First-order walks; step probability proportional to edge weight."""
-    samplers, starts = _first_order(g)
-    return _walk(g, config, starts,
-                 lambda t, prev, cur: (cur, samplers.__getitem__))
-
-
-def _node2vec_table(g, prev, cur, p, q):
-    """Alias table over cur's neighbors biased by distance to prev."""
-    nbrs = g.neighbors(cur)
-    if len(nbrs) == 0:
-        return nbrs, None
-    prev_nbrs = g.neighbors(prev)  # sorted and nonempty: it holds cur
-    pos = np.minimum(np.searchsorted(prev_nbrs, nbrs), len(prev_nbrs) - 1)
-    dist1 = prev_nbrs[pos] == nbrs
-    factor = np.where(nbrs == prev, 1.0 / p, np.where(dist1, 1.0, 1.0 / q))
-    return nbrs, AliasTable(g.neighbor_weights(cur) * factor)
+    return _walk(g, config)
 
 
 def sample_node2vec_walks(g, config):
     """Second-order walks: return bias 1/p, stay-close 1, explore 1/q."""
-    samplers, starts = _first_order(g)
-    n = g.node_count
-    cache = {}
-
-    def biased(state):
-        if state not in cache:
-            pv, cu = divmod(int(state), n)
-            cache[state] = _node2vec_table(g, pv, cu, config.p, config.q)
-        return cache[state]
-
-    def pick(t, prev, cur):
+    def factor(t, prev, target):
         if t == 1:
-            return cur, samplers.__getitem__
-        return prev * n + cur, biased
+            return 1.0
+        out = np.where(g.arc_slots(prev, target) >= 0, 1.0, 1.0 / config.q)
+        out[target == prev] = 1.0 / config.p
+        return out
 
-    return _walk(g, config, starts, pick)
+    return _walk(g, config, factor)
 
 
 def sample_metapath_walks(g, config):
@@ -235,34 +228,34 @@ def sample_metapath_walks(g, config):
     missing = [t for t in mp if t not in present]
     if missing:
         raise ValidationError(f"metapath types absent from graph: {missing}")
-    starts = [v for v in range(g.node_count)
-              if types[v] == mp[0] and len(g.neighbors(v))]
-
-    def pick(t, prev, cur):
-        want = mp[t % len(mp)]
-
-        def typed(u):
-            nbrs = g.neighbors(u)
-            ok = types[nbrs] == want
-            return _sampler(nbrs[ok], g.neighbor_weights(u)[ok])
-        return cur, typed
-
-    return _walk(g, config, starts, pick)
+    return _walk(g, config,
+                 lambda t, prev, target: types[target] == mp[t % len(mp)],
+                 np.flatnonzero((types == mp[0]) & (np.diff(g.csr_offsets) > 0)))
 
 
 def _pairs(corpus, offsets):
-    """Both directions of each hop in ascending offsets, walk by walk."""
-    out = []
-    for walk in corpus.walks:
-        for off in offsets:
-            if off >= len(walk):
-                break
-            a, b = walk[:-off], walk[off:]
-            out.append(np.stack([a, b], axis=1))
-            out.append(np.stack([b, a], axis=1))
-    if not out:
+    """Both directions of each hop in ascending offsets, walk by walk.
+
+    For each walk and then each offset, the forward pairs in walk order
+    come first, then the same pairs reversed.
+    """
+    lengths = np.array([len(w) for w in corpus.walks], dtype=np.int64)
+    if not lengths.size:
         return np.zeros((0, 2), dtype=np.int64)
-    return np.concatenate(out, axis=0)
+    padded = np.full((lengths.size, lengths.max()), -1, dtype=np.int64)
+    inside = np.arange(padded.shape[1]) < lengths[:, None]
+    padded[inside] = np.concatenate(corpus.walks)
+    offsets = np.asarray(list(offsets), dtype=np.int64)
+    hops = np.maximum(lengths[:, None] - offsets, 0)
+    begin = np.cumsum(2 * hops).reshape(hops.shape) - 2 * hops
+    out = np.empty((2 * int(hops.sum()), 2), dtype=np.int64)
+    for k, off in enumerate(offsets.tolist()):
+        w, i = np.nonzero(inside[:, off:])
+        a, b = padded[w, i], padded[w, i + off]
+        at = begin[w, k] + i
+        out[at] = np.stack([a, b], axis=1)
+        out[at + hops[w, k]] = np.stack([b, a], axis=1)
+    return out
 
 
 def _check_hops(name, k, corpus):

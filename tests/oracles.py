@@ -117,6 +117,38 @@ def window_pairs(walks, window):
     return pairs
 
 
+def hop_pairs_loop(walks, offsets):
+    """Both directions of each hop in ascending offsets, walk by walk.
+
+    The per-walk loop that ``walks._pairs`` replaced: for each walk and
+    each offset shorter than it, the forward pairs in walk order, then
+    the same pairs reversed.
+    """
+    out = []
+    for walk in walks:
+        walk = np.asarray(walk, dtype=np.int64)
+        for off in offsets:
+            if off >= len(walk):
+                break
+            a, b = walk[:-off], walk[off:]
+            out.append(np.stack([a, b], axis=1))
+            out.append(np.stack([b, a], axis=1))
+    if not out:
+        return np.zeros((0, 2), dtype=np.int64)
+    return np.concatenate(out, axis=0)
+
+
+def reverse_arc_index_dict(g):
+    """CSR slot of the reverse of each CSR arc, via a dict of all arcs."""
+    pos = {}
+    for e, (i, j) in enumerate(zip(g.csr_sources, g.csr_targets)):
+        pos[(int(i), int(j))] = e
+    rev = np.empty(len(g.csr_sources), dtype=np.int64)
+    for e, (i, j) in enumerate(zip(g.csr_sources, g.csr_targets)):
+        rev[e] = pos[(int(j), int(i))]
+    return rev
+
+
 def pmi_matrix(walks, window, n):
     """PPMI from brute-force unordered windowed co-occurrence counts."""
     co = np.zeros((n, n))

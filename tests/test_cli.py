@@ -545,6 +545,18 @@ def test_ohmnet_hierarchy_must_name_every_layer(data_dir, tmp_path, capsys):
     assert not (tmp_path / "h_A.tsv").exists()
 
 
+def test_ohmnet_hierarchy_error_names_its_line(data_dir, tmp_path, capsys):
+    hier = tmp_path / "spaced.hier"
+    hier.write_text("A\t-\nB A\n")
+    code, stdout, err = run_cli(
+        capsys, "ohmnet", "--layer", f"A={data_dir / 'la.edges'}",
+        "--layer", f"B={data_dir / 'lb.edges'}", "--hierarchy", str(hier),
+        "--epochs", "1", "--out-prefix", str(tmp_path / "h_"))
+    assert code == 2
+    assert stdout == ""
+    assert "line 2: hierarchy line needs 2 tab-separated fields" in err
+
+
 def test_ohmnet_layer_flags_replace_config_layers(data_dir, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"layer": [f"C={data_dir / 'la.edges'}"],

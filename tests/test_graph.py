@@ -98,18 +98,19 @@ def test_export_round_trip():
 
 
 @st.composite
-def _graphs(draw):
+def _graphs(draw, self_loops=False):
     """Graphs from id pairs with duplicates, optional float weights."""
     n = draw(st.integers(2, 12))
     pairs = draw(st.lists(
         st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
-            lambda p: p[0] != p[1]), min_size=1, max_size=25))
+            lambda p: self_loops or p[0] != p[1]), min_size=1, max_size=25))
     weights = draw(st.none() | st.lists(
         st.floats(0.0, 1e3), min_size=len(pairs), max_size=len(pairs)))
     prefix = draw(st.sampled_from(["", "n"]))  # numeric or text id order
     edges = [(f"{prefix}{u}", f"{prefix}{v}") for u, v in pairs]
     return Graph.from_edges(edges, weights=weights,
-                            directed=draw(st.booleans()))
+                            directed=draw(st.booleans()),
+                            allow_self_loops=self_loops)
 
 
 def _assert_same_graph(got, want):
@@ -128,6 +129,42 @@ def test_exported_text_parses_back_to_the_same_graph(g):
     if not g.directed:
         (spec,) = parse_multigraph_file(io.StringIO(f"#graph g0 x\n{text}"))
         _assert_same_graph(spec.graph, g)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_graphs(self_loops=True))
+def test_csr_rows_sorted_symmetric_with_loops_once(g):
+    n = g.node_count
+    keys = g.csr_sources * n + g.csr_targets
+    assert np.all(np.diff(keys) > 0)  # rows sorted, one slot per arc
+    np.testing.assert_array_equal(
+        g.csr_sources, np.repeat(np.arange(n), np.diff(g.csr_offsets)))
+    loops = g.edge_pairs[:, 0] == g.edge_pairs[:, 1]
+    assert np.sum(g.csr_sources == g.csr_targets) == loops.sum()
+    assert len(keys) == (g.edge_count if g.directed
+                         else 2 * g.edge_count - loops.sum())
+    np.testing.assert_array_equal(g.arc_slots(g.csr_sources, g.csr_targets),
+                                  np.arange(len(keys)))
+    rev = g.arc_slots(g.csr_targets, g.csr_sources)
+    if not g.directed:
+        assert np.all(rev >= 0)
+        np.testing.assert_array_equal(g.csr_weights[rev], g.csr_weights)
+    arcs = np.zeros((n, n), dtype=bool)
+    arcs[g.edge_pairs[:, 0], g.edge_pairs[:, 1]] = True
+    if not g.directed:
+        arcs |= arcs.T
+    u, v = np.divmod(np.arange(n * n), n)
+    np.testing.assert_array_equal(g.arc_slots(u, v) >= 0, arcs.ravel())
+
+
+@pytest.mark.parametrize("make", [
+    lambda: fixtures.karate_club()[0],
+    lambda: fixtures.stochastic_block_model((40, 40, 40), 0.2, 0.02, seed=3)[0],
+])
+def test_arc_slots_reverse_index_matches_dict(make):
+    g = make()
+    np.testing.assert_array_equal(g.arc_slots(g.csr_targets, g.csr_sources),
+                                  oracles.reverse_arc_index_dict(g))
 
 
 def test_numeric_id_ordering():

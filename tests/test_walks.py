@@ -2,9 +2,12 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from grembed import fixtures
+from grembed import fixtures, walks
 from grembed.errors import ContractError, ValidationError
+from grembed.graph import Graph
 from grembed.walks import (
     AliasTable,
     WalkConfig,
@@ -293,3 +296,124 @@ def test_corpus_dump_and_load_round_trip():
     assert buf2.getvalue() == text  # byte determinism
     loaded = load_corpus(io.StringIO(text), g)
     assert all(np.array_equal(a, b) for a, b in zip(corpus.walks, loaded.walks))
+
+
+@st.composite
+def _walk_cases(draw):
+    """A random typed graph, a walk kind and a config for it."""
+    n = draw(st.integers(2, 9))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          min_size=1, max_size=20))
+    weights = draw(st.none() | st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+                                        min_size=len(pairs), max_size=len(pairs)))
+    types = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    g = Graph.from_edges(pairs, weights=weights, directed=draw(st.booleans()),
+                         allow_self_loops=True, node_types=types,
+                         node_ids=[str(i) for i in range(n)])
+    kind = draw(st.sampled_from(["uniform", "node2vec", "metapath"]))
+    metapath = draw(st.lists(st.sampled_from(sorted(set(types))),
+                             min_size=1, max_size=3))
+    cfg = WalkConfig(length=draw(st.integers(2, 6)),
+                     walks_per_node=draw(st.integers(1, 3)),
+                     p=draw(st.sampled_from([0.25, 1.0, 4.0, 1e9])),
+                     q=draw(st.sampled_from([1e-9, 0.5, 1.0, 2.0])),
+                     metapath=tuple(metapath) if kind == "metapath" else None,
+                     seed=draw(st.integers(0, 2 ** 40)))
+    return g, kind, cfg
+
+
+_SAMPLERS = {"uniform": sample_uniform_walks, "node2vec": sample_node2vec_walks,
+             "metapath": sample_metapath_walks}
+
+
+@settings(max_examples=150, deadline=None)
+@given(_walk_cases(), st.integers(1, 8))
+def test_walk_engine_properties(case, budget):
+    g, kind, cfg = case
+    corpus = _SAMPLERS[kind](g, cfg)
+    arc_weight = dict(zip(zip(g.csr_sources.tolist(), g.csr_targets.tolist()),
+                          g.csr_weights.tolist()))
+    types, mp = g.node_types, cfg.metapath
+    starts = [v for v in range(g.node_count) if len(g.neighbors(v))
+              and (mp is None or types[v] == mp[0])]
+    assert corpus.skipped_starts == g.node_count - len(starts)
+    assert [int(w[0]) for w in corpus] == [v for v in starts
+                                           for _ in range(cfg.walks_per_node)]
+    for w in corpus:
+        w = w.tolist()
+        assert all(arc_weight.get((a, b), 0) > 0 for a, b in zip(w, w[1:]))
+        if mp is not None:
+            assert all(types[v] == mp[i % len(mp)] for i, v in enumerate(w))
+        if len(w) < cfg.length + 1:  # only at a dead end for the next step
+            want = None if mp is None else mp[len(w) % len(mp)]
+            assert not any(wt > 0 and (want is None or types[b] == want)
+                           for (a, b), wt in arc_weight.items() if a == w[-1])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(walks, "CHUNK_SLOTS", budget)
+        chunked = _SAMPLERS[kind](g, cfg)
+    assert len(chunked) == len(corpus)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(chunked, corpus))
+
+
+def _worst_second_order_gap(g, corpus, p, q, min_count=1000):
+    """Largest gap between a sampled node2vec transition and its law."""
+    counts = {}
+    for w in corpus.walks:
+        for t in range(2, len(w)):
+            nxt = counts.setdefault((w[t - 2], w[t - 1]), {})
+            nxt[w[t]] = nxt.get(w[t], 0) + 1
+    adj = [set(g.neighbors(v).tolist()) for v in range(g.node_count)]
+    worst, checked = 0.0, 0
+    for (prev, cur), nxt in counts.items():
+        total = sum(nxt.values())
+        if total < min_count:
+            continue
+        checked += 1
+        nbrs = g.neighbors(cur)
+        alpha = np.array([1 / p if x == prev else (1.0 if x in adj[prev] else 1 / q)
+                          for x in nbrs]) * g.neighbor_weights(cur)
+        for x, a in zip(nbrs, alpha / alpha.sum()):
+            worst = max(worst, abs(nxt.get(int(x), 0) / total - a))
+    return worst, checked
+
+
+@pytest.mark.parametrize("p,q", [(1.0, 1e-9), (1e-9, 1.0)])
+def test_node2vec_extreme_biases_keep_exact_law(p, q):
+    # kite: from 1 after 0, node 2 is a neighbor of 0 and 3, 4 are not
+    kite = Graph.from_edges([(0, 1), (0, 2), (1, 2), (1, 3), (1, 4)],
+                            weights=[1.0, 1.0, 2.0, 1.0, 3.0])
+    corpus = sample_node2vec_walks(
+        kite, WalkConfig(length=3, walks_per_node=4000, p=p, q=q, seed=31))
+    worst, checked = _worst_second_order_gap(kite, corpus, p, q)
+    assert checked >= 5 and worst < 0.02
+    g = fixtures.karate_club()[0]
+    corpus = sample_node2vec_walks(
+        g, WalkConfig(length=20, walks_per_node=5, p=p, q=q, seed=32))
+    adj = [set(g.neighbors(v).tolist()) for v in range(g.node_count)]
+    assert len(corpus) == g.node_count * 5
+    for w in corpus.walks:
+        w = w.tolist()
+        assert len(w) == 21 and all(b in adj[a] for a, b in zip(w, w[1:]))
+        for t in range(2, len(w)):
+            far = adj[w[t - 1]] - adj[w[t - 2]] - {w[t - 2]}
+            if p < 1:  # the return weighs 1e9 against at most 1 per other slot
+                assert w[t] == w[t - 2]
+            elif far:  # a step away from prev weighs 1e9 against at most 1
+                assert w[t] in far
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_pairs_match_loop_oracle_in_order(data):
+    from grembed.walks import WalkCorpus
+
+    T = data.draw(st.integers(2, 7))
+    rows = data.draw(st.lists(st.lists(st.integers(0, 9), min_size=1,
+                                       max_size=T + 1), max_size=8))
+    corpus = WalkCorpus([np.array(r, dtype=np.int64) for r in rows],
+                        WalkConfig(length=T, walks_per_node=1), 10)
+    window = data.draw(st.integers(1, T - 1))
+    for got, offsets in ((extract_pairs(corpus, window), range(1, window + 1)),
+                         (extract_offset_pairs(corpus, window), (window,))):
+        expect = oracles.hop_pairs_loop(corpus.walks, offsets)
+        assert got.shape == expect.shape and np.array_equal(got, expect)
