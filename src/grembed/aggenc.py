@@ -338,7 +338,7 @@ def train_supervised(g, labels, config, x=None, mode="replace", sup_weight=1.0,
                 loss = ad.add(unsup, ad.scale(loss, sup_weight))
             history.append(loss.item())
             ad.backward(loss)
-        opt.step()
+        opt.step(f"aggregation encoder ({mode}), epoch {epoch}")
     return params, (theta, theta_b), history
 
 

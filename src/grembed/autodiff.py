@@ -531,11 +531,14 @@ def dot_rows(a, b):
 # ---------------------------------------------------------------------
 
 
-def _check_grads(params):
-    """Raise before a step writes anything if any gradient is non-finite."""
+def _check_grads(params, where):
+    """Raise before a step writes anything if any gradient is non-finite.
+
+    ``where`` names the step in the error, e.g. the method and epoch.
+    """
     for p in params:
         if p.grad is not None and not np.all(np.isfinite(p.grad)):
-            raise NumericError("non-finite gradient in optimizer step")
+            raise NumericError(f"non-finite gradient in {where}")
 
 
 class Sgd:
@@ -547,8 +550,8 @@ class Sgd:
         self.momentum = float(momentum)
         self._vel = [np.zeros_like(p.data) for p in self.params]
 
-    def step(self):
-        _check_grads(self.params)
+    def step(self, where="optimizer step"):
+        _check_grads(self.params, where)
         for p, v in zip(self.params, self._vel):
             if p.grad is None:
                 continue
@@ -575,8 +578,8 @@ class Adam:
         self._v = [np.zeros_like(p.data) for p in self.params]
         self._t = 0
 
-    def step(self):
-        _check_grads(self.params)
+    def step(self, where="optimizer step"):
+        _check_grads(self.params, where)
         self._t += 1
         b1, b2 = self.beta1, self.beta2
         for p, m, v in zip(self.params, self._m, self._v):

@@ -131,13 +131,13 @@ def train_autoencoder(g, method="sdne", config=None):
                 weighted_distance_loss(z, pairs, pair_w), le_weight))
         return loss
 
-    for _ in range(config.epochs):
+    for epoch in range(config.epochs):
         opt.zero_grad()
         with ad.Tape():
             loss = total_loss()
             history.append(loss.item())
             ad.backward(loss)
-        opt.step()
+        opt.step(f"autoencoder {method}, epoch {epoch}")
     with ad.Tape():
         history.append(total_loss().item())
 

@@ -14,19 +14,18 @@ variable, then 42. An option set by neither flag nor file is not passed
 on, so the library routine's own default applies (``ShallowConfig``,
 ``AutoencoderConfig``, ``WalkConfig``, ``struc2vec_embed``,
 ``multiscale.OHMNET_CONFIG``, ``subgraph.classify_subgraphs`` and the
-``harness`` evaluations); reports read the values back from the
-library. The graphwave flags of ``roles`` keep their own defaults,
-because ``structural.default_t_grid`` takes no parameters.
+``harness`` evaluations, and ``structural.default_t_grid`` and
+``graphwave_signature`` for ``roles``); reports read the values back
+from the library.
 """
 
 import argparse
 import dataclasses
+import inspect
 import json
 import os
 import sys
 import time
-
-import numpy as np
 
 from . import autoenc, harness, multiscale, shallow, structural, subgraph, walks
 from .errors import (
@@ -89,6 +88,13 @@ def _given(args, *names):
 def _shallow_config(args, base=ShallowConfig()):
     return dataclasses.replace(base, seed=args.seed,
                                **_given(args, *_SHALLOW_OPTIONS))
+
+
+def _keyword_defaults(fn):
+    """The keyword defaults of a library routine, by parameter name."""
+    return {name: p.default
+            for name, p in inspect.signature(fn).parameters.items()
+            if p.default is not p.empty}
 
 
 def _eval_seeds(args):
@@ -163,18 +169,23 @@ def _cmd_roles(args):
                        directed=args.directed)
     out = _need(args, "out")
     if args.mode == "graphwave":
-        grid = np.linspace(0.0, args.t_max, args.t_points)
-        sigs = structural.graphwave_signature(g, s=args.scale, t_grid=grid)
+        grid_kw = _given(args, "t_max", "t_points")
+        scale_kw = {} if args.scale is None else {"s": args.scale}
+        grid = structural.default_t_grid(**grid_kw)
+        sigs = structural.graphwave_signature(g, t_grid=grid, **scale_kw)
         structural.export_signatures(out, sigs, list(g.node_ids),
                                      include_psi=args.include_psi)
         width = sigs[0].char_samples.size
         if args.include_psi:
             width += sigs[0].psi.size
+        used = {**_keyword_defaults(structural.default_t_grid), **grid_kw,
+                **_keyword_defaults(structural.graphwave_signature),
+                **scale_kw}
         return EvalReport(
             task="roles",
             metrics={"node_count": g.node_count, "signature_dim": width},
-            config={"mode": "graphwave", "scale": args.scale,
-                    "t_points": args.t_points, "t_max": args.t_max,
+            config={"mode": "graphwave", "scale": used["s"],
+                    "t_points": used["t_points"], "t_max": used["t_max"],
                     "input": args.input, "out": out})
     if args.mode == "struc2vec":
         table = structural.struc2vec_embed(
@@ -400,9 +411,9 @@ def build_parser():
     sp.add_argument("--directed", action="store_true")
     sp.add_argument("--mode", default="graphwave",
                     choices=("graphwave", "struc2vec"))
-    sp.add_argument("--scale", type=float, default=0.5)
-    sp.add_argument("--t-points", type=int, default=50)
-    sp.add_argument("--t-max", type=float, default=100.0)
+    sp.add_argument("--scale", type=float, default=None)
+    sp.add_argument("--t-points", type=int, default=None)
+    sp.add_argument("--t-max", type=float, default=None)
     sp.add_argument("--include-psi", action="store_true")
     sp.add_argument("--k-max", type=int, default=None)
     sp.add_argument("--dim", type=int, default=None)

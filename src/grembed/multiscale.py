@@ -271,7 +271,7 @@ def ohmnet_train(layer_graphs, lam=0.1, config=None, hierarchy_edges=None,
                                  shared=shared, squared=squared)
             if pen._node is not None:  # constant when nothing is tied
                 ad.backward(pen)
-        penalty_opt.step()
+        penalty_opt.step(f"ohmnet penalty, epoch {epoch}")
 
     tables = []
     for li, g in enumerate(graphs):

@@ -416,13 +416,24 @@ def _sparse_sgd(updates, lr, where):
     """One SGD step that writes only the rows a batch touched.
 
     ``updates`` lists ``(table, rows, grad)`` with one gradient row per
-    entry of ``rows``; repeated rows accumulate. Every gradient is
-    checked before any table is written, so a non-finite step leaves
-    all tables as they were and names ``where`` in the error.
+    entry of ``rows``; repeated rows accumulate, each element summed in
+    input order from 0.0. Distinct rows are found without sorting: an
+    index scratch over the table's rows keeps one entry per row, so the
+    work is linear in ``len(rows)`` and the distinct rows come out
+    unsorted, which the write does not need. Every gradient is checked
+    before any table is written, so a non-finite step leaves all tables
+    as they were and names ``where`` in the error.
     """
     staged = []
     for table, rows, grad in updates:
-        uniq, inv = np.unique(rows, return_inverse=True)
+        m = np.arange(len(rows))
+        slot = np.empty(table.shape[0], dtype=np.intp)
+        slot[rows] = m
+        # whichever duplicate's write lands, one entry per row reads back
+        # its own index
+        uniq = rows[slot[rows] == m]
+        slot[uniq] = m[:uniq.size]
+        inv = slot[rows]
         d = table.shape[1]
         flat = ((inv * d)[:, None] + np.arange(d)).ravel()
         acc = np.bincount(flat, weights=grad.ravel(),
@@ -571,19 +582,23 @@ def _skipgram_train(g, pairs, config, loss_kind, context_table=False,
     return z, history
 
 
-def _full_batch_gram(g, target, config, dim=None, seed_tag="", init=None):
-    """Adam on the exact Frobenius objective against a fixed target."""
+def _full_batch_gram(g, target, config, method, dim=None, seed_tag="",
+                     init=None):
+    """Adam on the exact Frobenius objective against a fixed target.
+
+    ``method`` names the run in the error of a non-finite step.
+    """
     dim = dim or config.dim
     z = ad.parameter(_init_table(g, dim, config.seed, init))
     opt = ad.Adam([z], lr=max(config.lr, 0.01))
     history = []
-    for _ in range(config.epochs):
+    for epoch in range(config.epochs):
         opt.zero_grad()
         with ad.Tape():
             loss = gram_mse_loss(z, target)
             history.append(loss.item())
             ad.backward(loss)
-        opt.step()
+        opt.step(f"{method}, epoch {epoch}")
     with ad.Tape():
         history.append(gram_mse_loss(z, target).item())
     return z.data, history
@@ -634,14 +649,16 @@ def train_shallow(g, method, config=None):
     if method == "graph_factorization":
         spec = config.similarity or SimilaritySpec(kind="adjacency")
         target = build_similarity(g, spec).values
-        z, history = _full_batch_gram(g, target, config, init=config.initial)
+        z, history = _full_batch_gram(g, target, config, method,
+                                      init=config.initial)
         meta["loss_history"] = history
         return EmbeddingTable(z, list(g.node_ids), method, meta)
 
     if method == "hope":
         spec = config.similarity or SimilaritySpec(kind="jaccard")
         target = build_similarity(g, spec).values
-        z, history = _full_batch_gram(g, target, config, init=config.initial)
+        z, history = _full_batch_gram(g, target, config, method,
+                                      init=config.initial)
         meta["loss_history"] = history
         meta["similarity_kind"] = spec.kind
         return EmbeddingTable(z, list(g.node_ids), method, meta)
@@ -658,7 +675,8 @@ def train_shallow(g, method, config=None):
         for k in range(1, kmax + 1):
             target = build_similarity(
                 g, SimilaritySpec(kind="adjacency_power", power=k)).values
-            zb, hist = _full_batch_gram(g, target, config, dim=dims[k - 1],
+            zb, hist = _full_batch_gram(g, target, config,
+                                        f"grarep power {k}", dim=dims[k - 1],
                                         seed_tag=f"pow{k}")
             blocks.append(zb)
             history.append(hist)

@@ -180,8 +180,11 @@ class WaveletSignature:
     char_samples: np.ndarray = field(default=None)
 
 
-def default_t_grid():
-    return np.linspace(0.0, 100.0, 50)
+def default_t_grid(t_max=100.0, t_points=50):
+    """``t_points`` evenly spaced sample times from 0 to ``t_max``."""
+    if t_points < 1:
+        raise ContractError(f"t_points must be >= 1, got {t_points}")
+    return np.linspace(0.0, t_max, t_points)
 
 
 def graphwave_signature(g, s=0.5, t_grid=None, nodes=None, cap=DENSE_NODE_CAP):

@@ -341,14 +341,14 @@ def classify_subgraphs(specs, rounds=2, edge_dim=8, out_dim=8, epochs=200,
 
     model = SubgraphClassifier(params, theta, theta_b, classes)
     accuracy = 0.0
-    for _epoch in range(epochs):
+    for epoch in range(epochs):
         opt.zero_grad()
         with ad.Tape():
             h = edge_message_tensors(union, params, x)
             pooled = ad.segment_sum(h, batch, len(specs))
             loss = cross_entropy_loss(pooled, theta, theta_b, y)
             ad.backward(loss)
-        opt.step()
+        opt.step(f"subgraph classifier, epoch {epoch}")
         pooled_now = np.zeros((len(specs), out_dim))
         np.add.at(pooled_now, batch,
                   edge_message_tensors(union, params, x).data)

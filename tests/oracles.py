@@ -9,6 +9,8 @@ other way round.
 import numpy as np
 
 from grembed import autodiff as ad
+from grembed.aggenc import classifier_head, cross_entropy_loss
+from grembed.errors import NumericError
 from grembed.rng import derived_rng
 from grembed.shallow import (
     HierarchicalSoftmaxTree,
@@ -288,3 +290,43 @@ def tape_skipgram_train(g, pairs, config, loss_kind, context_table=False,
             batch_no += 1
         history.append(epoch_loss / len(pairs))
     return z.data, history
+
+
+def unique_sparse_sgd(updates, lr, where):
+    """shallow._sparse_sgd with its distinct rows found by np.unique.
+
+    The sorted form the sort-free helper replaced: same bincount sums in
+    input order, same check of every table before any write.
+    """
+    staged = []
+    for table, rows, grad in updates:
+        uniq, inv = np.unique(rows, return_inverse=True)
+        d = table.shape[1]
+        flat = ((inv * d)[:, None] + np.arange(d)).ravel()
+        acc = np.bincount(flat, weights=grad.ravel(),
+                          minlength=uniq.size * d).reshape(uniq.size, d)
+        if not np.isfinite(acc).all():
+            raise NumericError(f"non-finite gradient in {where}")
+        staged.append((table, uniq, acc))
+    for table, uniq, acc in staged:
+        table[uniq] -= lr * acc
+
+
+def tape_train_logistic(x, y, epochs=300, lr=0.1, seed=0):
+    """harness.train_logistic with its gradient from the autodiff tape.
+
+    Same init and Adam; each epoch builds aggenc.cross_entropy_loss on
+    the tape and runs backward.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    theta, bias = classifier_head(derived_rng(seed, "logistic_init"),
+                                  x.shape[1], int(y.max()) + 1, 0.01)
+    opt = ad.Adam([theta, bias], lr=lr)
+    for _ in range(epochs):
+        opt.zero_grad()
+        with ad.Tape():
+            loss = cross_entropy_loss(ad.constant(x), theta, bias, y)
+            ad.backward(loss)
+        opt.step()
+    return theta.data, bias.data

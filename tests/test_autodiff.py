@@ -1,8 +1,17 @@
+import re
+
 import numpy as np
 import pytest
 
 from grembed import autodiff as ad
+from grembed import fixtures
+from grembed.aggenc import AggConfig, train_supervised
+from grembed.autoenc import AutoencoderConfig, train_autoencoder
 from grembed.errors import ContractError, NumericError, ShapeError
+from grembed.harness import train_logistic
+from grembed.multiscale import ohmnet_train
+from grembed.shallow import ShallowConfig, train_shallow
+from grembed.subgraph import SubgraphSpec, classify_subgraphs
 
 
 def randn(rng, *shape):
@@ -280,9 +289,11 @@ def test_adam_descends_quadratic():
 def test_optimizer_rejects_non_finite_gradient():
     w = ad.parameter([[1.0]])
     w.grad = np.array([[np.nan]])
-    with pytest.raises(NumericError):
+    with pytest.raises(NumericError,
+                       match=r"^non-finite gradient in optimizer step$"):
         ad.Sgd([w]).step()
-    with pytest.raises(NumericError):
+    with pytest.raises(NumericError,
+                       match=r"^non-finite gradient in optimizer step$"):
         ad.Adam([w]).step()
 
 
@@ -322,3 +333,44 @@ def test_momentum_sgd_still_converges():
             ad.backward(ad.reduce_sum(ad.mul(w, w)))
         opt.step()
     np.testing.assert_allclose(w.data, 0.0, atol=1e-5)
+
+
+def _poison_first_grad(step):
+    def poisoned(self, *args, **kwargs):
+        self.params[0].grad = np.full_like(self.params[0].data, np.nan)
+        return step(self, *args, **kwargs)
+
+    return poisoned
+
+
+def _tape_trained_runs():
+    g, labels = fixtures.karate_club()
+    gram = ShallowConfig(dim=4, epochs=2, power_max=2)
+    specs = [SubgraphSpec(sg, label=lab)
+             for sg, lab in fixtures.cycles_and_paths(6, 5, 6, seed=0)]
+    layers = fixtures.two_layer_graphs(n=10, seed=1)
+    x = np.random.default_rng(0).normal(size=(20, 3))
+    return {
+        "logistic head": lambda: train_logistic(x, np.arange(20) % 3, epochs=2),
+        "graph_factorization": lambda: train_shallow(
+            g, "graph_factorization", gram),
+        "hope": lambda: train_shallow(g, "hope", gram),
+        "grarep power 1": lambda: train_shallow(g, "grarep", gram),
+        "autoencoder sdne": lambda: train_autoencoder(
+            g, "sdne", AutoencoderConfig(dim=2, hidden=(3,), epochs=2)),
+        "aggregation encoder (replace)": lambda: train_supervised(
+            g, labels, AggConfig(dims=(3,)), epochs=2),
+        "subgraph classifier": lambda: classify_subgraphs(specs, epochs=2),
+        "ohmnet penalty": lambda: ohmnet_train(
+            list(layers), lam=0.5, config=ShallowConfig(dim=4, epochs=1)),
+    }
+
+
+@pytest.mark.parametrize("where", list(_tape_trained_runs()))
+def test_nonfinite_step_names_method_and_epoch(where, monkeypatch):
+    for opt in (ad.Sgd, ad.Adam):
+        monkeypatch.setattr(opt, "step", _poison_first_grad(opt.step))
+    with pytest.raises(NumericError,
+                       match=rf"^non-finite gradient in {re.escape(where)}, "
+                             r"epoch 0$"):
+        _tape_trained_runs()[where]()

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import grembed
-from grembed import cli, harness, multiscale, shallow, subgraph
+from grembed import cli, harness, multiscale, shallow, structural, subgraph
 from grembed.fixtures import cycles_and_paths, karate_club, two_layer_graphs
 from grembed.graph import export_edge_list, load_edge_list, load_labels
 
@@ -391,6 +391,34 @@ def test_roles_graphwave_writes_signatures(data_dir, tmp_path, capsys):
     assert len(lines) == 34  # one row per node, no header
     assert all(len(line.split("\t")) == 21 for line in lines)
     assert report_dict(stdout)["signature_dim"] == "20"
+
+
+def test_roles_without_options_runs_library_defaults(data_dir, tmp_path,
+                                                    capsys):
+    out = tmp_path / "sigs.tsv"
+    code, stdout, _ = run_cli(capsys, "roles", "--input",
+                              str(data_dir / "karate.edges"), "--out", str(out))
+    assert code == 0
+    g = load_edge_list(str(data_dir / "karate.edges"))
+    ref = tmp_path / "ref.tsv"
+    structural.export_signatures(str(ref), structural.graphwave_signature(g),
+                                 list(g.node_ids))
+    assert out.read_bytes() == ref.read_bytes()
+    rep = report_dict(stdout)
+    grid = inspect.signature(structural.default_t_grid).parameters
+    scale = inspect.signature(structural.graphwave_signature).parameters["s"]
+    assert rep["config.scale"] == str(scale.default)
+    assert rep["config.t_points"] == str(grid["t_points"].default)
+    assert rep["config.t_max"] == str(grid["t_max"].default)
+
+
+@pytest.mark.parametrize("points", ["0", "-1"])
+def test_roles_rejects_empty_t_grid(data_dir, tmp_path, capsys, points):
+    code, _, err = run_cli(
+        capsys, "roles", "--input", str(data_dir / "karate.edges"),
+        "--t-points", points, "--out", str(tmp_path / "sigs.tsv"))
+    assert code == 2
+    assert f"t_points must be >= 1, got {points}" in err
 
 
 def test_roles_struc2vec_writes_embedding(data_dir, tmp_path, capsys):

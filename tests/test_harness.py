@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 
 import oracles
+from grembed import autodiff as ad
+from grembed.aggenc import cross_entropy_loss
 from grembed.errors import ConfigError, ContractError, ValidationError
 from grembed.fixtures import karate_club
 from grembed.graph import Graph
 from grembed.harness import (
     EvalReport,
+    _logistic_grads,
     auc_score,
     clustering_eval,
     export_projection,
@@ -64,6 +67,39 @@ def test_logistic_multiclass():
     y = np.repeat([0, 1, 2], 20)
     theta, bias = train_logistic(x, y, epochs=300)
     assert (predict_logistic(x, theta, bias) == y).mean() >= 0.98
+
+
+def _logistic_problem(seed, classes):
+    """Overlapping Gaussian classes, so training does not saturate."""
+    rng = np.random.default_rng(seed)
+    y = np.arange(90) % classes
+    x = rng.normal(size=(classes, 6))[y] + rng.normal(size=(90, 6))
+    return x, y
+
+
+@pytest.mark.parametrize("classes", [2, 3, 4, 7])
+def test_logistic_closed_form_gradient_matches_tape(classes):
+    x, y = _logistic_problem(classes, classes)
+    rng = np.random.default_rng(10 + classes)
+    cols = 1 if classes == 2 else classes
+    theta = ad.parameter(rng.normal(size=(6, cols)))
+    bias = ad.parameter(rng.normal(size=(1, cols)))
+    with ad.Tape():
+        ad.backward(cross_entropy_loss(ad.constant(x), theta, bias, y))
+    g_theta, g_bias = _logistic_grads(x, y, theta.data, bias.data)
+    np.testing.assert_allclose(g_theta, theta.grad, rtol=1e-12)
+    np.testing.assert_allclose(g_bias, bias.grad, rtol=1e-12)
+
+
+@pytest.mark.parametrize("classes", [2, 3, 5])
+def test_logistic_training_predicts_as_tape_oracle(classes):
+    x, y = _logistic_problem(20 + classes, classes)
+    theta, bias = train_logistic(x, y, seed=classes)
+    ref_theta, ref_bias = oracles.tape_train_logistic(x, y, seed=classes)
+    assert np.array_equal(predict_logistic(x, theta, bias),
+                          predict_logistic(x, ref_theta, ref_bias))
+    np.testing.assert_allclose(theta, ref_theta, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(bias, ref_bias, rtol=0, atol=1e-9)
 
 
 def test_node_eval_separable_embeddings():

@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from grembed import autodiff as ad
@@ -22,6 +24,7 @@ from grembed.shallow import (
     softmax_cross_entropy_loss,
     _init_table,
     _skipgram_train,
+    _sparse_sgd,
     train_shallow,
     unigram_noise,
     weighted_distance_loss,
@@ -55,6 +58,34 @@ def test_table_save_load_round_trip():
     buf2 = io.StringIO()
     t.save(buf2)
     assert buf2.getvalue() == text
+
+
+_EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                1e-310, 1e308, -1e308, 1.7976931348623157e308]
+_TEXT_IDS = st.text(st.characters(blacklist_categories=(
+    "Cc", "Cs", "Zs", "Zl", "Zp")), min_size=1, max_size=8)
+_NUMERIC_IDS = st.one_of(st.integers(-10**12, 10**12),
+                         st.floats(allow_nan=False)).map(str)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda d: st.tuples(
+    st.lists(st.one_of(_TEXT_IDS, _NUMERIC_IDS), min_size=1, max_size=6,
+             unique=True),
+    st.lists(st.one_of(st.sampled_from(_EDGE_FLOATS),
+                       st.floats(allow_nan=False, allow_infinity=False)),
+             min_size=6 * d, max_size=6 * d),
+    st.just(d))))
+def test_save_load_round_trip_keeps_ids_and_bits(tmp_path_factory, case):
+    ids, values, d = case
+    vectors = np.array(values[:len(ids) * d]).reshape(len(ids), d)
+    path = tmp_path_factory.mktemp("emb") / "z.tsv"
+    EmbeddingTable(vectors, ids).save(str(path))
+    loaded = load_embedding(str(path))
+    assert loaded.node_ids == ids
+    assert loaded.vectors.dtype == np.float64
+    assert np.array_equal(loaded.vectors.view(np.int64),
+                          vectors.view(np.int64))
 
 
 # -- decoders ---------------------------------------------------------------
@@ -442,6 +473,42 @@ def test_fused_step_leaves_untouched_rows_bitwise(case, batch_size):
     assert np.array_equal(z[~touched].view(np.uint64),
                           init[~touched].view(np.uint64))
     assert np.any(z[touched] != init[touched])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 12), st.integers(1, 4),
+                          st.integers(0, 40)), min_size=1, max_size=3),
+       st.integers(0, 2**32 - 1))
+def test_sparse_sgd_matches_unique_oracle_bitwise(shapes, seed):
+    rng = np.random.default_rng(seed)
+    cases = []
+    for n, d, m in shapes:
+        rows = rng.integers(0, n, size=m)
+        # spread exponents so that a changed summation order would show
+        grad = rng.normal(size=(m, d)) * 10.0 ** rng.integers(-8, 9, (m, 1))
+        cases.append((rng.normal(size=(n, d)), rows, grad))
+    ours = [t.copy() for t, _, _ in cases]
+    ref = [t.copy() for t, _, _ in cases]
+    _sparse_sgd([(t, r, g) for t, (_, r, g) in zip(ours, cases)], 0.3, "x")
+    oracles.unique_sparse_sgd(
+        [(t, r, g) for t, (_, r, g) in zip(ref, cases)], 0.3, "x")
+    for a, b in zip(ours, ref):
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_sparse_sgd_nonfinite_last_table_writes_no_table(bad):
+    rng = np.random.default_rng(3)
+    tables = [rng.normal(size=(6, 3)) for _ in range(3)]
+    before = [t.copy() for t in tables]
+    rows = np.array([4, 0, 2, 2, 5])
+    updates = [(t, rows, rng.normal(size=(5, 3))) for t in tables]
+    updates[-1][2][3, 1] = bad
+    with pytest.raises(NumericError,
+                       match=r"^non-finite gradient in test step$"):
+        _sparse_sgd(updates, 0.1, "test step")
+    for t, b in zip(tables, before):
+        assert np.array_equal(t.view(np.int64), b.view(np.int64))
 
 
 def test_nonfinite_gradient_names_loss_epoch_batch():
