@@ -19,12 +19,10 @@ from .rng import derived_rng
 from .shallow import (
     EmbeddingTable,
     ShallowConfig,
-    _negsamp_step,
-    _sparse_sgd,
+    _blocks,
+    _skipgram,
     train_shallow,
-    unigram_noise,
 )
-from .walks import AliasTable, WalkConfig, extract_pairs, sample_uniform_walks
 
 HARP_BASES = ("deepwalk", "node2vec", "line1", "line2")
 # ohmnet_train's config when none is given: small per-layer walk corpora
@@ -197,7 +195,6 @@ def ohmnet_loss(base_losses, tensors, id_lists, lam, tied=None, shared=None,
 
 def inter_layer_gap(tables, tied=None, shared=None):
     """Reported gap: sum over tied pairs and shared nodes of ||za-zb||."""
-    tensors = [ad.constant(t.vectors) for t in tables]
     ids = [t.node_ids for t in tables]
     tied = _tied_pairs(len(tables)) if tied is None else tied
     gap = 0.0
@@ -205,7 +202,7 @@ def inter_layer_gap(tables, tied=None, shared=None):
         ia, ib = _shared_indices(ids[a], ids[b], shared)
         if ia.size == 0:
             continue
-        diff = tensors[a].data[ia] - tensors[b].data[ib]
+        diff = tables[a].vectors[ia] - tables[b].vectors[ib]
         gap += float(np.sqrt((diff ** 2).sum(axis=1)).sum())
     return gap
 
@@ -214,57 +211,33 @@ def ohmnet_train(layer_graphs, lam=0.1, config=None, hierarchy_edges=None,
                  shared=None, squared=True, penalty_lr=0.02):
     """Per-layer skip-gram training with an after-epoch tying step.
 
-    Every layer runs its own negative-sampling walk objective on
-    layer-keyed RNG streams, so results do not depend on layer order.
-    After each epoch one SGD step on the tying penalty pulls shared
-    nodes together; with lam=0 that gradient is exactly zero and the
-    run matches independent per-layer training bit for bit.
+    Layer li runs the shared skip-gram trainer, negative sampling on
+    deepwalk's pairs, at seed ``derive_layer_seed(seed, li)``, so results
+    do not depend on layer order. After each epoch of every layer one
+    SGD step on the tying penalty pulls shared nodes together; with
+    lam=0 that gradient is zero and each layer equals deepwalk with the
+    negsamp loss at its layer seed, bit for bit.
     """
     config = config or OHMNET_CONFIG
     graphs = list(layer_graphs)
     if not graphs:
         raise ValidationError("no layers given")
     tied = _tied_pairs(len(graphs), hierarchy_edges)
-    layer_pairs = []
-    tensors = []
-    noise_tables = []
+    tensors, steps = [], []
     for li, g in enumerate(graphs):
-        cfg = WalkConfig(length=config.walk_length,
-                         walks_per_node=config.walks_per_node,
-                         seed=derive_layer_seed(config.seed, li))
-        corpus = sample_uniform_walks(g, cfg)
-        pairs = extract_pairs(corpus, config.window)
-        if len(pairs) == 0:
-            raise ValidationError(f"layer {li} produced no training pairs")
-        layer_pairs.append(pairs)
-        rng = derived_rng(config.seed, "ohmnet_init", li)
-        z = ad.parameter(rng.uniform(-0.5, 0.5,
-                                     size=(g.node_count, config.dim))
-                         / config.dim)
-        tensors.append(z)
-        counts = np.bincount(pairs[:, 1], minlength=g.node_count
-                             ).astype(np.float64)
-        if counts.sum() == 0:
-            counts = g.degrees(weighted=True)
-        noise_tables.append(AliasTable(unigram_noise(counts,
-                                                     config.noise_power)))
+        cfg = replace(config, seed=derive_layer_seed(config.seed, li))
+        _, pairs, _ = next(_blocks(g, "deepwalk", cfg, {}))
+        z, step = _skipgram(g, pairs, cfg, "negsamp",
+                            where=f"negsamp skip-gram, layer {li}")
+        # the penalty steps the trainer's own table in place
+        tensors.append(ad.parameter(z))
+        steps.append(step)
     id_lists = [list(g.node_ids) for g in graphs]
 
     penalty_opt = ad.Sgd(tensors, lr=penalty_lr)
     for epoch in range(config.epochs):
-        for li, (g, pairs) in enumerate(zip(graphs, layer_pairs)):
-            order = derived_rng(config.seed, "ohmnet_shuffle", li, epoch
-                                ).permutation(len(pairs))
-            noise_rng = derived_rng(config.seed, "ohmnet_noise", li, epoch)
-            for b, lo in enumerate(range(0, len(order), config.batch_size)):
-                batch = pairs[order[lo:lo + config.batch_size]]
-                negs = noise_tables[li].sample(
-                    noise_rng, (len(batch), config.negatives))
-                _, updates = _negsamp_step(tensors[li].data, None, batch, negs)
-                # summed loss: step scaled per pair, as in the base trainer
-                _sparse_sgd(updates, config.lr / len(batch),
-                            f"negsamp skip-gram, layer {li}, epoch {epoch}, "
-                            f"batch {b}")
+        for step in steps:
+            step(epoch)
         penalty_opt.zero_grad()
         with ad.Tape():
             pen = ohmnet_penalty(tensors, id_lists, lam, tied=tied,
@@ -273,12 +246,9 @@ def ohmnet_train(layer_graphs, lam=0.1, config=None, hierarchy_edges=None,
                 ad.backward(pen)
         penalty_opt.step(f"ohmnet penalty, epoch {epoch}")
 
-    tables = []
-    for li, g in enumerate(graphs):
-        meta = {"layer": li, "lam": lam, "squared": squared}
-        tables.append(EmbeddingTable(tensors[li].data, list(g.node_ids),
-                                     "ohmnet", meta))
-    return tables
+    return [EmbeddingTable(t.data, ids, "ohmnet",
+                           {"layer": li, "lam": lam, "squared": squared})
+            for li, (t, ids) in enumerate(zip(tensors, id_lists))]
 
 
 def derive_layer_seed(seed, layer_index):

@@ -12,7 +12,8 @@ All trainers are deterministic for a fixed seed: pair shuffles and
 noise draws come from streams derived from (seed, purpose, epoch).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,11 +30,6 @@ from .walks import (
     sample_node2vec_walks,
     sample_uniform_walks,
 )
-
-METHODS = ("laplacian_eigenmaps", "graph_factorization", "grarep", "hope",
-           "deepwalk", "node2vec", "walklets", "line1", "line2")
-
-DECODERS = ("sq_distance", "inner", "sigmoid_inner", "softmax_inner", "bilinear")
 
 
 # ---------------------------------------------------------------------
@@ -390,8 +386,7 @@ class ShallowConfig:
             raise ContractError("negatives must be >= 1")
         if self.power_max < 1:
             raise ContractError("power_max must be >= 1")
-        if self.loss is not None and self.loss not in (
-                "negsamp", "hsoftmax", "softmax"):
+        if self.loss not in (None,) + _SKIPGRAM_LOSSES:
             raise ContractError(f"unknown loss override {self.loss!r}")
 
 
@@ -404,12 +399,6 @@ def _init_table(g, dim, seed, initial=None):
         return z
     rng = derived_rng(seed, "init")
     return rng.uniform(-0.5, 0.5, size=(g.node_count, dim)) / dim
-
-
-def _check_dim(g, dim):
-    if dim >= g.node_count:
-        raise ValidationError(
-            f"dim {dim} must be < node count {g.node_count}")
 
 
 def _sparse_sgd(updates, lr, where):
@@ -522,13 +511,19 @@ def _softmax_step(z, batch):
                    np.concatenate([p @ z, p.T @ zc]))]
 
 
-def _skipgram_train(g, pairs, config, loss_kind, context_table=False,
-                    pair_weights=None, dim=None, init=None, seed_tag=""):
-    """Shared minibatch loop for the sampled-pair objectives.
+def _skipgram(g, pairs, config, loss_kind, context_table=False,
+              pair_weights=None, dim=None, init=None, seed_tag="", where=None):
+    """Set up one skip-gram run; returns its table and its epoch step.
 
-    Each batch takes one SGD step from closed-form gradients of the
-    matching tape loss, applied only to the rows the batch touches.
+    ``epoch(e)`` makes shuffled minibatch pass e and returns its mean
+    pair loss. Each batch takes one SGD step, at the lr annealed over
+    the run's batches, from closed-form gradients of the matching tape
+    loss, applied only to the rows the batch touches. ``seed_tag`` keys
+    the streams; ``where`` names the run in its errors.
     """
+    where = where or f"{loss_kind} skip-gram"
+    if len(pairs) == 0:
+        raise ValidationError(f"no training pairs extracted for {where}")
     dim = dim or config.dim
     z = _init_table(g, dim, config.seed, init)
     tree = w_tree = ctx = noise_table = None
@@ -543,20 +538,13 @@ def _skipgram_train(g, pairs, config, loss_kind, context_table=False,
             counts = g.degrees(weighted=True)
         else:
             counts = np.bincount(pairs[:, 1], minlength=n).astype(np.float64)
-            if counts.sum() == 0:
-                counts = g.degrees(weighted=True)
         noise_table = AliasTable(unigram_noise(counts, config.noise_power))
+    batches = int(np.ceil(len(pairs) / config.batch_size))
 
-    if len(pairs) == 0:
-        raise ValidationError("no training pairs extracted")
-
-    total_batches = config.epochs * int(np.ceil(len(pairs) / config.batch_size))
-    history = []
-    batch_no = 0
-    for epoch in range(config.epochs):
-        order = derived_rng(config.seed, "shuffle", seed_tag, epoch
+    def epoch(e):
+        order = derived_rng(config.seed, "shuffle", seed_tag, e
                             ).permutation(len(pairs))
-        noise_rng = derived_rng(config.seed, "noise", seed_tag, epoch)
+        noise_rng = derived_rng(config.seed, "noise", seed_tag, e)
         epoch_loss = 0.0
         for b, lo in enumerate(range(0, len(pairs), config.batch_size)):
             rows = order[lo:lo + config.batch_size]
@@ -573,22 +561,24 @@ def _skipgram_train(g, pairs, config, loss_kind, context_table=False,
             # the losses sum over the batch, so the step is scaled down
             # to keep per-pair update sizes in the word2vec lr regime
             annealed = config.lr + (config.lr_min - config.lr) * (
-                batch_no / max(1, total_batches - 1))
+                (e * batches + b) / max(1, config.epochs * batches - 1))
             _sparse_sgd(updates, annealed / len(batch),
-                        f"{loss_kind} skip-gram, epoch {epoch}, batch {b}")
+                        f"{where}, epoch {e}, batch {b}")
             epoch_loss += loss
-            batch_no += 1
-        history.append(epoch_loss / len(pairs))
-    return z, history
+        return epoch_loss / len(pairs)
+
+    return z, epoch
 
 
-def _full_batch_gram(g, target, config, method, dim=None, seed_tag="",
-                     init=None):
-    """Adam on the exact Frobenius objective against a fixed target.
+def _skipgram_train(g, pairs, config, loss_kind, **kw):
+    """Every epoch of one ``_skipgram`` run: the table and loss history."""
+    z, epoch = _skipgram(g, pairs, config, loss_kind, **kw)
+    return z, [epoch(e) for e in range(config.epochs)]
 
-    ``method`` names the run in the error of a non-finite step.
-    """
-    dim = dim or config.dim
+
+def _full_batch_gram(g, target, config, method, dim, init=None):
+    """Adam on the exact Frobenius objective against a fixed target;
+    ``method`` names the run in the error of a non-finite step."""
     z = ad.parameter(_init_table(g, dim, config.seed, init))
     opt = ad.Adam([z], lr=max(config.lr, 0.01))
     history = []
@@ -613,145 +603,150 @@ def _whiten(z):
     return z @ (u / np.sqrt(lam)[None, :]) @ u.T
 
 
+def _eigenmaps(g, s, config, init):
+    """Gradient steps on the weighted-distance loss, whitened after each."""
+    pairs = np.argwhere(s > 0)
+    weights = s[pairs[:, 0], pairs[:, 1]]
+    z = _whiten(_init_table(g, config.dim, config.seed, init))
+    history = []
+    for _ in range(config.epochs):
+        zt = ad.parameter(z)
+        with ad.Tape():
+            loss = weighted_distance_loss(zt, pairs, weights)
+            history.append(loss.item())
+            ad.backward(loss)
+        z = _whiten(z - config.lr * zt.grad)
+    zt = ad.parameter(z)
+    with ad.Tape():
+        history.append(weighted_distance_loss(zt, pairs, weights).item())
+    return z, history
+
+
+class _Method(NamedTuple):
+    """A row of the survey's (similarity, decoder, loss) table.
+
+    ``source`` is what the column blocks train against (see _blocks);
+    ``step`` fits a block ("skipgram", "gram" or "eigenmaps"); ``losses``
+    are the skip-gram losses taken, default first; ``meta`` the metadata
+    keys; ``context`` gives LINE's second order a context table.
+    """
+
+    source: str
+    step: str
+    losses: tuple = ()
+    meta: tuple = ("loss_history",)
+    context: bool = False
+
+
+_SKIPGRAM_LOSSES = ("negsamp", "hsoftmax", "softmax")
+_TABLE = {
+    "laplacian_eigenmaps": _Method("adjacency", "eigenmaps"),
+    "graph_factorization": _Method("adjacency", "gram"),
+    "grarep": _Method("powers", "gram", meta=("loss_history", "block_dims")),
+    "hope": _Method("jaccard", "gram",
+                    meta=("loss_history", "similarity_kind")),
+    "deepwalk": _Method("walks", "skipgram",
+                        ("hsoftmax", "negsamp", "softmax"),
+                        ("loss", "loss_history", "pair_count")),
+    "node2vec": _Method("node2vec", "skipgram", _SKIPGRAM_LOSSES,
+                        ("loss", "loss_history", "p", "q", "pair_count")),
+    "walklets": _Method("offsets", "skipgram", _SKIPGRAM_LOSSES,
+                        ("loss", "offsets", "loss_history")),
+    "line1": _Method("edges", "skipgram", ("negsamp",),
+                     ("loss", "loss_history", "order")),
+    "line2": _Method("edges", "skipgram", ("negsamp",),
+                     ("loss", "loss_history", "order"), context=True),
+}
+METHODS = tuple(_TABLE)
+
+
+def _block_dims(dim, count):
+    """dim split into count column widths, the first dim % count wider."""
+    if not 1 <= count <= dim:
+        raise ContractError(f"cannot split dim {dim} into {count} blocks")
+    return [dim // count + (i < dim % count) for i in range(count)]
+
+
+def _blocks(g, method, config, facts):
+    """Yield (tag, pairs or dense target, pair weights) per column block.
+
+    Sources: window pairs over uniform ("walks") or node2vec walks,
+    pairs at one walk offset per block, both arcs of each edge, one
+    adjacency power per block, or a similarity kind that
+    ``config.similarity`` overrides. Dense targets are built one block
+    at a time. ``tag`` keys a skip-gram block's streams or names a Gram
+    block in errors; what shaped the blocks goes into ``facts``.
+    """
+    source = _TABLE[method].source
+    if source == "edges":
+        yield (method, np.concatenate([g.edge_pairs, g.edge_pairs[:, ::-1]]),
+               np.concatenate([g.pair_weights, g.pair_weights]))
+    elif source == "powers":
+        for k in range(1, config.power_max + 1):
+            spec = SimilaritySpec(kind="adjacency_power", power=k)
+            yield f"grarep power {k}", build_similarity(g, spec).values, None
+    elif source in ("walks", "node2vec", "offsets"):
+        cfg = WalkConfig(length=config.walk_length, seed=config.seed,
+                         walks_per_node=config.walks_per_node)
+        if source == "node2vec":
+            cfg = replace(cfg, p=config.p, q=config.q)
+            corpus = sample_node2vec_walks(g, cfg)
+        else:
+            corpus = sample_uniform_walks(g, cfg)
+        if source == "offsets":
+            for off in config.offsets:
+                yield f"off{off}", extract_offset_pairs(corpus, off), None
+        else:
+            pairs = extract_pairs(corpus, config.window)
+            facts["pair_count"] = int(len(pairs))
+            yield "", pairs, None
+    else:
+        spec = config.similarity or SimilaritySpec(kind=source)
+        facts["similarity_kind"] = spec.kind
+        yield method, build_similarity(g, spec).values, None
+
+
 def train_shallow(g, method, config=None):
     """Train one of the lookup-table methods; returns an EmbeddingTable.
 
     Metadata carries the loss history and the hyperparameters that
-    shaped the run.
+    shaped the run. A warm start ``config.initial`` is one (n, dim)
+    array, sliced per column block.
     """
     config = config or ShallowConfig()
-    if method not in METHODS:
+    if method not in _TABLE:
         raise ContractError(f"unknown shallow method {method!r}")
-    _check_dim(g, config.dim)
+    row = _TABLE[method]
+    if config.dim >= g.node_count:
+        raise ValidationError(
+            f"dim {config.dim} must be < node count {g.node_count}")
+    if config.loss not in (None,) + row.losses:
+        raise ContractError(f"{method} does not take the {config.loss!r} "
+                            f"loss; it takes {row.losses}")
+    loss = config.loss or (row.losses[0] if row.losses else None)
+    blocked = {"offsets": len(config.offsets), "powers": config.power_max}
+    dims = _block_dims(config.dim, blocked.get(row.source, 1))
+    inits = [None] * len(dims)
+    if config.initial is not None:
+        full = _init_table(g, config.dim, config.seed, config.initial)
+        inits = np.split(full, np.cumsum(dims)[:-1], axis=1)
+    facts = {"loss": loss, "block_dims": dims, "p": config.p, "q": config.q,
+             "offsets": tuple(config.offsets), "order": 1 + row.context}
+    blocks, history = [], []
+    for d, init, (tag, data, weights) in zip(
+            dims, inits, _blocks(g, method, config, facts)):
+        if row.step == "skipgram":
+            z, hist = _skipgram_train(g, data, config, loss, dim=d, init=init,
+                                      context_table=row.context,
+                                      pair_weights=weights, seed_tag=tag)
+        elif row.step == "gram":
+            z, hist = _full_batch_gram(g, data, config, tag, d, init)
+        else:
+            z, hist = _eigenmaps(g, data, config, init)
+        blocks.append(z)
+        history.append(hist)
+    facts["loss_history"] = history if row.source in blocked else history[0]
     meta = {"seed": config.seed, "dim": config.dim, "epochs": config.epochs}
-
-    if method == "laplacian_eigenmaps":
-        spec = config.similarity or SimilaritySpec(kind="adjacency")
-        s = build_similarity(g, spec).values
-        pairs = np.argwhere(s > 0)
-        weights = s[pairs[:, 0], pairs[:, 1]]
-        z = _whiten(_init_table(g, config.dim, config.seed, config.initial))
-        history = []
-        lr = config.lr
-        for _ in range(config.epochs):
-            zt = ad.parameter(z)
-            with ad.Tape():
-                loss = weighted_distance_loss(zt, pairs, weights)
-                history.append(loss.item())
-                ad.backward(loss)
-            z = _whiten(z - lr * zt.grad)
-        zt = ad.parameter(z)
-        with ad.Tape():
-            history.append(weighted_distance_loss(zt, pairs, weights).item())
-        meta["loss_history"] = history
-        return EmbeddingTable(z, list(g.node_ids), method, meta)
-
-    if method == "graph_factorization":
-        spec = config.similarity or SimilaritySpec(kind="adjacency")
-        target = build_similarity(g, spec).values
-        z, history = _full_batch_gram(g, target, config, method,
-                                      init=config.initial)
-        meta["loss_history"] = history
-        return EmbeddingTable(z, list(g.node_ids), method, meta)
-
-    if method == "hope":
-        spec = config.similarity or SimilaritySpec(kind="jaccard")
-        target = build_similarity(g, spec).values
-        z, history = _full_batch_gram(g, target, config, method,
-                                      init=config.initial)
-        meta["loss_history"] = history
-        meta["similarity_kind"] = spec.kind
-        return EmbeddingTable(z, list(g.node_ids), method, meta)
-
-    if method == "grarep":
-        kmax = config.power_max
-        dims = [config.dim // kmax] * kmax
-        for i in range(config.dim % kmax):
-            dims[i] += 1
-        if min(dims) < 1:
-            raise ContractError("dim too small for power_max blocks")
-        blocks = []
-        history = []
-        for k in range(1, kmax + 1):
-            target = build_similarity(
-                g, SimilaritySpec(kind="adjacency_power", power=k)).values
-            zb, hist = _full_batch_gram(g, target, config,
-                                        f"grarep power {k}", dim=dims[k - 1],
-                                        seed_tag=f"pow{k}")
-            blocks.append(zb)
-            history.append(hist)
-        meta["loss_history"] = history
-        meta["block_dims"] = dims
-        return EmbeddingTable(np.concatenate(blocks, axis=1),
-                              list(g.node_ids), method, meta)
-
-    if method == "deepwalk":
-        cfg = WalkConfig(length=config.walk_length,
-                         walks_per_node=config.walks_per_node, seed=config.seed)
-        corpus = sample_uniform_walks(g, cfg)
-        pairs = extract_pairs(corpus, config.window)
-        loss_kind = config.loss or "hsoftmax"
-        z, history = _skipgram_train(g, pairs, config, loss_kind,
-                                     init=config.initial)
-        meta.update(loss=loss_kind, loss_history=history,
-                    pair_count=int(len(pairs)))
-        return EmbeddingTable(z, list(g.node_ids), method, meta)
-
-    if method == "node2vec":
-        cfg = WalkConfig(length=config.walk_length,
-                         walks_per_node=config.walks_per_node,
-                         p=config.p, q=config.q, seed=config.seed)
-        corpus = sample_node2vec_walks(g, cfg)
-        pairs = extract_pairs(corpus, config.window)
-        loss_kind = config.loss or "negsamp"
-        z, history = _skipgram_train(g, pairs, config, loss_kind,
-                                     init=config.initial)
-        meta.update(loss=loss_kind, loss_history=history, p=config.p,
-                    q=config.q, pair_count=int(len(pairs)))
-        return EmbeddingTable(z, list(g.node_ids), method, meta)
-
-    if method == "walklets":
-        cfg = WalkConfig(length=config.walk_length,
-                         walks_per_node=config.walks_per_node, seed=config.seed)
-        corpus = sample_uniform_walks(g, cfg)
-        offsets = tuple(config.offsets)
-        if not offsets:
-            raise ContractError("walklets need at least one offset")
-        dims = [config.dim // len(offsets)] * len(offsets)
-        for i in range(config.dim % len(offsets)):
-            dims[i] += 1
-        if min(dims) < 1:
-            raise ContractError("dim too small for the offset blocks")
-        blocks, history = [], []
-        loss_kind = config.loss or "negsamp"
-        col = 0
-        for off, dblock in zip(offsets, dims):
-            pairs = extract_offset_pairs(corpus, off)
-            init = None
-            if config.initial is not None:
-                init = np.asarray(config.initial)[:, col:col + dblock]
-            col += dblock
-            zb, hist = _skipgram_train(g, pairs, config, loss_kind,
-                                       dim=dblock, seed_tag=f"off{off}",
-                                       init=init)
-            blocks.append(zb)
-            history.append(hist)
-        meta.update(loss=loss_kind, offsets=offsets, loss_history=history)
-        return EmbeddingTable(np.concatenate(blocks, axis=1),
-                              list(g.node_ids), method, meta)
-
-    # line1 / line2: edge-based first- and second-order objectives
-    src = np.concatenate([g.edge_pairs[:, 0], g.edge_pairs[:, 1]])
-    dst = np.concatenate([g.edge_pairs[:, 1], g.edge_pairs[:, 0]])
-    pairs = np.stack([src, dst], axis=1)
-    pw = np.concatenate([g.pair_weights, g.pair_weights])
-    loss_kind = config.loss or "negsamp"
-    if loss_kind != "negsamp":
-        raise ContractError(f"{method} supports only the negsamp loss")
-    z, history = _skipgram_train(g, pairs, config, "negsamp",
-                                 context_table=(method == "line2"),
-                                 pair_weights=pw, seed_tag=method,
-                                 init=config.initial)
-    meta.update(loss="negsamp", loss_history=history,
-                order=1 if method == "line1" else 2)
-    return EmbeddingTable(z, list(g.node_ids), method, meta)
+    meta.update((key, facts[key]) for key in row.meta)
+    return EmbeddingTable(np.concatenate(blocks, axis=1), list(g.node_ids),
+                          method, meta)

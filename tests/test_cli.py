@@ -3,9 +3,12 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import grembed
 from grembed import cli, harness, multiscale, shallow, structural, subgraph
@@ -167,6 +170,63 @@ def test_abbreviated_flag_beats_config_file(data_dir, tmp_path, capsys):
                              "--config", str(cfg))
     assert abbreviated == spelled_out
     assert abbreviated != from_file
+
+
+_OPTION_VALUES = {
+    "dim": st.integers(1, 64), "epochs": st.integers(1, 9),
+    "lr": st.floats(1e-3, 1e3), "batch_size": st.integers(1, 4096),
+    "walk_length": st.integers(2, 80), "walks_per_node": st.integers(1, 20),
+    "window": st.integers(1, 10), "p": st.floats(1e-2, 1e2),
+    "q": st.floats(1e-2, 1e2), "negatives": st.integers(1, 10),
+    "power_max": st.integers(1, 6),
+    "offsets": st.lists(st.integers(1, 6), min_size=1, max_size=3).map(tuple),
+}
+
+
+def _shortest_abbreviation(sub, flag):
+    """The shortest prefix of flag that names no other long option."""
+    longs = [o for a in sub._actions for o in a.option_strings
+             if o.startswith("--")]
+    for end in range(3, len(flag)):
+        if [o for o in longs if o.startswith(flag[:end])] == [flag]:
+            return flag[:end]
+    return flag
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_shallow_option_precedence_flag_then_file_then_library(data):
+    names = cli._SHALLOW_OPTIONS
+    assert set(names) == set(_OPTION_VALUES)
+    draw_values = st.sets(st.sampled_from(names)).map(sorted).flatmap(
+        lambda chosen: st.fixed_dictionaries(
+            {n: _OPTION_VALUES[n] for n in chosen}))
+    from_file, from_flags = data.draw(draw_values), data.draw(draw_values)
+    sub = cli.build_parser()[1]["embed"]
+    argv = ["embed", "--input", "g.edges"]
+    for name, value in from_flags.items():
+        flag = "--" + name.replace("_", "-")
+        flag = data.draw(st.sampled_from(
+            [flag, _shortest_abbreviation(sub, flag)]))
+        text = ",".join(map(str, value)) if name == "offsets" else repr(value)
+        argv += data.draw(st.sampled_from([[flag, text], [f"{flag}={text}"]]))
+    keyed = {}
+    for name, value in from_file.items():
+        key = data.draw(st.sampled_from([name, name.replace("_", "-")]))
+        if name == "offsets":
+            value = data.draw(st.sampled_from(
+                [list(value), ",".join(map(str, value))]))
+        keyed[key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(keyed, fh)
+        config = cli._shallow_config(
+            cli.parse_args(argv + ["--config", path]))
+    for name in names:
+        expected = from_flags.get(name, from_file.get(
+            name, getattr(shallow.ShallowConfig(), name)))
+        assert getattr(config, name) == expected, name
 
 
 def test_config_file_string_value_is_converted(data_dir, tmp_path, capsys):

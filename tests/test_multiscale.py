@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from grembed import autodiff as ad
-from grembed.errors import ContractError, ValidationError
+from grembed.errors import ContractError, NumericError, ValidationError
 from grembed.fixtures import (
     cycle_graph,
     erdos_renyi,
@@ -14,6 +16,7 @@ from grembed.multiscale import (
     LayerHierarchy,
     coarsen,
     coarsen_chain,
+    derive_layer_seed,
     harp_train,
     inter_layer_gap,
     load_hierarchy,
@@ -174,6 +177,34 @@ def test_ohmnet_train_lambda_zero_is_independent():
     # streams, so they must agree exactly with the lam=0 joint run
     alone1 = ohmnet_train([g1], lam=0.0, config=cfg)[0]
     assert np.array_equal(tied[0].vectors, alone1.vectors)
+
+
+def test_ohmnet_layers_at_lambda_zero_are_deepwalk_negsamp():
+    g1, g2 = two_layer_graphs(seed=2)
+    cfg = ShallowConfig(dim=4, epochs=3, walk_length=8, walks_per_node=3,
+                        window=2, batch_size=16, seed=7)
+    tables = ohmnet_train([g1, g2], lam=0.0, config=cfg)
+    for li, (g, table) in enumerate(zip((g1, g2), tables)):
+        alone = train_shallow(g, "deepwalk", replace(
+            cfg, seed=derive_layer_seed(cfg.seed, li), loss="negsamp"))
+        assert np.array_equal(table.vectors.view(np.int64),
+                              alone.vectors.view(np.int64))
+
+
+def test_ohmnet_nonfinite_layer_step_names_layer_epoch_batch():
+    g1, g2 = two_layer_graphs(seed=2)
+    cfg = ShallowConfig(dim=4, epochs=2, walk_length=8, walks_per_node=3,
+                        window=2, lr=1e300, seed=7)
+    with pytest.raises(NumericError, match=r"^non-finite gradient in negsamp "
+                       r"skip-gram, layer 0, epoch \d+, batch \d+$"):
+        ohmnet_train([g1, g2], lam=0.0, config=cfg)
+
+
+def test_ohmnet_edgeless_layer_is_named():
+    g1, _ = two_layer_graphs(seed=2)
+    empty = Graph.from_edges([], node_ids=list(g1.node_ids))
+    with pytest.raises(ValidationError, match=r"layer 1\b"):
+        ohmnet_train([g1, empty], lam=0.1)
 
 
 def test_ohmnet_train_large_lambda_shrinks_gap():

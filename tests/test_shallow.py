@@ -1,4 +1,6 @@
 import io
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from grembed import autodiff as ad
 from grembed import fixtures
 from grembed.errors import ContractError, NumericError, ValidationError
 from grembed.shallow import (
+    METHODS,
     EmbeddingTable,
     HierarchicalSoftmaxTree,
     ShallowConfig,
@@ -418,6 +421,39 @@ def test_warm_start_initial_embeddings():
     bad = ShallowConfig(dim=4, initial=np.zeros((3, 4)))
     with pytest.raises(ContractError):
         train_shallow(g, "deepwalk", bad)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_warm_start_honours_initial_in_every_method(method):
+    g = fixtures.karate_club()[0]
+    cfg = dict(dim=6, power_max=3, offsets=(1, 2, 3), epochs=2)
+    a, b = (train_shallow(g, method, small_config(
+        initial=rnd(s, g.node_count, 6) * 0.1, **cfg)) for s in (1, 2))
+    assert not np.array_equal(a.vectors, b.vectors)
+    # one (n, dim) array: a wider one is not cut down to the blocks
+    with pytest.raises(ContractError, match="initial embeddings shape"):
+        train_shallow(g, method, small_config(
+            initial=np.zeros((g.node_count, 10)), **cfg))
+
+
+@pytest.mark.parametrize("method,loss", [
+    ("laplacian_eigenmaps", "softmax"), ("graph_factorization", "softmax"),
+    ("grarep", "softmax"), ("hope", "softmax"), ("hope", "negsamp"),
+    ("line1", "softmax"), ("line2", "hsoftmax")])
+def test_method_rejects_a_loss_it_does_not_take(method, loss):
+    g = fixtures.karate_club()[0]
+    with pytest.raises(ContractError,
+                       match=f"^{method} does not take the '{loss}' loss"):
+        train_shallow(g, method, small_config(loss=loss))
+
+
+def test_readme_shallow_row_names_the_method_table():
+    readme = (Path(__file__).resolve().parent.parent / "README.md"
+              ).read_text()
+    row = next(line for line in readme.splitlines()
+               if line.startswith("| `shallow`"))
+    listed = row.split(":", 1)[1].split(";", 1)[0]
+    assert tuple(re.findall(r"`(\w+)`", listed)) == METHODS
 
 
 # -- fused skip-gram vs the tape oracle ----------------------------------------
