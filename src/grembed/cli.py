@@ -6,6 +6,11 @@ of key<TAB>value lines behind a ``#version`` header on stdout, with a
 one-line human summary on stderr. Exit codes: 0 on success, 2 on
 configuration or input problems, 3 on runtime failures.
 
+Each subcommand imports the layers it runs in its own body, so a call
+loads only those. ``load_edge_list`` and ``load_embedding`` stay names
+of this module, looked up when a command runs, so that a tool can wrap
+them here to time the loads, as ``perfbench/tracecli.py`` does.
+
 An option's value comes from the first of: its flag, in any form
 argparse accepts (``--epochs 3``, ``--epochs=3``, ``--epoch 3``); the
 ``--config`` file, keyed by option name (``walk-length`` or
@@ -27,7 +32,7 @@ import os
 import sys
 import time
 
-from . import autoenc, harness, multiscale, shallow, structural, subgraph, walks
+from . import walks
 from .errors import (
     ConfigError,
     ContractError,
@@ -36,11 +41,10 @@ from .errors import (
     ValidationError,
 )
 from .graph import load_edge_list, load_labels
-from .harness import EvalReport
-from .shallow import ShallowConfig, load_embedding
+from .report import EvalReport
+from .table import load_embedding
 from .walks import WalkConfig
 
-EMBED_METHODS = shallow.METHODS + ("sdne", "dngr")
 WALK_KINDS = ("uniform", "node2vec", "metapath")
 
 
@@ -85,8 +89,9 @@ def _given(args, *names):
             for name, v in values.items() if v is not None}
 
 
-def _shallow_config(args, base=ShallowConfig()):
-    return dataclasses.replace(base, seed=args.seed,
+def _shallow_config(args, base=None):
+    from .shallow import ShallowConfig
+    return dataclasses.replace(base or ShallowConfig(), seed=args.seed,
                                **_given(args, *_SHALLOW_OPTIONS))
 
 
@@ -110,6 +115,7 @@ def _eval_seeds(args):
 
 
 def _cmd_embed(args):
+    from . import shallow
     g = load_edge_list(_open_input(_need(args, "input")),
                        directed=args.directed)
     method = args.method
@@ -117,12 +123,14 @@ def _cmd_embed(args):
         cfg = _shallow_config(args)
         table = shallow.train_shallow(g, method, cfg)
     elif method in ("sdne", "dngr"):
+        from . import autoenc
         cfg = autoenc.AutoencoderConfig(
             seed=args.seed, **_given(args, "dim", "hidden", "epochs", "lr"))
         table, _ = autoenc.train_autoencoder(g, method, cfg)
     else:
         raise ConfigError(
-            f"unknown method {method!r}; choose one of {EMBED_METHODS}")
+            f"unknown method {method!r}; "
+            f"choose one of {shallow.METHODS + ('sdne', 'dngr')}")
     table.save(_need(args, "out"))
     return EvalReport(
         task="embed",
@@ -165,6 +173,7 @@ def _cmd_walk(args):
 
 
 def _cmd_roles(args):
+    from . import structural
     g = load_edge_list(_open_input(_need(args, "input")),
                        directed=args.directed)
     out = _need(args, "out")
@@ -201,6 +210,7 @@ def _cmd_roles(args):
 
 
 def _cmd_subgraph(args):
+    from . import subgraph
     specs = subgraph.parse_multigraph_file(_open_input(_need(args, "dataset")))
     model, acc = subgraph.classify_subgraphs(
         specs, seed=args.seed, target_acc=args.target_acc,
@@ -222,6 +232,7 @@ def _cmd_subgraph(args):
 
 
 def _cmd_eval_nodes(args):
+    from . import harness
     table = load_embedding(_open_input(_need(args, "embedding")))
     labels, _ = load_labels(_open_input(_need(args, "labels")), table)
     report = harness.node_classification_eval(
@@ -232,6 +243,7 @@ def _cmd_eval_nodes(args):
 
 
 def _cmd_eval_links(args):
+    from . import harness, shallow
     g = load_edge_list(_open_input(_need(args, "input")),
                        directed=args.directed)
     base_cfg = _shallow_config(args)
@@ -252,6 +264,7 @@ def _cmd_eval_links(args):
 
 
 def _cmd_eval_cluster(args):
+    from . import harness
     table = load_embedding(_open_input(_need(args, "embedding")))
     labels, names = load_labels(_open_input(_need(args, "labels")), table)
     k = args.k if args.k is not None else len(names)
@@ -264,6 +277,7 @@ def _cmd_eval_cluster(args):
 
 
 def _cmd_project(args):
+    from . import harness
     table = load_embedding(_open_input(_need(args, "embedding")))
     out = _need(args, "out")
     coords = harness.export_projection(out, table.vectors, table.node_ids,
@@ -275,6 +289,7 @@ def _cmd_project(args):
 
 
 def _cmd_harp(args):
+    from . import multiscale
     g = load_edge_list(_open_input(_need(args, "input")),
                        directed=args.directed)
     cfg = _shallow_config(args)
@@ -289,6 +304,7 @@ def _cmd_harp(args):
 
 
 def _cmd_ohmnet(args):
+    from . import multiscale
     if not args.layer:
         raise ConfigError("at least one --layer NAME=PATH is required")
     layer_files = {}

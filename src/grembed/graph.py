@@ -12,6 +12,7 @@ Dense matrices returned by this module are plain float64 numpy arrays.
 
 import contextlib
 import io
+import math
 
 import numpy as np
 
@@ -96,36 +97,27 @@ class Graph:
 
     def _build_csr(self):
         n = self.node_count
-        pairs, w = self.edge_pairs, self.pair_weights
-        if self.directed:
-            src = pairs[:, 0]
-            dst = pairs[:, 1]
-            ew = w
-            et = self.pair_types
-        else:
-            loops = pairs[:, 0] == pairs[:, 1]
-            fwd, bwd = pairs[~loops], pairs[~loops][:, ::-1]
-            lp = pairs[loops]
-            src = np.concatenate([fwd[:, 0], bwd[:, 0], lp[:, 0]])
-            dst = np.concatenate([fwd[:, 1], bwd[:, 1], lp[:, 1]])
-            ew = np.concatenate([w[~loops], w[~loops], w[loops]])
-            if self.pair_types is not None:
-                t = self.pair_types
-                et = np.concatenate([t[~loops], t[~loops], t[loops]])
-            else:
-                et = None
-        order = np.lexsort((dst, src))
-        src, dst, ew = src[order], dst[order], ew[order]
-        self.csr_offsets = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(self.csr_offsets, src + 1, 1)
-        np.cumsum(self.csr_offsets, out=self.csr_offsets)
-        self.csr_targets = dst.astype(np.int64)
-        self.csr_weights = ew.astype(np.float64)
-        self.csr_types = et[order] if et is not None else None
-        self.csr_sources = src.astype(np.int64)
+        # arcs, and the edge each arc carries: an undirected edge gives
+        # both of its arcs, a self-loop one
+        arcs, edge = self.edge_pairs, np.arange(self.edge_count)
+        if not self.directed:
+            loops = arcs[:, 0] == arcs[:, 1]
+            arcs = np.concatenate(
+                [arcs[~loops], arcs[~loops, ::-1], arcs[loops]])
+            edge = np.concatenate([edge[~loops], edge[~loops], edge[loops]])
+        keys = arcs[:, 0] * n + arcs[:, 1]
+        order = np.argsort(keys, kind="stable")
+        edge = edge[order]
+        self.csr_sources = arcs[order, 0]
         self.csr_sources.setflags(write=False)
+        self.csr_offsets = np.concatenate(
+            [[0], np.cumsum(np.bincount(self.csr_sources, minlength=n))])
+        self.csr_targets = arcs[order, 1]
+        self.csr_weights = self.pair_weights[edge]
+        self.csr_types = (None if self.pair_types is None
+                          else self.pair_types[edge])
         # one increasing key per arc, then n*n so a lookup stays in range
-        self._arc_keys = np.append(self.csr_sources * n + self.csr_targets, n * n)
+        self._arc_keys = np.append(keys[order], n * n)
 
     # -- construction -------------------------------------------------
 
@@ -168,24 +160,22 @@ class Graph:
             raise ValidationError(
                 f"self-loop on node {node_ids[bad]!r} (allow_self_loops=False)")
 
-        if not directed and pairs.size:
-            lo = np.minimum(pairs[:, 0], pairs[:, 1])
-            hi = np.maximum(pairs[:, 0], pairs[:, 1])
-            pairs = np.stack([lo, hi], axis=1)
-
         if len(pairs):
-            uniq, inv = np.unique(pairs, axis=0, return_inverse=True)
-            cw = np.zeros(len(uniq), dtype=np.float64)
-            np.add.at(cw, inv, w)
+            # int64 keys src * n + dst (lo, hi when undirected) sort as
+            # the pairs do; weights sum in input order
+            n = len(node_ids)
+            src, dst = pairs[:, 0], pairs[:, 1]
+            if not directed:
+                src, dst = np.minimum(src, dst), np.maximum(src, dst)
+            keys, inv = np.unique(src * n + dst, return_inverse=True)
+            w = np.bincount(inv, weights=w, minlength=len(keys))
             if et is not None:
-                ct = np.full(len(uniq), -1, dtype=np.int64)
-                for k, t in zip(inv, et):
-                    if ct[k] not in (-1, t):
-                        raise ValidationError("duplicate edge with conflicting types")
-                    ct[k] = t
-            else:
-                ct = None
-            pairs, w, et = uniq, cw, ct
+                ct = np.zeros(len(keys), dtype=np.int64)
+                ct[inv] = et
+                if np.any(ct[inv] != et):
+                    raise ValidationError("duplicate edge with conflicting types")
+                et = ct
+            pairs = np.stack([keys // n, keys % n], axis=1)
 
         return cls(node_ids, pairs, w, directed=directed,
                    node_attributes=node_attributes, node_types=node_types,
@@ -404,7 +394,7 @@ def _edge_line(line, lineno, weighted):
         w = float(toks[2])
     except ValueError:
         raise EdgeListParseError(f"bad weight {toks[2]!r}", lineno)
-    if not np.isfinite(w):
+    if not math.isfinite(w):
         raise EdgeListParseError(f"non-finite weight {toks[2]!r}", lineno)
     if w < 0:
         raise EdgeListParseError(f"negative weight {w}", lineno)

@@ -1,4 +1,4 @@
-"""Downstream evaluation of embeddings, plus report plumbing.
+"""Downstream evaluation of embeddings.
 
 Node classification fits a small logistic regression on a stratified
 label split, link prediction scores held-out edges against sampled
@@ -10,7 +10,6 @@ evaluations are seed-reproducible and report per-seed values.
 
 import time
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,46 +17,8 @@ from . import autodiff as ad
 from .aggenc import classifier_head, predict_classes
 from .errors import ConfigError, ContractError, ValidationError
 from .graph import Graph, _open_text
+from .report import REPORT_VERSION, EvalReport, _fmt  # noqa: F401 (re-export)
 from .rng import derived_rng
-
-REPORT_VERSION = 1
-
-
-@dataclass
-class EvalReport:
-    task: str
-    metrics: dict = field(default_factory=dict)
-    per_seed: dict = field(default_factory=dict)
-    config: dict = field(default_factory=dict)
-    wall_clock: float = 0.0
-
-    def __post_init__(self):
-        for k, v in self.metrics.items():
-            if not np.isfinite(v):
-                raise ValidationError(f"metric {k!r} is not finite")
-
-    def lines(self):
-        """Machine-readable key<TAB>value lines (wall clock excluded)."""
-        out = [f"#version {REPORT_VERSION}", f"task\t{self.task}"]
-        for k in sorted(self.config):
-            out.append(f"config.{k}\t{self.config[k]}")
-        for k in sorted(self.metrics):
-            out.append(f"{k}\t{_fmt(self.metrics[k])}")
-        for k in sorted(self.per_seed):
-            vals = ",".join(_fmt(v) for v in self.per_seed[k])
-            out.append(f"per_seed.{k}\t{vals}")
-        return out
-
-    def summary(self):
-        bits = ", ".join(f"{k}={_fmt(v)}" for k, v in sorted(
-            self.metrics.items()))
-        return f"{self.task}: {bits} ({self.wall_clock:.2f}s)"
-
-
-def _fmt(v):
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return "%.17g" % float(v)
 
 
 # ---------------------------------------------------------------------

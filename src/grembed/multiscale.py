@@ -219,6 +219,9 @@ def ohmnet_train(layer_graphs, lam=0.1, config=None, hierarchy_edges=None,
     negsamp loss at its layer seed, bit for bit.
     """
     config = config or OHMNET_CONFIG
+    if config.loss not in (None, "negsamp"):
+        raise ContractError(f"ohmnet does not take the {config.loss!r} loss; "
+                            "it takes ('negsamp',)")
     graphs = list(layer_graphs)
     if not graphs:
         raise ValidationError("no layers given")

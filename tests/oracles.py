@@ -42,6 +42,53 @@ def scan_edge_file(path):
     return degree, edges
 
 
+def row_unique_graph_arrays(edges, weights=None, directed=False,
+                            edge_types=None):
+    """The arrays ``Graph.from_edges`` builds, deduplicated the row way.
+
+    Pairs, folded to (lo, hi) when undirected, collapse under
+    ``np.unique(axis=0)``; weights sum with ``np.add.at`` in input order;
+    the CSR is ordered by ``np.lexsort`` over (source, target).
+    """
+    edges = [(str(u), str(v)) for u, v in edges]
+    ids = {u for u, _ in edges} | {v for _, v in edges}
+    try:
+        node_ids = sorted(ids, key=int)
+    except ValueError:
+        node_ids = sorted(ids)
+    index = {nid: i for i, nid in enumerate(node_ids)}
+    pairs = np.array([[index[u], index[v]] for u, v in edges],
+                     dtype=np.int64).reshape(-1, 2)
+    w = np.ones(len(pairs)) if weights is None else np.asarray(
+        weights, dtype=np.float64)
+    if not directed:
+        pairs = np.stack([pairs.min(axis=1), pairs.max(axis=1)], axis=1)
+    pairs, inv = np.unique(pairs, axis=0, return_inverse=True)
+    inv = inv.reshape(-1)
+    summed = np.zeros(len(pairs))
+    np.add.at(summed, inv, w)
+    types = None
+    if edge_types is not None:
+        types = np.full(len(pairs), -1, dtype=np.int64)
+        types[inv] = edge_types
+    src, dst, cw, ct = pairs[:, 0], pairs[:, 1], summed, types
+    if not directed:
+        loops = src == dst
+        src, dst = (np.concatenate([src[~loops], dst[~loops], src[loops]]),
+                    np.concatenate([dst[~loops], src[~loops], dst[loops]]))
+        cw = np.concatenate([cw[~loops], cw[~loops], cw[loops]])
+        if ct is not None:
+            ct = np.concatenate([ct[~loops], ct[~loops], ct[loops]])
+    order = np.lexsort((dst, src))
+    offsets = np.zeros(len(node_ids) + 1, dtype=np.int64)
+    for s in src:
+        offsets[s + 1] += 1
+    return {"node_ids": node_ids, "pair_types": types, "edge_pairs": pairs,
+            "pair_weights": summed, "csr_offsets": np.cumsum(offsets),
+            "csr_targets": dst[order], "csr_weights": cw[order],
+            "csr_types": None if ct is None else ct[order]}
+
+
 def floyd_warshall_hops(edge_pairs, n):
     """All-pairs hop distances via O(n^3) relaxation; inf if unreachable."""
     dist = np.full((n, n), np.inf)

@@ -712,3 +712,71 @@ def test_console_entry_error_codes(tmp_path):
         capture_output=True, text=True, env=CHILD_ENV)
     assert r.returncode == 2
     assert "ghost.edges" in r.stderr
+
+
+def test_repeated_walklets_offset_exits_2(data_dir, tmp_path, capsys):
+    code, stdout, err = run_cli(
+        capsys, "embed", "--method", "walklets", "--offsets", "1,1",
+        "--input", str(data_dir / "karate.edges"),
+        "--out", str(tmp_path / "z.tsv"))
+    assert code == 2
+    assert stdout == ""
+    assert "offsets repeat [1]" in err
+
+
+# layers that neither importing the CLI nor a `walk` call needs
+NOT_FOR_WALKS = ("shallow", "autodiff", "similarity", "harness", "aggenc",
+                 "autoenc", "gnn", "multiscale", "structural", "subgraph")
+
+
+def test_import_and_walk_call_load_only_their_own_layers(data_dir, tmp_path):
+    script = (
+        "import json, sys\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.startswith('grembed.'))\n"
+        "import grembed.cli as cli\n"
+        "after_import = loaded()\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "print(json.dumps([code, after_import, loaded()]), file=sys.stderr)\n")
+    r = subprocess.run(
+        [sys.executable, "-c", script, "walk", "--kind", "node2vec",
+         "--q", "0.5", "--length", "5", "--input",
+         str(data_dir / "karate.edges"), "--out", str(tmp_path / "w.txt")],
+        capture_output=True, text=True, env=CHILD_ENV)
+    code, after_import, after_walk = json.loads(r.stderr.splitlines()[-1])
+    assert code == 0, r.stderr
+    assert "grembed.walks" in after_import
+    for name in NOT_FOR_WALKS:
+        assert f"grembed.{name}" not in after_import, name
+        assert f"grembed.{name}" not in after_walk, name
+
+
+TRACECLI = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                        "perfbench", "tracecli.py")
+
+
+def test_trace_tool_spans_every_layer_and_keeps_stdout(data_dir, tmp_path):
+    emb = str(tmp_path / "z.tsv")
+    calls = [
+        ["walk", "--input", str(data_dir / "karate.edges"), "--length", "5",
+         "--out", str(tmp_path / "w.txt")],
+        ["embed", "--input", str(data_dir / "karate.edges"), "--dim", "4",
+         "--epochs", "1", "--walk-length", "5", "--window", "2",
+         "--walks-per-node", "2", "--out", emb],
+        ["eval-nodes", "--embedding", emb,
+         "--labels", str(data_dir / "karate.labels"), "--eval-seeds", "2"],
+    ]
+    names = set()
+    for i, argv in enumerate(calls):
+        plain = subprocess.run([sys.executable, "-m", "grembed.cli"] + argv,
+                               capture_output=True, text=True, env=CHILD_ENV)
+        assert plain.returncode == 0, plain.stderr
+        spans = tmp_path / f"spans{i}.json"
+        traced = subprocess.run(
+            [sys.executable, TRACECLI, str(spans), "--"] + argv,
+            capture_output=True, text=True, env=CHILD_ENV)
+        assert traced.returncode == 0, traced.stderr
+        assert traced.stdout == plain.stdout
+        names |= {span[0] for span in json.loads(spans.read_text())}
+    assert {"graph.load", "walks.sample", "walks.dump", "shallow.train",
+            "shallow.save", "shallow.load"} <= names

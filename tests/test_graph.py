@@ -51,6 +51,13 @@ def test_duplicate_edges_collapse_by_weight_sum():
     assert w == 2.0
 
 
+def test_duplicate_edge_with_conflicting_types_rejected():
+    with pytest.raises(ValidationError, match="conflicting types"):
+        Graph.from_edges([(0, 1), (1, 2), (1, 0)], edge_types=[0, 1, 1])
+    g = Graph.from_edges([(0, 1), (1, 2), (1, 0)], edge_types=[2, 1, 2])
+    assert g.pair_types.tolist() == [2, 1]
+
+
 def test_self_loop_rejected_unless_enabled():
     with pytest.raises(ValidationError):
         Graph.from_edges([(0, 0), (0, 1)])
@@ -79,6 +86,17 @@ def test_parse_errors_carry_line_numbers():
         load_edge_list(io.StringIO("0 1 -3.0\n"))
     with pytest.raises(EdgeListParseError):
         load_edge_list(io.StringIO("# only comments\n"))
+
+
+@pytest.mark.parametrize("weight", ["nan", "inf", "-inf", "1e400", "abc", "-1"])
+def test_bad_weight_fails_at_its_line(weight):
+    text = f"0 1 1.5\n1 2 {weight}\n2 3 2\n"
+    with pytest.raises(EdgeListParseError, match="weight") as e:
+        load_edge_list(io.StringIO(text))
+    assert e.value.line_number == 2
+    with pytest.raises(EdgeListParseError, match="weight") as e:
+        parse_multigraph_file(io.StringIO(f"#graph g0 x\n{text}"))
+    assert e.value.line_number == 3
 
 
 def test_comments_blank_lines_and_tabs():
@@ -155,6 +173,53 @@ def test_csr_rows_sorted_symmetric_with_loops_once(g):
         arcs |= arcs.T
     u, v = np.divmod(np.arange(n * n), n)
     np.testing.assert_array_equal(g.arc_slots(u, v) >= 0, arcs.ravel())
+
+
+@st.composite
+def _edge_lists(draw):
+    """(edges, weights, directed, loops, edge types) with duplicates drawn
+    in both orientations; an edge's type is fixed by its endpoints."""
+    n = draw(st.integers(2, 12))
+    loops = draw(st.booleans())
+    pairs = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+            lambda p: loops or p[0] != p[1]), min_size=1, max_size=25))
+    dups = draw(st.lists(st.tuples(st.sampled_from(pairs), st.booleans()),
+                         max_size=15))
+    pairs += [(v, u) if flip else (u, v) for (u, v), flip in dups]
+    directed = draw(st.booleans())
+    weights = draw(st.none() | st.lists(
+        st.floats(0.0, 1e3), min_size=len(pairs), max_size=len(pairs)))
+    kinds = draw(st.none() | st.lists(st.integers(0, 3), min_size=n * n,
+                                      max_size=n * n))
+    types = None
+    if kinds is not None:
+        keys = [(u, v) if directed else (min(u, v), max(u, v))
+                for u, v in pairs]
+        types = [kinds[u * n + v] for u, v in keys]
+    prefix = draw(st.sampled_from(["", "n"]))  # numeric or text id order
+    edges = [(f"{prefix}{u}", f"{prefix}{v}") for u, v in pairs]
+    return edges, weights, directed, loops, types
+
+
+@settings(max_examples=150, deadline=None)
+@given(_edge_lists())
+def test_keyed_dedupe_matches_row_unique_oracle(case):
+    edges, weights, directed, loops, types = case
+    g = Graph.from_edges(edges, weights=weights, directed=directed,
+                         allow_self_loops=loops, edge_types=types)
+    want = oracles.row_unique_graph_arrays(edges, weights, directed, types)
+    assert g.node_ids == want["node_ids"]
+    for name in ("pair_types", "csr_types"):
+        if types is None:
+            assert getattr(g, name) is None
+        else:
+            np.testing.assert_array_equal(getattr(g, name), want[name])
+    for name in ("edge_pairs", "pair_weights", "csr_offsets", "csr_targets",
+                 "csr_weights"):
+        got, ref = getattr(g, name), want[name]
+        assert got.shape == ref.shape, name
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64)), name
 
 
 @pytest.mark.parametrize("make", [

@@ -207,6 +207,20 @@ def test_ohmnet_edgeless_layer_is_named():
         ohmnet_train([g1, empty], lam=0.1)
 
 
+@pytest.mark.parametrize("loss", ["softmax", "hsoftmax"])
+def test_ohmnet_rejects_a_loss_it_does_not_take(loss):
+    layers = two_layer_graphs(seed=2)
+    cfg = ShallowConfig(dim=4, epochs=1, walk_length=6, walks_per_node=2,
+                        window=2, seed=7)
+    with pytest.raises(ContractError,
+                       match=f"^ohmnet does not take the '{loss}' loss"):
+        ohmnet_train(layers, config=replace(cfg, loss=loss))
+    named = ohmnet_train(layers, config=replace(cfg, loss="negsamp"))
+    for a, b in zip(named, ohmnet_train(layers, config=cfg)):
+        assert np.array_equal(a.vectors.view(np.int64),
+                              b.vectors.view(np.int64))
+
+
 def test_ohmnet_train_large_lambda_shrinks_gap():
     g1, g2 = two_layer_graphs(seed=3)
     cfg = ShallowConfig(dim=4, epochs=3, walk_length=8, walks_per_node=3,

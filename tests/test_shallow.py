@@ -399,6 +399,14 @@ def test_walklets_offsets_and_dims():
     assert t.metadata["offsets"] == (1, 3)
 
 
+def test_walklets_rejects_repeated_offsets():
+    # a repeated offset would train a block equal to the first one's
+    g = fixtures.karate_club()[0]
+    with pytest.raises(ContractError, match=r"offsets repeat \[1, 3\]"):
+        train_shallow(g, "walklets", small_config(
+            dim=6, offsets=(1, 3, 2, 1, 3), epochs=1))
+
+
 def test_line_variants_run_and_differ():
     g = fixtures.karate_club()[0]
     t1 = train_shallow(g, "line1", small_config(epochs=2))
