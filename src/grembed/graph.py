@@ -131,16 +131,19 @@ class Graph:
         therefore becomes weight 2. Self-loops raise unless
         ``allow_self_loops`` is set.
         """
-        edges = [(str(u), str(v)) for u, v in edges]
+        edges = list(edges)
+        # u0, v0, u1, v1, ...; the parser's ids are str already
+        ids = [u if type(u) is str else str(u) for e in edges for u in e]
+        if len(ids) != 2 * len(edges):
+            raise ValidationError("every edge must be one (u, v) pair")
         if node_ids is None:
-            seen = {u for u, _ in edges} | {v for _, v in edges}
-            node_ids = _order_ids(seen)
+            node_ids = _order_ids(set(ids))
         else:
             node_ids = [str(i) for i in node_ids]
         index = {nid: i for i, nid in enumerate(node_ids)}
         try:
-            pairs = np.array([[index[u], index[v]] for u, v in edges],
-                             dtype=np.int64).reshape(-1, 2)
+            pairs = np.fromiter(map(index.__getitem__, ids), dtype=np.int64,
+                                count=len(ids)).reshape(-1, 2)
         except KeyError as e:
             raise ValidationError(f"edge references unknown node id {e.args[0]!r}")
         if weights is None:

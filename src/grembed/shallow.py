@@ -327,7 +327,7 @@ def _init_table(g, dim, seed, initial=None):
     return rng.uniform(-0.5, 0.5, size=(g.node_count, dim)) / dim
 
 
-def _sparse_sgd(updates, lr, where):
+def _sparse_sgd(updates, lr, where, offsets):
     """One SGD step that writes only the rows a batch touched.
 
     ``updates`` lists ``(table, rows, grad)`` with one gradient row per
@@ -335,9 +335,12 @@ def _sparse_sgd(updates, lr, where):
     input order from 0.0. Distinct rows are found without sorting: an
     index scratch over the table's rows keeps one entry per row, so the
     work is linear in ``len(rows)`` and the distinct rows come out
-    unsorted, which the write does not need. Every gradient is checked
-    before any table is written, so a non-finite step leaves all tables
-    as they were and names ``where`` in the error.
+    unsorted, which the write does not need. The flat ``bincount`` index
+    is gathered from ``offsets``, a trainer's ``(width, d)`` table of
+    ``u * d + arange(d)`` for its tables of d columns and its updates of
+    at most width distinct rows (one that does not fit raises). Every
+    gradient is checked before any table is written, so a non-finite
+    step leaves all tables as they were and names ``where`` in the error.
     """
     staged = []
     for table, rows, grad in updates:
@@ -346,11 +349,10 @@ def _sparse_sgd(updates, lr, where):
         slot[rows] = m
         # whichever duplicate's write lands, one entry per row reads back
         # its own index
-        uniq = rows[slot[rows] == m]
+        uniq = rows[slot.take(rows) == m]
         slot[uniq] = m[:uniq.size]
-        inv = slot[rows]
         d = table.shape[1]
-        flat = ((inv * d)[:, None] + np.arange(d)).ravel()
+        flat = offsets.take(slot.take(rows), axis=0).ravel()
         acc = np.bincount(flat, weights=grad.ravel(),
                           minlength=uniq.size * d).reshape(uniq.size, d)
         if not np.isfinite(acc).all():
@@ -364,8 +366,7 @@ def _log_sigmoid_slope(x):
     """log(sigmoid(x)) and its slope 1 - sigmoid(x), stable, from one exp."""
     e = np.exp(-np.abs(x))
     tail = np.log1p(e)
-    pos = x >= 0
-    return np.where(pos, -tail, x - tail), np.where(pos, e, 1.0) / (1.0 + e)
+    return np.minimum(x, 0) - tail, np.where(x >= 0, e, 1.0) / (1.0 + e)
 
 
 # Closed-form steps: each returns the summed batch loss of its tape
@@ -374,15 +375,15 @@ def _log_sigmoid_slope(x):
 
 def _hsoftmax_step(z, w_tree, batch, tree):
     """hierarchical_softmax_loss and its gradients."""
-    nodes = tree.path_nodes[batch[:, 1]]
-    signs = tree.path_signs[batch[:, 1]]
-    mask = tree.path_mask[batch[:, 1]]
-    zc = z[batch[:, 0]]
-    wv = w_tree[nodes]
+    ctx = batch[:, 1]
+    nodes = tree.path_nodes.take(ctx, axis=0)
+    signs = tree.path_signs.take(ctx, axis=0)
+    zc = z.take(batch[:, 0], axis=0)
+    wv = w_tree.take(nodes, axis=0)
     logsig, slope = _log_sigmoid_slope(np.einsum("btd,bd->bt", wv, zc) * signs)
-    loss = -float((logsig * mask).sum())
-    # d loss / d (z . w) = -mask * (1 - sigmoid(x)) * sign
-    g = -mask * slope * signs
+    loss = -float((logsig * tree.path_mask.take(ctx, axis=0)).sum())
+    # d loss / d (z . w) = -(1 - sigmoid(x)) * sign; sign is 0 off the path
+    g = -slope * signs
     grad_w = np.einsum("bt,bd->btd", g, zc).reshape(-1, z.shape[1])
     return loss, [(z, batch[:, 0], np.einsum("bt,btd->bd", g, wv)),
                   (w_tree, nodes.ravel(), grad_w)]
@@ -396,16 +397,18 @@ def _negsamp_step(z, ctx, batch, negs, weights=None):
     """
     ctx_table = z if ctx is None else ctx
     b, k = negs.shape
-    zi = z[batch[:, 0]]
-    zj = ctx_table[batch[:, 1]]
-    zn = ctx_table[negs]
-    w = np.ones(b) if weights is None else np.asarray(weights)
+    zi = z.take(batch[:, 0], axis=0)
+    zj = ctx_table.take(batch[:, 1], axis=0)
+    zn = ctx_table.take(negs, axis=0)
+    # d loss / d (zi . zj) is -pos_slope, d loss / d (zi . zn) is gn
     pos, pos_slope = _log_sigmoid_slope(np.einsum("bd,bd->b", zi, zj))
-    neg, neg_slope = _log_sigmoid_slope(-np.einsum("bkd,bd->bk", zn, zi))
-    loss = -(float((pos * w).sum()) + float((neg * w[:, None]).sum()))
-    # d loss / d (zi . zj) and d loss / d (zi . zn)
-    gp = (-w * pos_slope)[:, None]
-    gn = w[:, None] * neg_slope
+    neg, gn = _log_sigmoid_slope(-np.einsum("bkd,bd->bk", zn, zi))
+    if weights is not None:
+        w = np.asarray(weights)
+        pos, pos_slope = pos * w, pos_slope * w
+        neg, gn = neg * w[:, None], gn * w[:, None]
+    loss = -(float(pos.sum()) + float(neg.sum()))
+    gp = -pos_slope[:, None]
     # rows: centers, then contexts, then noise draws
     rows = np.concatenate([batch[:, 0], batch[:, 1], negs.ravel()])
     grad = np.empty((len(rows), z.shape[1]))
@@ -425,7 +428,7 @@ def _softmax_step(z, batch):
     gradient; the logit gradient is p - e_ctx, formed in place.
     """
     b = np.arange(len(batch))
-    zc = z[batch[:, 0]]
+    zc = z.take(batch[:, 0], axis=0)
     logits = zc @ z.T
     logits -= logits.max(axis=1, keepdims=True)
     p = np.exp(logits)
@@ -454,9 +457,11 @@ def _skipgram(g, pairs, config, loss_kind, context_table=False,
     z = _init_table(g, dim, config.seed, init)
     tree = w_tree = ctx = noise_table = None
     n = g.node_count
+    width = n  # distinct rows of an update: at most n, or what a batch writes
     if loss_kind == "hsoftmax":
         tree = HierarchicalSoftmaxTree(g.degrees(weighted=True))
         w_tree = np.zeros((tree.n_internal, dim))
+        width = min(n, config.batch_size * tree.depth)
     if loss_kind == "negsamp":
         if context_table:
             rng = derived_rng(config.seed, "ctx_init", seed_tag)
@@ -465,6 +470,8 @@ def _skipgram(g, pairs, config, loss_kind, context_table=False,
         else:
             counts = np.bincount(pairs[:, 1], minlength=n).astype(np.float64)
         noise_table = AliasTable(unigram_noise(counts, config.noise_power))
+        width = min(n, config.batch_size * (2 + config.negatives))
+    offsets = np.arange(width * dim).reshape(width, dim)
     batches = int(np.ceil(len(pairs) / config.batch_size))
 
     def epoch(e):
@@ -474,7 +481,7 @@ def _skipgram(g, pairs, config, loss_kind, context_table=False,
         epoch_loss = 0.0
         for b, lo in enumerate(range(0, len(pairs), config.batch_size)):
             rows = order[lo:lo + config.batch_size]
-            batch = pairs[rows]
+            batch = pairs.take(rows, axis=0)
             if loss_kind == "hsoftmax":
                 loss, updates = _hsoftmax_step(z, w_tree, batch, tree)
             elif loss_kind == "softmax":
@@ -482,14 +489,14 @@ def _skipgram(g, pairs, config, loss_kind, context_table=False,
             else:
                 negs = noise_table.sample(
                     noise_rng, size=(len(batch), config.negatives))
-                bw = None if pair_weights is None else pair_weights[rows]
+                bw = None if pair_weights is None else pair_weights.take(rows)
                 loss, updates = _negsamp_step(z, ctx, batch, negs, bw)
             # the losses sum over the batch, so the step is scaled down
             # to keep per-pair update sizes in the word2vec lr regime
             annealed = config.lr + (config.lr_min - config.lr) * (
                 (e * batches + b) / max(1, config.epochs * batches - 1))
             _sparse_sgd(updates, annealed / len(batch),
-                        f"{where}, epoch {e}, batch {b}")
+                        f"{where}, epoch {e}, batch {b}", offsets)
             epoch_loss += loss
         return epoch_loss / len(pairs)
 

@@ -64,8 +64,8 @@ class AliasTable:
     def sample(self, rng, size=None):
         """Draw indices; one uniform pick plus one coin flip per draw."""
         k = rng.integers(0, self.n, size=size)
-        accept = rng.random(size=size) < self.prob[k]
-        return np.where(accept, k, self.alias[k])
+        accept = rng.random(size=size) < self.prob.take(k)
+        return np.where(accept, k, self.alias.take(k))
 
 
 @dataclass(frozen=True)

@@ -359,6 +359,35 @@ def unique_sparse_sgd(updates, lr, where):
         table[uniq] -= lr * acc
 
 
+def branch_log_sigmoid_slope(x):
+    """shallow._log_sigmoid_slope with log sigmoid taken branch by branch."""
+    e = np.exp(-np.abs(x))
+    tail = np.log1p(e)
+    pos = x >= 0
+    return np.where(pos, -tail, x - tail), np.where(pos, e, 1.0) / (1.0 + e)
+
+
+def masked_hsoftmax_step(z, w_tree, batch, tree):
+    """shallow._hsoftmax_step in its masked form, by fancy indexing.
+
+    Off a leaf's path the tree's sign is 0 and its mask is 0; this form
+    multiplies by the mask in the gradient too, and takes log sigmoid
+    branch by branch.
+    """
+    nodes = tree.path_nodes[batch[:, 1]]
+    signs = tree.path_signs[batch[:, 1]]
+    mask = tree.path_mask[batch[:, 1]]
+    zc = z[batch[:, 0]]
+    wv = w_tree[nodes]
+    logsig, slope = branch_log_sigmoid_slope(
+        np.einsum("btd,bd->bt", wv, zc) * signs)
+    loss = -float((logsig * mask).sum())
+    g = -mask * slope * signs
+    grad_w = np.einsum("bt,bd->btd", g, zc).reshape(-1, z.shape[1])
+    return loss, [(z, batch[:, 0], np.einsum("bt,btd->bd", g, wv)),
+                  (w_tree, nodes.ravel(), grad_w)]
+
+
 def tape_train_logistic(x, y, epochs=300, lr=0.1, seed=0):
     """harness.train_logistic with its gradient from the autodiff tape.
 

@@ -1,0 +1,37 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "benchpair.py"
+spec = importlib.util.spec_from_file_location("benchpair", SCRIPT)
+benchpair = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(benchpair)
+
+
+def run(side, seed, cli_s, quality):
+    metrics = {m["name"]: 1.0 for m in benchpair.SPEC["end_to_end"]}
+    metrics.update(cli_s=cli_s, quality=quality)
+    return {"side": side, "seed": seed, "metrics": metrics}
+
+
+def test_seed_range():
+    assert benchpair.seed_range("7001-7004") == [7001, 7002, 7003, 7004]
+    assert benchpair.seed_range("9") == [9]
+
+
+def test_summary_counts_pairs_won_in_each_metric_direction():
+    runs = [run("parent", 1, 3.0, 0.5), run("change", 1, 2.0, 0.5),
+            run("change", 2, 2.5, 0.4), run("parent", 2, 2.5, 0.6),
+            run("parent", 3, 4.0, 0.7), run("change", 3, 3.5, 0.8),
+            run("parent", 4, 5.0, 0.9), run("change", 4, 1.0, 0.9)]
+    units = {m["name"]: m["unit"] for m in benchpair.SPEC["end_to_end"]}
+    out = benchpair.summary(runs, units)
+    # lower is better for cli_s, higher for quality; ties count for neither
+    assert out["cli_s"]["change_better_pairs"] == 3
+    assert out["quality"]["change_better_pairs"] == 1
+    assert out["setup_s"]["change_better_pairs"] == 0
+    assert out["cli_s"]["pairs"] == 4 and out["cli_s"]["unit"] == "s"
+    # inclusive quartiles of the parent's 2.5, 3.0, 4.0, 5.0
+    assert out["cli_s"]["parent"] == pytest.approx(
+        {"median": 3.5, "q1": 2.875, "q3": 4.25})

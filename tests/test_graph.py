@@ -51,6 +51,21 @@ def test_duplicate_edges_collapse_by_weight_sum():
     assert w == 2.0
 
 
+@pytest.mark.parametrize("edges", [[(0, 1, 2.0)], [(0, 1), (2,)]])
+def test_from_edges_rejects_an_edge_that_is_not_a_pair(edges):
+    with pytest.raises(ValidationError, match=r"one \(u, v\) pair"):
+        Graph.from_edges(edges)
+
+
+def test_from_edges_reads_ids_of_any_type_as_their_str():
+    as_str = Graph.from_edges([("2", "10"), ("10", "x")])
+    for edges in ([(2, 10), (10, "x")],
+                  [(np.int64(2), np.int32(10)), ("10", "x")]):
+        g = Graph.from_edges(edges)
+        assert g.node_ids == as_str.node_ids
+        assert np.array_equal(g.edge_pairs, as_str.edge_pairs)
+
+
 def test_duplicate_edge_with_conflicting_types_rejected():
     with pytest.raises(ValidationError, match="conflicting types"):
         Graph.from_edges([(0, 1), (1, 2), (1, 0)], edge_types=[0, 1, 1])

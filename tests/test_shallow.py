@@ -25,7 +25,10 @@ from grembed.shallow import (
     load_embedding,
     negative_sampling_loss,
     softmax_cross_entropy_loss,
+    _hsoftmax_step,
     _init_table,
+    _log_sigmoid_slope,
+    _negsamp_step,
     _skipgram_train,
     _sparse_sgd,
     train_shallow,
@@ -519,25 +522,52 @@ def test_fused_step_leaves_untouched_rows_bitwise(case, batch_size):
     assert np.any(z[touched] != init[touched])
 
 
+def offset_table(width, d):
+    """The flat-offset table a trainer hands _sparse_sgd."""
+    return np.arange(width * d).reshape(width, d)
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.lists(st.tuples(st.integers(1, 12), st.integers(1, 4),
-                          st.integers(0, 40)), min_size=1, max_size=3),
-       st.integers(0, 2**32 - 1))
-def test_sparse_sgd_matches_unique_oracle_bitwise(shapes, seed):
+@given(st.integers(1, 4),
+       st.lists(st.tuples(st.integers(1, 12), st.integers(0, 40)),
+                min_size=1, max_size=3),
+       st.booleans(), st.integers(0, 2), st.integers(0, 2**32 - 1))
+def test_sparse_sgd_matches_unique_oracle_bitwise(d, shapes, tight, slack,
+                                                  seed):
+    # one d per call, as in a trainer. The offset table is exactly as
+    # wide as the most distinct rows of an update (tight) or as the
+    # longest update, or wider by the slack; tables may have fewer rows
+    # than their update, and updates may be empty.
     rng = np.random.default_rng(seed)
     cases = []
-    for n, d, m in shapes:
+    for n, m in shapes:
         rows = rng.integers(0, n, size=m)
         # spread exponents so that a changed summation order would show
         grad = rng.normal(size=(m, d)) * 10.0 ** rng.integers(-8, 9, (m, 1))
         cases.append((rng.normal(size=(n, d)), rows, grad))
+    width = max(np.unique(r).size if tight else r.size for _, r, _ in cases)
+    offsets = offset_table(width + slack, d)
     ours = [t.copy() for t, _, _ in cases]
     ref = [t.copy() for t, _, _ in cases]
-    _sparse_sgd([(t, r, g) for t, (_, r, g) in zip(ours, cases)], 0.3, "x")
+    _sparse_sgd([(t, r, g) for t, (_, r, g) in zip(ours, cases)], 0.3, "x",
+                offsets)
     oracles.unique_sparse_sgd(
         [(t, r, g) for t, (_, r, g) in zip(ref, cases)], 0.3, "x")
     for a, b in zip(ours, ref):
         assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("width,d,error", [(4, 3, IndexError),
+                                           (5, 2, ValueError)])
+def test_sparse_sgd_rejects_an_offset_table_that_does_not_fit(width, d, error):
+    # five distinct rows of width 3: a table one row short, or of another
+    # d, raises before any write
+    table = rnd(42, 6, 3)
+    before = table.copy()
+    with pytest.raises(error):
+        _sparse_sgd([(table, np.arange(5), rnd(43, 5, 3))], 0.1, "x",
+                    offset_table(width, d))
+    assert np.array_equal(table.view(np.int64), before.view(np.int64))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -550,9 +580,65 @@ def test_sparse_sgd_nonfinite_last_table_writes_no_table(bad):
     updates[-1][2][3, 1] = bad
     with pytest.raises(NumericError,
                        match=r"^non-finite gradient in test step$"):
-        _sparse_sgd(updates, 0.1, "test step")
+        _sparse_sgd(updates, 0.1, "test step", offset_table(5, 3))
     for t, b in zip(tables, before):
         assert np.array_equal(t.view(np.int64), b.view(np.int64))
+
+
+def bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+def assert_same_step(got, want):
+    (loss, updates), (want_loss, want_updates) = got, want
+    assert bits(loss) == bits(want_loss)
+    assert len(updates) == len(want_updates)
+    for (t, r, g), (wt, wr, wg) in zip(updates, want_updates):
+        assert t is wt and np.array_equal(r, wr)
+        assert g.shape == wg.shape and np.array_equal(bits(g), bits(wg))
+
+
+def spread(seed, *shape):
+    # values across many binades, so that any change to the arithmetic
+    # shows in the last bits
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=shape) * 4.0 ** rng.integers(-6, 3, shape)
+
+
+def test_hsoftmax_step_equals_the_masked_formula_bitwise():
+    # 11 leaves: a ragged tree whose short paths end in zero mask entries
+    n, d = 11, 5
+    tree = HierarchicalSoftmaxTree(np.arange(n, dtype=float))
+    assert (tree.path_mask == 0).any()
+    z, w_tree = spread(44, n, d), spread(45, n - 1, d)
+    batch = np.random.default_rng(46).integers(0, n, size=(200, 2))
+    assert_same_step(_hsoftmax_step(z, w_tree, batch, tree),
+                     oracles.masked_hsoftmax_step(z, w_tree, batch, tree))
+
+
+@pytest.mark.parametrize("context", [False, True])
+def test_negsamp_step_without_weights_equals_unit_weights_bitwise(context):
+    n, d, b, k = 9, 4, 60, 3
+    rng = np.random.default_rng(47)
+    z = spread(48, n, d)
+    ctx = spread(49, n, d) if context else None
+    batch = rng.integers(0, n, size=(b, 2))
+    negs = rng.integers(0, n, size=(b, k))
+    assert_same_step(_negsamp_step(z, ctx, batch, negs),
+                     _negsamp_step(z, ctx, batch, negs, np.ones(b)))
+
+
+def test_log_sigmoid_slope_matches_the_branch_form():
+    x = np.concatenate([spread(50, 400), [0.0, -0.0, 1e-300, -1e-300, 36.0,
+                                          -36.0, 744.0, -744.0, 800.0,
+                                          -800.0, np.inf, -np.inf, np.nan]])
+    logsig, slope = _log_sigmoid_slope(x)
+    want, want_slope = oracles.branch_log_sigmoid_slope(x)
+    # the same bits wherever log sigmoid is not 0; where it is (x above
+    # about 745) only the sign of that zero may differ
+    assert np.array_equal(bits(logsig[want != 0]), bits(want[want != 0]))
+    np.testing.assert_array_equal(logsig, want)
+    assert np.array_equal(bits(slope), bits(want_slope))
 
 
 def test_nonfinite_gradient_names_loss_epoch_batch():

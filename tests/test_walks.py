@@ -31,6 +31,17 @@ def test_alias_table_matches_weights():
     np.testing.assert_allclose(freq, w / w.sum(), atol=0.01)
 
 
+@pytest.mark.parametrize("size", [7, (40, 5)])
+def test_alias_table_sample_is_one_pick_and_one_coin(size):
+    t = AliasTable([1.0, 3.0, 6.0, 0.0, 2.5])
+    got = t.sample(np.random.default_rng(2), size=size)
+    rng = np.random.default_rng(2)
+    k = rng.integers(0, t.n, size=size)
+    accept = rng.random(size=size) < t.prob[k]
+    want = np.where(accept, k, t.alias[k])
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 def test_alias_table_validation():
     with pytest.raises(ContractError):
         AliasTable([])
