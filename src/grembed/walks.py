@@ -5,15 +5,17 @@ indices (truncated early only when a dead end is hit). Start nodes that
 cannot take a single step are skipped and counted, not emitted.
 
 All walk kinds share one lockstep kernel, ``_walk``: every alive walk
-takes its step t at once over the CSR arrays. A walk at cur weighs each
-of cur's CSR slots by its edge weight times a per-kind factor of
-(t, prev, target): none for uniform walks, node2vec's 1/p (back to
-prev), 1 (an arc prev -> target exists) or 1/q (otherwise) from step 2
-on, and a 0/1 type mask for metapath walks. It then takes one slot by
-that exact law; a walk whose slots all weigh 0 ends. Walk j from start
-v draws its step t from a uniform hashed from (seed, v * walks_per_node
-+ j, t), so the corpus is byte-identical however the walks are cut into
-chunks or scheduled.
+takes its step t at once. Its law weighs each of cur's CSR slots by the
+edge weight times a per-kind factor of (t, prev, target): none for
+uniform walks, node2vec's 1/p (back to prev), 1 (an arc prev -> target
+exists) or 1/q (otherwise) from step 2 on, and a 0/1 type mask for
+metapath walks; a walk whose slots all weigh 0 ends. A walk samples it
+exactly by proposing a slot by edge weight and keeping it with
+probability factor / the kind's largest factor; one still rejected after
+ROUNDS rounds takes the slot ``_step`` draws from its laid-out row. Walk
+j from start v hashes each draw from (seed, v * walks_per_node + j,
+counter), and no two of its draws share a counter, so the corpus is
+byte-identical however the walks are cut into chunks or scheduled.
 """
 
 from dataclasses import dataclass, field
@@ -27,6 +29,8 @@ from .rng import hashed_uniforms
 # CSR slots laid out per chunk of walks in one step, plus at most one
 # node's degree; bounds the step's scratch arrays.
 CHUNK_SLOTS = 1 << 17
+# propose-and-accept rounds a walk runs per step before _step takes it
+ROUNDS = 4
 
 
 class AliasTable:
@@ -114,7 +118,7 @@ class WalkCorpus:
         with _open_text(target, "w") as fh:
             ids = self.node_ids or [str(i) for i in range(self.node_count)]
             for walk in self.walks:
-                fh.write(" ".join(ids[v] for v in walk))
+                fh.write(" ".join(map(ids.__getitem__, walk.tolist())))
                 fh.write("\n")
 
 
@@ -161,32 +165,57 @@ def _step(g, cur, prev, u, t, factor):
     return nxt
 
 
-def _walk(g, config, factor=None, starts=None):
+def _walk(g, config, factor=None, starts=None, top=1.0):
     """Step walks_per_node walks from each start, all walks in lockstep.
 
     starts defaults to every node with an out-arc; nodes not in starts
-    count as skipped. Walk j from start v has id v * walks_per_node + j,
-    and its step t draws the uniform hashed from (seed, id, t). At each
-    step the alive walks are cut into runs by the CHUNK_SLOTS block their
-    first CSR slot falls in, which bounds memory and, since each draw is
-    keyed to its walk, leaves the corpus unchanged.
+    count as skipped. Walk j from start v has id v * walks_per_node + j.
+    Each step runs up to ROUNDS rounds that propose a slot by edge weight
+    from cum, the arc weights summed along each row scaled to sum 1, and
+    accept it when a second uniform times top, the kind's largest factor,
+    falls below factor(t, prev, target); a scalar factor accepts all, and
+    a zero-weight slot that rounding lands on is rejected. Walks left over
+    take _step's slot, in runs cut by the CHUNK_SLOTS block of their first
+    CSR slot to bound memory. Round r of step t draws counters c + 2r
+    (propose) and c + 2r + 1 (accept), with c = (t - 1)(2 ROUNDS + 1) + 1,
+    and the fallback draws c + 2 ROUNDS.
     """
-    T, N = config.length, config.walks_per_node
+    T, N, seed = config.length, config.walks_per_node, config.seed
     deg = np.diff(g.csr_offsets)
     starts = np.flatnonzero(deg) if starts is None else starts
     ids = (starts[:, None] * N + np.arange(N)).ravel()
     batch = np.full((ids.size, T + 1), -1, dtype=np.int64)
     batch[:, 0] = np.repeat(starts, N)
+    total = np.bincount(g.csr_sources, g.csr_weights, g.node_count)
+    cum = np.concatenate(([0.0], np.cumsum(
+        g.csr_weights / np.where(total > 0, total, 1.0)[g.csr_sources])))
     alive = np.arange(ids.size)
     for t in range(1, T + 1):
         if alive.size == 0:
             break
         cur, prev = batch[alive, t - 1], batch[alive, max(t - 2, 0)]
-        u = hashed_uniforms(config.seed, ids[alive], t)
-        first_slot = np.cumsum(deg[cur]) - deg[cur]
-        cuts = np.flatnonzero(np.diff(first_slot // CHUNK_SLOTS)) + 1
-        nxt = np.concatenate([_step(g, c, pv, uu, t, factor) for c, pv, uu in
-                              zip(*(np.split(a, cuts) for a in (cur, prev, u)))])
+        lo, hi = g.csr_offsets[cur], g.csr_offsets[cur + 1]
+        c = (t - 1) * (2 * ROUNDS + 1) + 1
+        nxt = np.full(alive.size, -1, dtype=np.int64)
+        todo = np.flatnonzero(cum[hi] > cum[lo])
+        for r in range(ROUNDS):
+            key, a, b = ids[alive[todo]], lo[todo], hi[todo]
+            x = cum[a] + hashed_uniforms(seed, key, c + 2 * r) * (cum[b] - cum[a])
+            k = np.clip(np.searchsorted(cum, x, side="right") - 1, a, b - 1)
+            ok = cum[k + 1] > cum[k]
+            f = 1.0 if factor is None else factor(t, prev[todo], g.csr_targets[k])
+            if np.ndim(f):
+                ok &= hashed_uniforms(seed, key, c + 2 * r + 1) * top < f
+            nxt[todo[ok]] = g.csr_targets[k[ok]]
+            todo = todo[~ok]
+        if todo.size:
+            cur, prev = cur[todo], prev[todo]
+            u = hashed_uniforms(seed, ids[alive[todo]], c + 2 * ROUNDS)
+            first_slot = np.cumsum(deg[cur]) - deg[cur]
+            cuts = np.flatnonzero(np.diff(first_slot // CHUNK_SLOTS)) + 1
+            nxt[todo] = np.concatenate([
+                _step(g, cc, pv, uu, t, factor) for cc, pv, uu in
+                zip(*(np.split(v, cuts) for v in (cur, prev, u)))])
         batch[alive, t] = nxt
         alive = alive[nxt >= 0]
     lengths = (batch >= 0).sum(axis=1)
@@ -209,7 +238,7 @@ def sample_node2vec_walks(g, config):
         out[target == prev] = 1.0 / config.p
         return out
 
-    return _walk(g, config, factor)
+    return _walk(g, config, factor, top=max(1.0, 1.0 / config.p, 1.0 / config.q))
 
 
 def sample_metapath_walks(g, config):

@@ -362,7 +362,9 @@ def test_deepwalk_deterministic_and_improving():
 
 def test_node2vec_uses_negative_sampling():
     g = fixtures.karate_club()[0]
-    t = train_shallow(g, "node2vec", small_config(p=0.5, q=2.0))
+    # small_config's lr, divided by the batch of 64, leaves the loss flat and
+    # its epoch order noise; at lr 5 it falls at every seed
+    t = train_shallow(g, "node2vec", small_config(p=0.5, q=2.0, lr=5.0))
     assert t.metadata["loss"] == "negsamp"
     assert t.metadata["p"] == 0.5
     assert t.dim == 4

@@ -1,4 +1,5 @@
 import io
+import itertools
 
 import numpy as np
 import pytest
@@ -114,26 +115,32 @@ def test_weighted_steps_follow_edge_weights():
     assert abs(frac2 - 0.75) < 0.02
 
 
-def test_empirical_visit_frequency_matches_analytic_law():
+# walks.ROUNDS at its default, then at 0, where _step takes every step
+ROUNDS_EACH = (walks.ROUNDS, 0)
+
+
+def test_empirical_visit_frequency_matches_analytic_law(monkeypatch):
     from grembed.similarity import walk_visit_distribution
 
     g = fixtures.barbell_graph(3, 2)
     T = 4
     cfg = WalkConfig(length=T, walks_per_node=4000, seed=9)
-    corpus = sample_uniform_walks(g, cfg)
-    for v in (0, 3):
-        visits = np.zeros(g.node_count)
-        count = 0
-        for w in corpus.walks:
-            if w[0] != v:
-                continue
-            count += 1
-            for x in w[1:]:
-                visits[x] += 1
-        empirical = visits / (count * T)
-        analytic = walk_visit_distribution(g, v, T)
-        tv = 0.5 * np.abs(empirical - analytic).sum()
-        assert tv < 0.02
+    for rounds in ROUNDS_EACH:
+        monkeypatch.setattr(walks, "ROUNDS", rounds)
+        corpus = sample_uniform_walks(g, cfg)
+        for v in (0, 3):
+            visits = np.zeros(g.node_count)
+            count = 0
+            for w in corpus.walks:
+                if w[0] != v:
+                    continue
+                count += 1
+                for x in w[1:]:
+                    visits[x] += 1
+            empirical = visits / (count * T)
+            analytic = walk_visit_distribution(g, v, T)
+            tv = 0.5 * np.abs(empirical - analytic).sum()
+            assert tv < 0.02
 
 
 def test_node2vec_return_bias_exact_law():
@@ -341,29 +348,31 @@ _SAMPLERS = {"uniform": sample_uniform_walks, "node2vec": sample_node2vec_walks,
 @given(_walk_cases(), st.integers(1, 8))
 def test_walk_engine_properties(case, budget):
     g, kind, cfg = case
-    corpus = _SAMPLERS[kind](g, cfg)
     arc_weight = dict(zip(zip(g.csr_sources.tolist(), g.csr_targets.tolist()),
                           g.csr_weights.tolist()))
     types, mp = g.node_types, cfg.metapath
     starts = [v for v in range(g.node_count) if len(g.neighbors(v))
               and (mp is None or types[v] == mp[0])]
-    assert corpus.skipped_starts == g.node_count - len(starts)
-    assert [int(w[0]) for w in corpus] == [v for v in starts
-                                           for _ in range(cfg.walks_per_node)]
-    for w in corpus:
-        w = w.tolist()
-        assert all(arc_weight.get((a, b), 0) > 0 for a, b in zip(w, w[1:]))
-        if mp is not None:
-            assert all(types[v] == mp[i % len(mp)] for i, v in enumerate(w))
-        if len(w) < cfg.length + 1:  # only at a dead end for the next step
-            want = None if mp is None else mp[len(w) % len(mp)]
-            assert not any(wt > 0 and (want is None or types[b] == want)
-                           for (a, b), wt in arc_weight.items() if a == w[-1])
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(walks, "CHUNK_SLOTS", budget)
-        chunked = _SAMPLERS[kind](g, cfg)
-    assert len(chunked) == len(corpus)
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(chunked, corpus))
+    for rounds in ROUNDS_EACH:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(walks, "ROUNDS", rounds)
+            corpus = _SAMPLERS[kind](g, cfg)
+            patch.setattr(walks, "CHUNK_SLOTS", budget)
+            chunked = _SAMPLERS[kind](g, cfg)
+        assert corpus.skipped_starts == g.node_count - len(starts)
+        assert [int(w[0]) for w in corpus] == [v for v in starts
+                                               for _ in range(cfg.walks_per_node)]
+        for w in corpus:
+            w = w.tolist()
+            assert all(arc_weight.get((a, b), 0) > 0 for a, b in zip(w, w[1:]))
+            if mp is not None:
+                assert all(types[v] == mp[i % len(mp)] for i, v in enumerate(w))
+            if len(w) < cfg.length + 1:  # only at a dead end for the next step
+                want = None if mp is None else mp[len(w) % len(mp)]
+                assert not any(wt > 0 and (want is None or types[b] == want)
+                               for (a, b), wt in arc_weight.items() if a == w[-1])
+        assert len(chunked) == len(corpus)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(chunked, corpus))
 
 
 def _worst_second_order_gap(g, corpus, p, q, min_count=1000):
@@ -388,29 +397,94 @@ def _worst_second_order_gap(g, corpus, p, q, min_count=1000):
     return worst, checked
 
 
+def test_each_walk_draws_each_counter_once(monkeypatch):
+    # p and q make top 4, so rounds reject and some walks reach _step
+    drawn, fallback = [], []
+    real_uniforms, real_step = walks.hashed_uniforms, walks._step
+
+    def uniforms(seed, streams, step):
+        drawn.extend((s, step) for s in np.asarray(streams).tolist())
+        return real_uniforms(seed, streams, step)
+
+    def step(g, cur, *rest):
+        fallback.append(cur.size)
+        return real_step(g, cur, *rest)
+
+    monkeypatch.setattr(walks, "hashed_uniforms", uniforms)
+    monkeypatch.setattr(walks, "_step", step)
+    g = fixtures.karate_club()[0]
+    corpus = sample_node2vec_walks(
+        g, WalkConfig(length=12, walks_per_node=20, p=0.25, q=4.0, seed=3))
+    steps = sum(len(w) - 1 for w in corpus.walks)
+    assert sum(fallback) > 0 and len(drawn) > 2 * steps
+    assert len(set(drawn)) == len(drawn)
+
+
+def test_zero_weight_arcs_are_never_taken():
+    # row 2 ends in a zero-weight arc past two rows that sum to 1 each,
+    # so a uniform just below 1 rounds onto it; row 3 weighs 0 in all
+    g = Graph.from_edges([(0, 1), (1, 2), (2, 3)], weights=[1.0, 1.0, 0.0],
+                         node_types=[0, 0, 0, 0],
+                         node_ids=[str(i) for i in range(4)])
+    near_one = np.nextafter(1.0, 0.0)
+    for rounds, pinned in itertools.product(ROUNDS_EACH, (False, True)):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(walks, "ROUNDS", rounds)
+            if pinned:
+                patch.setattr(walks, "hashed_uniforms",
+                              lambda seed, streams, step:
+                              np.full(np.shape(streams), near_one))
+            for kind, p, q in (("uniform", 1, 1), ("node2vec", 0.5, 2.0),
+                               ("node2vec", 4.0, 0.25), ("metapath", 1, 1)):
+                corpus = _SAMPLERS[kind](g, WalkConfig(
+                    length=6, walks_per_node=30, p=p, q=q, seed=6,
+                    metapath=(0,) if kind == "metapath" else None))
+                for w in corpus.walks:
+                    w = w.tolist()
+                    assert 3 not in w[1:] and (w == [3] or len(w) == 7)
+
+
+def test_dump_writes_the_same_bytes_as_a_per_node_join():
+    g = Graph.from_edges([("x", "yy"), ("yy", "z"), ("z", "x"), ("z", "w")])
+    corpus = sample_node2vec_walks(
+        g, WalkConfig(length=5, walks_per_node=3, q=0.5, seed=4))
+    texts = []
+    for node_ids in (corpus.node_ids, None):
+        corpus.node_ids = node_ids
+        ids = node_ids or [str(i) for i in range(corpus.node_count)]
+        texts.append("".join(" ".join(ids[v] for v in w) + "\n"
+                             for w in corpus.walks))
+        buf = io.StringIO()
+        corpus.dump(buf)
+        assert buf.getvalue() == texts[-1]
+    assert texts[0] != texts[1]
+
+
 @pytest.mark.parametrize("p,q", [(1.0, 1e-9), (1e-9, 1.0)])
-def test_node2vec_extreme_biases_keep_exact_law(p, q):
+def test_node2vec_extreme_biases_keep_exact_law(monkeypatch, p, q):
     # kite: from 1 after 0, node 2 is a neighbor of 0 and 3, 4 are not
     kite = Graph.from_edges([(0, 1), (0, 2), (1, 2), (1, 3), (1, 4)],
                             weights=[1.0, 1.0, 2.0, 1.0, 3.0])
-    corpus = sample_node2vec_walks(
-        kite, WalkConfig(length=3, walks_per_node=4000, p=p, q=q, seed=31))
-    worst, checked = _worst_second_order_gap(kite, corpus, p, q)
-    assert checked >= 5 and worst < 0.02
     g = fixtures.karate_club()[0]
-    corpus = sample_node2vec_walks(
-        g, WalkConfig(length=20, walks_per_node=5, p=p, q=q, seed=32))
     adj = [set(g.neighbors(v).tolist()) for v in range(g.node_count)]
-    assert len(corpus) == g.node_count * 5
-    for w in corpus.walks:
-        w = w.tolist()
-        assert len(w) == 21 and all(b in adj[a] for a, b in zip(w, w[1:]))
-        for t in range(2, len(w)):
-            far = adj[w[t - 1]] - adj[w[t - 2]] - {w[t - 2]}
-            if p < 1:  # the return weighs 1e9 against at most 1 per other slot
-                assert w[t] == w[t - 2]
-            elif far:  # a step away from prev weighs 1e9 against at most 1
-                assert w[t] in far
+    for rounds in ROUNDS_EACH:
+        monkeypatch.setattr(walks, "ROUNDS", rounds)
+        corpus = sample_node2vec_walks(
+            kite, WalkConfig(length=3, walks_per_node=4000, p=p, q=q, seed=31))
+        worst, checked = _worst_second_order_gap(kite, corpus, p, q)
+        assert checked >= 5 and worst < 0.02
+        corpus = sample_node2vec_walks(
+            g, WalkConfig(length=20, walks_per_node=5, p=p, q=q, seed=32))
+        assert len(corpus) == g.node_count * 5
+        for w in corpus.walks:
+            w = w.tolist()
+            assert len(w) == 21 and all(b in adj[a] for a, b in zip(w, w[1:]))
+            for t in range(2, len(w)):
+                far = adj[w[t - 1]] - adj[w[t - 2]] - {w[t - 2]}
+                if p < 1:  # the return weighs 1e9 against at most 1 per other slot
+                    assert w[t] == w[t - 2]
+                elif far:  # a step away from prev weighs 1e9 against at most 1
+                    assert w[t] in far
 
 
 @settings(max_examples=100, deadline=None)
