@@ -22,6 +22,13 @@ on, so the library routine's own default applies (``ShallowConfig``,
 ``harness`` evaluations, and ``structural.default_t_grid`` and
 ``graphwave_signature`` for ``roles``); reports read the values back
 from the library.
+
+``_FLAGS`` declares each flag once and ``_SUBCOMMANDS`` lists the flags
+each subcommand reads, so a subcommand has no flag that its routine
+ignores. ``embed`` and ``eval-links`` take every ``ShallowConfig`` flag;
+``harp`` takes all but ``--power-max`` and ``--offsets``, which none of
+its bases reads; ``ohmnet``, whose layers train deepwalk pairs with
+negative sampling, also drops ``--p`` and ``--q``.
 """
 
 import argparse
@@ -76,9 +83,6 @@ def _open_input(path):
     return path
 
 
-_SHALLOW_OPTIONS = ("dim", "epochs", "lr", "batch_size", "walk_length",
-                    "walks_per_node", "window", "p", "q", "negatives",
-                    "power_max", "offsets")
 _INT_LISTS = ("hidden", "offsets")
 
 
@@ -90,9 +94,17 @@ def _given(args, *names):
 
 
 def _shallow_config(args, base=None):
+    """``base`` with the seed and each ShallowConfig option that the
+    subcommand has a flag for and a flag or the config file set."""
     from .shallow import ShallowConfig
-    return dataclasses.replace(base or ShallowConfig(), seed=args.seed,
-                               **_given(args, *_SHALLOW_OPTIONS))
+    base = base or ShallowConfig()
+    names = [f.name for f in dataclasses.fields(base) if hasattr(args, f.name)]
+    return dataclasses.replace(base, **_given(args, *names))
+
+
+def _input_graph(args):
+    return load_edge_list(_open_input(_need(args, "input")),
+                          directed=args.directed)
 
 
 def _keyword_defaults(fn):
@@ -116,8 +128,7 @@ def _eval_seeds(args):
 
 def _cmd_embed(args):
     from . import shallow
-    g = load_edge_list(_open_input(_need(args, "input")),
-                       directed=args.directed)
+    g = _input_graph(args)
     method = args.method
     if method in shallow.METHODS:
         cfg = _shallow_config(args)
@@ -141,8 +152,7 @@ def _cmd_embed(args):
 
 
 def _cmd_walk(args):
-    g = load_edge_list(_open_input(_need(args, "input")),
-                       directed=args.directed)
+    g = _input_graph(args)
     kind = args.kind
     metapath = None
     if kind == "metapath":
@@ -174,8 +184,7 @@ def _cmd_walk(args):
 
 def _cmd_roles(args):
     from . import structural
-    g = load_edge_list(_open_input(_need(args, "input")),
-                       directed=args.directed)
+    g = _input_graph(args)
     out = _need(args, "out")
     if args.mode == "graphwave":
         grid_kw = _given(args, "t_max", "t_points")
@@ -244,8 +253,7 @@ def _cmd_eval_nodes(args):
 
 def _cmd_eval_links(args):
     from . import harness, shallow
-    g = load_edge_list(_open_input(_need(args, "input")),
-                       directed=args.directed)
+    g = _input_graph(args)
     base_cfg = _shallow_config(args)
     method = args.method
 
@@ -290,8 +298,7 @@ def _cmd_project(args):
 
 def _cmd_harp(args):
     from . import multiscale
-    g = load_edge_list(_open_input(_need(args, "input")),
-                       directed=args.directed)
+    g = _input_graph(args)
     cfg = _shallow_config(args)
     table = multiscale.harp_train(g, args.base, args.levels, cfg)
     table.save(_need(args, "out"))
@@ -345,169 +352,95 @@ def _cmd_ohmnet(args):
                 "layers": ",".join(order), "out_prefix": prefix})
 
 
-_COMMANDS = {
-    "embed": _cmd_embed,
-    "walk": _cmd_walk,
-    "roles": _cmd_roles,
-    "subgraph": _cmd_subgraph,
-    "eval-nodes": _cmd_eval_nodes,
-    "eval-links": _cmd_eval_links,
-    "eval-cluster": _cmd_eval_cluster,
-    "project": _cmd_project,
-    "harp": _cmd_harp,
-    "ohmnet": _cmd_ohmnet,
+# ---------------------------------------------------------------------
+# parser tables
+# ---------------------------------------------------------------------
+
+_INT = {"type": int}
+_FLOAT = {"type": float}
+_SWITCH = {"action": "store_true"}
+
+# every flag once, with its argparse keywords; a flag without a default
+# reads None when unset, so the library routine's own default applies
+_FLAGS = {
+    "input": {}, "out": {}, "directed": _SWITCH,
+    "hidden": {"help": "autoencoder hidden widths, comma-separated"},
+    "method": {"default": "deepwalk"},
+    "dim": _INT, "epochs": _INT, "lr": _FLOAT, "batch-size": _INT,
+    "walk-length": _INT, "walks-per-node": _INT, "window": _INT,
+    "p": _FLOAT, "q": _FLOAT, "negatives": _INT, "power-max": _INT,
+    "offsets": {},
+    "kind": {"default": "uniform", "choices": WALK_KINDS},
+    "length": _INT,
+    "types": {"help": "id<TAB>type file for metapath walks"},
+    "metapath": {"help": "comma-separated type indices"},
+    "mode": {"default": "graphwave", "choices": ("graphwave", "struc2vec")},
+    "scale": _FLOAT, "t-points": _INT, "t-max": _FLOAT,
+    "include-psi": _SWITCH, "k-max": _INT,
+    "dataset": {}, "rounds": _INT, "edge-dim": _INT, "out-dim": _INT,
+    "target-acc": _FLOAT,
+    "embedding": {}, "labels": {}, "train-fraction": _FLOAT,
+    "eval-seeds": _INT, "holdout": _FLOAT, "k": _INT, "restarts": _INT,
+    "dims": _INT,
+    "base": {"default": "deepwalk"}, "levels": {"type": int, "default": 2},
+    "layer": {"action": "append", "metavar": "NAME=PATH"},
+    "hierarchy": {}, "lam": _FLOAT, "unsquared": _SWITCH, "out-prefix": {},
+    "config": {"help": "JSON file of option defaults; flags win"},
+    "seed": _INT,
+    "report": {"help": "also write the report lines to this file"},
+}
+
+_COMMON = ("config", "seed", "report")
+# ShallowConfig flags: those of every skip-gram walk trainer (which
+# also reads --negatives), then all that train_shallow's methods read
+_SKIPGRAM = ("dim", "epochs", "lr", "batch-size", "walk-length",
+             "walks-per-node", "window")
+_SHALLOW = (*_SKIPGRAM, "p", "q", "negatives", "power-max", "offsets")
+
+# each subcommand: its routine, its help line and the flags it reads,
+# in --help order (the common flags follow)
+_SUBCOMMANDS = {
+    "embed": (_cmd_embed, "train node embeddings",
+              ("input", "out", "directed", "hidden", "method", *_SHALLOW)),
+    "walk": (_cmd_walk, "sample random walks",
+             ("input", "out", "directed", "kind", "length", "walks-per-node",
+              "p", "q", "types", "metapath")),
+    "roles": (_cmd_roles, "structural role signatures",
+              ("input", "out", "directed", "mode", "scale", "t-points",
+               "t-max", "include-psi", "k-max", "dim", "walk-length",
+               "walks-per-node", "window", "epochs")),
+    "subgraph": (_cmd_subgraph, "whole-graph classification",
+                 ("dataset", "out", "rounds", "edge-dim", "out-dim",
+                  "epochs", "lr", "target-acc")),
+    "eval-nodes": (_cmd_eval_nodes, "node classification quality",
+                   ("embedding", "labels", "train-fraction", "eval-seeds",
+                    "epochs", "lr")),
+    "eval-links": (_cmd_eval_links, "link prediction quality",
+                   ("input", "directed", "holdout", "eval-seeds", "method",
+                    *_SHALLOW)),
+    "eval-cluster": (_cmd_eval_cluster, "clustering quality",
+                     ("embedding", "labels", "k", "restarts")),
+    "project": (_cmd_project, "2-d PCA projection",
+                ("embedding", "out", "dims")),
+    "harp": (_cmd_harp, "coarsen-then-train embeddings",
+             ("input", "out", "directed", "base", "levels", *_SKIPGRAM,
+              "p", "q", "negatives")),
+    "ohmnet": (_cmd_ohmnet, "multilayer tied embeddings",
+               ("layer", "hierarchy", "lam", "unsquared", "out-prefix",
+                *_SKIPGRAM, "negatives")),
 }
 
 
-# ---------------------------------------------------------------------
-# parser assembly
-# ---------------------------------------------------------------------
-
-
-def _add_common(sp):
-    sp.add_argument("--config", default=None,
-                    help="JSON file of option defaults; flags win")
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--report", default=None,
-                    help="also write the report lines to this file")
-
-
-def _add_shallow_flags(sp, with_method=True):
-    if with_method:
-        sp.add_argument("--method", default="deepwalk")
-    sp.add_argument("--dim", type=int, default=None)
-    sp.add_argument("--epochs", type=int, default=None)
-    sp.add_argument("--lr", type=float, default=None)
-    sp.add_argument("--batch-size", type=int, default=None)
-    sp.add_argument("--walk-length", type=int, default=None)
-    sp.add_argument("--walks-per-node", type=int, default=None)
-    sp.add_argument("--window", type=int, default=None)
-    sp.add_argument("--p", type=float, default=None)
-    sp.add_argument("--q", type=float, default=None)
-    sp.add_argument("--negatives", type=int, default=None)
-    sp.add_argument("--power-max", type=int, default=None)
-    sp.add_argument("--offsets", default=None)
-
-
 def build_parser():
+    """The parser and its subparsers by name, built from the tables."""
     parser = argparse.ArgumentParser(
         prog="grembed", description="Graph embedding toolkit.")
     subs = parser.add_subparsers(dest="command_name", required=True)
-    built = {}
-
-    sp = subs.add_parser("embed", help="train node embeddings")
-    sp.add_argument("--input", default=None)
-    sp.add_argument("--out", default=None)
-    sp.add_argument("--directed", action="store_true")
-    sp.add_argument("--hidden", default=None,
-                    help="autoencoder hidden widths, comma-separated")
-    _add_shallow_flags(sp)
-    _add_common(sp)
-    built["embed"] = sp
-
-    sp = subs.add_parser("walk", help="sample random walks")
-    sp.add_argument("--input", default=None)
-    sp.add_argument("--out", default=None)
-    sp.add_argument("--directed", action="store_true")
-    sp.add_argument("--kind", default="uniform", choices=WALK_KINDS)
-    sp.add_argument("--length", type=int, default=None)
-    sp.add_argument("--walks-per-node", type=int, default=None)
-    sp.add_argument("--p", type=float, default=None)
-    sp.add_argument("--q", type=float, default=None)
-    sp.add_argument("--types", default=None,
-                    help="id<TAB>type file for metapath walks")
-    sp.add_argument("--metapath", default=None,
-                    help="comma-separated type indices")
-    _add_common(sp)
-    built["walk"] = sp
-
-    sp = subs.add_parser("roles", help="structural role signatures")
-    sp.add_argument("--input", default=None)
-    sp.add_argument("--out", default=None)
-    sp.add_argument("--directed", action="store_true")
-    sp.add_argument("--mode", default="graphwave",
-                    choices=("graphwave", "struc2vec"))
-    sp.add_argument("--scale", type=float, default=None)
-    sp.add_argument("--t-points", type=int, default=None)
-    sp.add_argument("--t-max", type=float, default=None)
-    sp.add_argument("--include-psi", action="store_true")
-    sp.add_argument("--k-max", type=int, default=None)
-    sp.add_argument("--dim", type=int, default=None)
-    sp.add_argument("--walk-length", type=int, default=None)
-    sp.add_argument("--walks-per-node", type=int, default=None)
-    sp.add_argument("--window", type=int, default=None)
-    sp.add_argument("--epochs", type=int, default=None)
-    _add_common(sp)
-    built["roles"] = sp
-
-    sp = subs.add_parser("subgraph", help="whole-graph classification")
-    sp.add_argument("--dataset", default=None)
-    sp.add_argument("--out", default=None)
-    sp.add_argument("--rounds", type=int, default=None)
-    sp.add_argument("--edge-dim", type=int, default=None)
-    sp.add_argument("--out-dim", type=int, default=None)
-    sp.add_argument("--epochs", type=int, default=None)
-    sp.add_argument("--lr", type=float, default=None)
-    sp.add_argument("--target-acc", type=float, default=None)
-    _add_common(sp)
-    built["subgraph"] = sp
-
-    sp = subs.add_parser("eval-nodes", help="node classification quality")
-    sp.add_argument("--embedding", default=None)
-    sp.add_argument("--labels", default=None)
-    sp.add_argument("--train-fraction", type=float, default=None)
-    sp.add_argument("--eval-seeds", type=int, default=None)
-    sp.add_argument("--epochs", type=int, default=None)
-    sp.add_argument("--lr", type=float, default=None)
-    _add_common(sp)
-    built["eval-nodes"] = sp
-
-    sp = subs.add_parser("eval-links", help="link prediction quality")
-    sp.add_argument("--input", default=None)
-    sp.add_argument("--directed", action="store_true")
-    sp.add_argument("--holdout", type=float, default=None)
-    sp.add_argument("--eval-seeds", type=int, default=None)
-    _add_shallow_flags(sp)
-    _add_common(sp)
-    built["eval-links"] = sp
-
-    sp = subs.add_parser("eval-cluster", help="clustering quality")
-    sp.add_argument("--embedding", default=None)
-    sp.add_argument("--labels", default=None)
-    sp.add_argument("--k", type=int, default=None)
-    sp.add_argument("--restarts", type=int, default=None)
-    _add_common(sp)
-    built["eval-cluster"] = sp
-
-    sp = subs.add_parser("project", help="2-d PCA projection")
-    sp.add_argument("--embedding", default=None)
-    sp.add_argument("--out", default=None)
-    sp.add_argument("--dims", type=int, default=None)
-    _add_common(sp)
-    built["project"] = sp
-
-    sp = subs.add_parser("harp", help="coarsen-then-train embeddings")
-    sp.add_argument("--input", default=None)
-    sp.add_argument("--out", default=None)
-    sp.add_argument("--directed", action="store_true")
-    sp.add_argument("--base", default="deepwalk")
-    sp.add_argument("--levels", type=int, default=2)
-    _add_shallow_flags(sp, with_method=False)
-    _add_common(sp)
-    built["harp"] = sp
-
-    sp = subs.add_parser("ohmnet", help="multilayer tied embeddings")
-    sp.add_argument("--layer", action="append", default=None,
-                    metavar="NAME=PATH")
-    sp.add_argument("--hierarchy", default=None)
-    sp.add_argument("--lam", type=float, default=None)
-    sp.add_argument("--unsquared", action="store_true")
-    sp.add_argument("--out-prefix", default=None)
-    _add_shallow_flags(sp, with_method=False)
-    _add_common(sp)
-    built["ohmnet"] = sp
-
-    return parser, built
+    for name, (_, help_text, flags) in _SUBCOMMANDS.items():
+        sp = subs.add_parser(name, help=help_text)
+        for flag in flags + _COMMON:
+            sp.add_argument("--" + flag, **_FLAGS[flag])
+    return parser, subs.choices
 
 
 def _load_config_file(path, sub):
@@ -530,13 +463,13 @@ def _load_config_file(path, sub):
 
 
 def parse_args(argv):
-    parser, built = build_parser()
+    parser, subs = build_parser()
     args = parser.parse_args(argv)
     if args.config is not None:
         # the file's options become defaults for a second pass over the
         # same argv, so a flag wins however it is spelled; argparse type
         # conversion applies to a string from the file as to a flag
-        sub = built[args.command_name]
+        sub = subs[args.command_name]
         sub.set_defaults(**_load_config_file(args.config, sub))
         flags, args = args, parser.parse_args(argv)
         if getattr(flags, "layer", None) is not None:
@@ -559,7 +492,7 @@ def main(argv=None):
     started = time.perf_counter()
     try:
         args = parse_args(argv)
-        report = _COMMANDS[args.command_name](args)
+        report = _SUBCOMMANDS[args.command_name][0](args)
     except SystemExit as exc:
         return int(exc.code or 0)
     except (ConfigError, ContractError, ValidationError,

@@ -111,6 +111,8 @@ def node_classification_eval(z, labels, train_fraction=0.1, seeds=range(10),
     if vectors.shape[0] != labels.size:
         raise ValidationError("labels length != embedding count")
     seeds = list(seeds)
+    if not seeds:
+        raise ContractError("seeds must not be empty")
     accs, f1s = [], []
     for seed in seeds:
         mask = stratified_split(labels, train_fraction, seed)
@@ -215,6 +217,8 @@ def link_prediction_eval(g, embed_fn, holdout_fraction=0.2, seeds=range(10),
     """
     start = time.perf_counter()
     seeds = list(seeds)
+    if not seeds:
+        raise ContractError("seeds must not be empty")
     aucs = []
     for seed in seeds:
         held = holdout_edges(g, holdout_fraction, seed)
@@ -252,6 +256,8 @@ def kmeans(x, k, seed=42, restarts=10, max_iters=100):
     n = x.shape[0]
     if k < 1 or k > n:
         raise ContractError(f"k={k} out of range for {n} points")
+    if restarts < 1:
+        raise ContractError(f"restarts must be >= 1, got {restarts}")
     best = None
     for r in range(restarts):
         rng = derived_rng(seed, "kmeans", r)
@@ -341,6 +347,8 @@ def pca_project(z, dims=2):
     reruns and platforms agree. Zero-variance input warns and returns
     zeros.
     """
+    if dims < 1:
+        raise ContractError(f"dims must be >= 1, got {dims}")
     x = z.vectors if hasattr(z, "vectors") else np.asarray(z, dtype=np.float64)
     if x.shape[1] < dims:
         raise ContractError(f"need at least {dims} embedding dimensions")

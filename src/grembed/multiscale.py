@@ -45,15 +45,13 @@ class CoarseningMap:
         return coarse_vectors[self.node_map]
 
 
-def coarsen(g, scheme="heavy_edge_matching", level=0):
+def coarsen(g, level=0):
     """Merge a maximal matching chosen greedily by descending weight.
 
     Matched pairs become one supernode named "a+b"; unmatched nodes
     copy through under their own ids. Parallel coarse edges sum their
     weights and edges internal to a merged pair disappear.
     """
-    if scheme != "heavy_edge_matching":
-        raise ContractError(f"unknown coarsening scheme {scheme!r}")
     n = g.node_count
     order = np.lexsort((g.edge_pairs[:, 1], g.edge_pairs[:, 0],
                         -g.pair_weights))

@@ -4,7 +4,9 @@ Every stochastic routine takes an integer seed and derives independent
 streams with ``derived_rng``. Walk sampling instead hashes its draws:
 ``hashed_uniforms`` gives the uniform for (seed, walk, step) by a
 counter-based splitmix64 hash, so a walk's draws do not depend on which
-other walks are stepped with it or in what order.
+other walks are stepped with it or in what order. Both read a seed
+modulo 2**64, so a negative seed names the streams of its 64-bit two's
+complement.
 """
 
 import numpy as np
@@ -21,7 +23,8 @@ def derived_rng(seed, *stream):
             parts.append(0xFFFF)
         else:
             parts.append(int(s) & 0xFFFFFFFF)
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(parts))
+    ss = np.random.SeedSequence(entropy=int(seed) & _MASK64,
+                                spawn_key=tuple(parts))
     return np.random.default_rng(ss)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import json
 import os
@@ -193,17 +194,32 @@ def _shortest_abbreviation(sub, flag):
     return flag
 
 
+# the subcommands that build a ShallowConfig, each over its base config
+_SHALLOW_BASES = {"embed": shallow.ShallowConfig(),
+                  "eval-links": shallow.ShallowConfig(),
+                  "harp": shallow.ShallowConfig(),
+                  "ohmnet": multiscale.OHMNET_CONFIG}
+
+
+def _shallow_options(sub, base):
+    """The ShallowConfig options that a subparser has flags for."""
+    fields = {f.name for f in dataclasses.fields(base)} - {"seed"}
+    return sorted(fields & {a.dest for a in sub._actions})
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_shallow_option_precedence_flag_then_file_then_library(data):
-    names = cli._SHALLOW_OPTIONS
-    assert set(names) == set(_OPTION_VALUES)
+    command = data.draw(st.sampled_from(sorted(_SHALLOW_BASES)))
+    base = _SHALLOW_BASES[command]
+    sub = cli.build_parser()[1][command]
+    names = _shallow_options(sub, base)
     draw_values = st.sets(st.sampled_from(names)).map(sorted).flatmap(
         lambda chosen: st.fixed_dictionaries(
             {n: _OPTION_VALUES[n] for n in chosen}))
     from_file, from_flags = data.draw(draw_values), data.draw(draw_values)
-    sub = cli.build_parser()[1]["embed"]
-    argv = ["embed", "--input", "g.edges"]
+    argv = [command, "--input", "g.edges"] if command != "ohmnet" \
+        else [command]
     for name, value in from_flags.items():
         flag = "--" + name.replace("_", "-")
         flag = data.draw(st.sampled_from(
@@ -222,11 +238,68 @@ def test_shallow_option_precedence_flag_then_file_then_library(data):
         with open(path, "w") as fh:
             json.dump(keyed, fh)
         config = cli._shallow_config(
-            cli.parse_args(argv + ["--config", path]))
+            cli.parse_args(argv + ["--config", path]), base)
     for name in names:
         expected = from_flags.get(name, from_file.get(
-            name, getattr(shallow.ShallowConfig(), name)))
+            name, getattr(base, name)))
         assert getattr(config, name) == expected, name
+
+
+def test_shallow_flags_are_those_each_trainer_reads():
+    skipgram = {"dim", "epochs", "lr", "batch_size", "walk_length",
+                "walks_per_node", "window", "negatives"}
+    subs = cli.build_parser()[1]
+    declared = {command: set(_shallow_options(subs[command], base))
+                for command, base in _SHALLOW_BASES.items()}
+    assert declared == {"embed": set(_OPTION_VALUES),
+                        "eval-links": set(_OPTION_VALUES),
+                        "harp": skipgram | {"p", "q"},
+                        "ohmnet": skipgram}
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("harp", "power-max", "3"), ("harp", "offsets", "1,2"),
+    ("ohmnet", "p", "0.5"), ("ohmnet", "q", "2"),
+    ("ohmnet", "power-max", "3"), ("ohmnet", "offsets", "1,2")])
+def test_flag_its_trainer_ignores_is_unknown(data_dir, tmp_path, capsys,
+                                            command, flag, value):
+    if command == "harp":
+        argv = [command, "--input", str(data_dir / "karate.edges"),
+                "--out", str(tmp_path / "z.tsv")]
+    else:
+        argv = [command, "--layer", f"A={data_dir / 'la.edges'}",
+                "--out-prefix", str(tmp_path / "z_")]
+    code, stdout, err = run_cli(capsys, *argv, "--epochs", "1",
+                                f"--{flag}", value)
+    assert code == 2
+    assert "unrecognized arguments" in err and f"--{flag}" in err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({flag: value}))
+    code, stdout, err = run_cli(capsys, *argv, "--config", str(cfg))
+    assert code == 2
+    assert f"unknown config key {flag!r}" in err
+    assert stdout == "" and list(tmp_path.glob("z*")) == []
+
+
+@pytest.mark.parametrize("command, key", [("walk", "kind"), ("roles", "mode")])
+def test_config_file_choice_is_checked(data_dir, tmp_path, capsys, command,
+                                       key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: "bogus"}))
+    out = tmp_path / "out.txt"
+    code, stdout, err = run_cli(
+        capsys, command, "--input", str(data_dir / "karate.edges"),
+        "--out", str(out), "--config", str(cfg))
+    assert code == 2
+    assert "'bogus'" in err
+    assert stdout == "" and not out.exists()
+
+
+@pytest.mark.parametrize("command", sorted(cli.build_parser()[1]))
+def test_every_subcommand_has_help(capsys, command):
+    code, stdout, _ = run_cli(capsys, command, "--help")
+    assert code == 0
+    assert stdout.startswith(f"usage: grembed {command} ")
 
 
 def test_config_file_string_value_is_converted(data_dir, tmp_path, capsys):
@@ -408,6 +481,16 @@ def test_env_seed_garbage_exits_2(data_dir, tmp_path, capsys, monkeypatch):
     assert "GREMBED_SEED" in err
 
 
+def test_negative_seed_is_read_modulo_2_to_the_64(data_dir, tmp_path,
+                                                 capsys, monkeypatch):
+    top = _embed_bytes(capsys, data_dir, tmp_path / "top.tsv",
+                       "--seed", str(2 ** 64 - 1))
+    assert _embed_bytes(capsys, data_dir, tmp_path / "flag.tsv",
+                        "--seed", "-1") == top
+    monkeypatch.setenv("GREMBED_SEED", "-1")
+    assert _embed_bytes(capsys, data_dir, tmp_path / "env.tsv") == top
+
+
 def test_workers_and_deterministic_flags_are_unknown(data_dir, tmp_path,
                                                      capsys):
     for flag in (["--workers", "4"], ["--no-deterministic"]):
@@ -576,6 +659,24 @@ def test_project_writes_components(data_dir, tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == "node_id\tpc1\tpc2"
     assert len(lines) == 35
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["eval-cluster", "--restarts", "0"], "restarts"),
+    (["eval-nodes", "--eval-seeds", "0"], "seeds"),
+    (["eval-links", "--eval-seeds", "0"], "seeds"),
+    (["project", "--dims", "0"], "dims")])
+def test_zero_count_exits_2_with_its_name(data_dir, spectral_z, tmp_path,
+                                          capsys, argv, name):
+    inputs = {"eval-links": ["--input", str(data_dir / "karate.edges")],
+              "project": ["--embedding", str(spectral_z),
+                          "--out", str(tmp_path / "proj.tsv")]}
+    given = inputs.get(argv[0], ["--embedding", str(spectral_z),
+                                 "--labels", str(data_dir / "karate.labels")])
+    code, stdout, err = run_cli(capsys, *argv, *given)
+    assert code == 2
+    assert err.startswith(f"error: {name} must")
+    assert stdout == "" and not (tmp_path / "proj.tsv").exists()
 
 
 def test_harp_runs(data_dir, tmp_path, capsys):
