@@ -21,7 +21,9 @@ on, so the library routine's own default applies (``ShallowConfig``,
 ``multiscale.OHMNET_CONFIG``, ``subgraph.classify_subgraphs`` and the
 ``harness`` evaluations, and ``structural.default_t_grid`` and
 ``graphwave_signature`` for ``roles``); reports read the values back
-from the library.
+from the library. A walk length counts steps wherever it is taken
+(``--walk-length``, including ``roles --mode struc2vec``, and ``walk
+--length``): a walk of length T holds T + 1 node ids.
 
 ``_FLAGS`` declares each flag once and ``_SUBCOMMANDS`` lists the flags
 each subcommand reads, so a subcommand has no flag that its routine

@@ -15,10 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, NumericError, ResourceLimitError
-from .graph import DENSE_NODE_CAP, _open_text
-from .rng import derived_rng
+from .graph import DENSE_NODE_CAP, Graph, _open_text
 from .shallow import EmbeddingTable, ShallowConfig, _skipgram_train
-from .walks import WalkConfig, WalkCorpus, extract_pairs
+from .walks import WalkConfig, WalkCorpus, _walk, extract_pairs
 
 
 def _ratio_cost(a, b):
@@ -101,44 +100,35 @@ def struc2vec_distances(g, k_max=3):
     return layers
 
 
-def _multilayer_walks(g, layers, walk_length, walks_per_node, switch_prob, seed):
-    """Walks over the layered similarity graph, recording node ids only.
+def _layered_graph(layers, switch_prob):
+    """Directed graph over (layer, node) states; state k*n + v is v in layer k.
 
-    Within a layer the next node is drawn proportional to e^{-w_k};
-    before each step the walk moves one layer up or down with the
-    given probability (node unchanged), staying put at the stack ends.
+    A step first moves the layer: it stays with 1 - switch_prob, else
+    goes one layer up or down (half each), inward at either end of the
+    stack. It then draws the next node u in the new layer k' with
+    probability e^{-w_k'(v, u)} over its row sum, the diagonal held at 0
+    and a row that is all 0 made uniform over the other nodes. So the
+    arc (k, v) -> (k', u) weighs P(k -> k') times that probability; the
+    arcs are built one (k, k') block at a time.
     """
-    n = g.node_count
-    weights = []
-    for w in layers:
+    K, n = len(layers), layers[0].shape[0]
+    move = np.eye(K) if K == 1 else np.eye(K) * (1.0 - switch_prob)
+    for k in range(K - 1):
+        move[k, k + 1] = switch_prob if k == 0 else switch_prob / 2
+        move[k + 1, k] = switch_prob if k + 1 == K - 1 else switch_prob / 2
+    src, dst = np.nonzero(~np.eye(n, dtype=bool))
+    pairs, weights = [], []
+    for k, w in enumerate(layers):
         m = np.exp(-w)
         np.fill_diagonal(m, 0.0)
-        sums = m.sum(axis=1, keepdims=True)
-        dead = sums.reshape(-1) == 0
-        if dead.any():
-            m[dead] = 1.0
-            np.fill_diagonal(m, 0.0)
-            sums = m.sum(axis=1, keepdims=True)
-        weights.append(m / sums)
-    walks = []
-    for v in range(n):
-        rng = derived_rng(seed, "struc2vec_walk", v)
-        for _ in range(walks_per_node):
-            layer = 0
-            cur = v
-            walk = [cur]
-            for _ in range(walk_length - 1):
-                if len(weights) > 1 and rng.random() < switch_prob:
-                    if layer == 0:
-                        layer = 1
-                    elif layer == len(weights) - 1:
-                        layer -= 1
-                    else:
-                        layer += 1 if rng.random() < 0.5 else -1
-                cur = int(rng.choice(n, p=weights[layer][cur]))
-                walk.append(cur)
-            walks.append(walk)
-    return walks
+        m[m.sum(axis=1) == 0] = 1.0
+        np.fill_diagonal(m, 0.0)
+        m = (m / m.sum(axis=1, keepdims=True))[src, dst]
+        for j in np.flatnonzero(move[:, k]):
+            pairs.append(np.stack([j * n + src, k * n + dst], axis=1))
+            weights.append(move[j, k] * m)
+    return Graph(range(K * n), np.concatenate(pairs), np.concatenate(weights),
+                 directed=True)
 
 
 def struc2vec_embed(g, k_max=3, dim=16, walk_length=20, walks_per_node=8,
@@ -146,16 +136,21 @@ def struc2vec_embed(g, k_max=3, dim=16, walk_length=20, walks_per_node=8,
                     negatives=5, seed=42):
     """Role embeddings from walks over the layered distance graph.
 
-    The walk pairs are trained with the same negative-sampling
-    skip-gram used for proximity walks; only the corpus differs, so
-    nodes with similar rings embed nearby even when far apart.
+    Each walk starts in layer 0 and takes walk_length steps over
+    ``_layered_graph``, recording node ids only. The walk pairs are
+    trained with the same negative-sampling skip-gram used for
+    proximity walks; only the corpus differs, so nodes with similar
+    rings embed nearby even when far apart.
     """
-    layers = struc2vec_distances(g, k_max)
-    walks = _multilayer_walks(g, layers, walk_length, walks_per_node,
-                              switch_prob, seed)
+    if not 0.0 <= switch_prob <= 1.0:
+        raise ContractError(f"switch_prob must be in [0, 1], got {switch_prob}")
+    n = g.node_count
     cfg = WalkConfig(length=walk_length, walks_per_node=walks_per_node,
                      seed=seed)
-    corpus = WalkCorpus(walks, cfg, g.node_count, node_ids=list(g.node_ids))
+    layered = _layered_graph(struc2vec_distances(g, k_max), switch_prob)
+    walks = _walk(layered, cfg, starts=np.arange(n)).walks
+    corpus = WalkCorpus([w % n for w in walks], cfg, n,
+                        node_ids=list(g.node_ids))
     pairs = extract_pairs(corpus, window)
     train_cfg = ShallowConfig(dim=dim, epochs=epochs, lr=lr,
                               negatives=negatives, seed=seed)

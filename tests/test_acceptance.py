@@ -658,6 +658,10 @@ def test_criterion_12_cli_determinism(tmp_path, capsys):
         "roles": (["roles", "--input", f"{t}/karate.edges", "--mode",
                    "graphwave", "--t-points", "8", "--out",
                    f"{t}/sigs.tsv"], ["sigs.tsv"]),
+        "roles-struc2vec": (["roles", "--input", f"{t}/karate.edges",
+                             "--mode", "struc2vec", "--dim", "4", "--epochs",
+                             "1", "--walks-per-node", "2", "--k-max", "2",
+                             "--out", f"{t}/roles_z.tsv"], ["roles_z.tsv"]),
         "subgraph": (["subgraph", "--dataset", f"{t}/toy.graphs",
                       "--epochs", "10", "--seed", "1", "--out",
                       f"{t}/preds.tsv"], ["preds.tsv"]),

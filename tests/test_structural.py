@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
+from grembed import structural
 from grembed.errors import ContractError, ResourceLimitError
 from grembed.fixtures import (
     barbell_graph,
@@ -13,6 +14,7 @@ from grembed.fixtures import (
 from grembed.graph import Graph
 from grembed.structural import (
     WaveletSignature,
+    _layered_graph,
     default_t_grid,
     degree_refinement_classes,
     degree_sequences,
@@ -23,6 +25,7 @@ from grembed.structural import (
     struc2vec_distances,
     struc2vec_embed,
 )
+from grembed.walks import WalkConfig, _walk
 
 RATIO = lambda a, b: max(a, b) / min(a, b) - 1.0
 
@@ -113,7 +116,7 @@ def test_distances_monotone_in_k():
 def test_struc2vec_embed_separates_barbell_roles():
     g, labels = barbell_classes()
     table = struc2vec_embed(g, k_max=3, dim=8, walk_length=15,
-                            walks_per_node=12, epochs=4, seed=5)
+                            walks_per_node=12, epochs=4, lr=0.25, seed=5)
     z = table.vectors / np.linalg.norm(table.vectors, axis=1, keepdims=True)
     clique = np.nonzero(labels <= 1)[0]
     path = np.nonzero(labels >= 2)[0]
@@ -131,7 +134,7 @@ def test_struc2vec_embed_separates_barbell_roles():
 def test_struc2vec_automorphic_pairs_closer_than_median():
     g, labels = barbell_classes()
     table = struc2vec_embed(g, k_max=3, dim=8, walk_length=15,
-                            walks_per_node=12, epochs=4, seed=5)
+                            walks_per_node=12, epochs=4, lr=0.25, seed=5)
     z = table.vectors
     n = len(z)
     d = np.sqrt(((z[:, None, :] - z[None, :, :]) ** 2).sum(-1))
@@ -140,6 +143,99 @@ def test_struc2vec_automorphic_pairs_closer_than_median():
     auto = [d[i, j] for i in range(n) for j in range(i + 1, n)
             if labels[i] == labels[j]]
     assert np.mean(auto) < med
+
+
+def layered_transition(layers, switch_prob):
+    """(K n)^2 law of one layered step, entry by entry.
+
+    From node v in layer k the walk moves layer with probability
+    switch_prob (up or down half each, inward at the stack ends, never
+    with one layer), then picks u != v in the new layer k' with weight
+    e^{-w_k'(v, u)}, uniformly when every such weight is 0.
+    """
+    K, n = len(layers), layers[0].shape[0]
+    P = np.zeros((K * n, K * n))
+    for k in range(K):
+        if K == 1:
+            moves = {0: 1.0}
+        elif k == 0:
+            moves = {0: 1.0 - switch_prob, 1: switch_prob}
+        elif k == K - 1:
+            moves = {k: 1.0 - switch_prob, k - 1: switch_prob}
+        else:
+            moves = {k: 1.0 - switch_prob, k - 1: switch_prob / 2,
+                     k + 1: switch_prob / 2}
+        for v in range(n):
+            for k2, pm in moves.items():
+                row = [0.0 if u == v else float(np.exp(-layers[k2][v, u]))
+                       for u in range(n)]
+                if sum(row) == 0:
+                    row = [0.0 if u == v else 1.0 for u in range(n)]
+                total = sum(row)
+                for u in range(n):
+                    P[k * n + v, k2 * n + u] += pm * row[u] / total
+    return P
+
+
+def arc_law(g):
+    """Row-normalised dense matrix of a graph's CSR arc weights."""
+    m = np.zeros((g.node_count, g.node_count))
+    np.add.at(m, (g.csr_sources, g.csr_targets), g.csr_weights)
+    return m / m.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("k_max", [1, 3])
+@pytest.mark.parametrize("switch_prob", [0.0, 0.3, 1.0])
+def test_layered_graph_matches_layered_walk_law(k_max, switch_prob):
+    layers = struc2vec_distances(barbell_graph(3, 2), k_max)
+    # one row whose weights all underflow takes the uniform fallback
+    layers[-1][2] = 1e4
+    got = arc_law(_layered_graph(layers, switch_prob))
+    want = layered_transition(layers, switch_prob)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_layered_walks_match_analytic_visit_law():
+    g = barbell_graph(3, 2)
+    n, T = g.node_count, 4
+    layers = struc2vec_distances(g, 3)
+    P = layered_transition(layers, 0.3)
+    cfg = WalkConfig(length=T, walks_per_node=4000, seed=9)
+    corpus = _walk(_layered_graph(layers, 0.3), cfg, starts=np.arange(n))
+    for v in (0, 3):
+        visits = np.zeros(n)
+        count = 0
+        for w in corpus.walks:
+            if w[0] != v:
+                continue
+            count += 1
+            np.add.at(visits, w[1:] % n, 1)
+        empirical = visits / (count * T)
+        analytic = oracles.averaged_visit_law(P, v, T).reshape(-1, n).sum(0)
+        assert 0.5 * np.abs(empirical - analytic).sum() < 0.02
+
+
+@pytest.mark.parametrize("walk_length", [5, 8])
+def test_struc2vec_walk_length_counts_steps(walk_length):
+    g = barbell_graph(3, 2)
+    walks_per_node, window = 2, 3
+    table = struc2vec_embed(g, k_max=2, dim=4, walk_length=walk_length,
+                            walks_per_node=walks_per_node, window=window,
+                            epochs=1)
+    hops = sum(walk_length + 1 - o for o in range(1, window + 1))
+    assert table.metadata["pair_count"] == (
+        g.node_count * walks_per_node * 2 * hops)
+
+
+@pytest.mark.parametrize("switch_prob", [-0.2, 1.5, float("nan")])
+def test_struc2vec_rejects_switch_prob_outside_unit_interval(
+        switch_prob, monkeypatch):
+    def no_dtw(*args, **kwargs):
+        raise AssertionError("distances computed before validation")
+
+    monkeypatch.setattr(structural, "struc2vec_distances", no_dtw)
+    with pytest.raises(ContractError, match="switch_prob"):
+        struc2vec_embed(barbell_graph(3, 2), switch_prob=switch_prob)
 
 
 def test_graphwave_zero_scale_gives_indicators():
