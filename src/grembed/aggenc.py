@@ -261,21 +261,6 @@ def encode_all(g, config=None, params=None, x=None):
 # ---------------------------------------------------------------------
 
 
-def classifier_head(rng, width, n_classes, std):
-    """Linear head (theta, bias) over width-wide inputs: one sigmoid
-    column for two classes, one softmax column per class beyond."""
-    cols = 1 if n_classes <= 2 else n_classes
-    return (ad.parameter(rng.normal(0.0, std, size=(width, cols))),
-            ad.parameter(np.zeros((1, cols))))
-
-
-def predict_classes(scores):
-    """Class index per row of head scores (> 0 for a single column)."""
-    if scores.shape[1] == 1:
-        return (scores.reshape(-1) > 0).astype(np.int64)
-    return scores.argmax(axis=1)
-
-
 def cross_entropy_loss(z_t, theta, theta_b, labels, mask=None):
     """Sigmoid CE for 2 classes, softmax CE beyond; summed over mask."""
     labels = np.asarray(labels, dtype=np.int64)
@@ -315,9 +300,9 @@ def train_supervised(g, labels, config, x=None, mode="replace", sup_weight=1.0,
         raise ValidationError("labels must align with nodes")
     feats = node_features(g, x)
     params = AggParams(feats.shape[1], config)
-    theta, theta_b = classifier_head(derived_rng(config.seed, "head_init"),
-                                     config.dims[-1], int(labels.max()) + 1,
-                                     0.1)
+    theta, theta_b = ad.classifier_head(derived_rng(config.seed, "head_init"),
+                                        config.dims[-1],
+                                        int(labels.max()) + 1, 0.1)
     opt = ad.Adam(params.tensors() + [theta, theta_b], lr=lr)
     history = []
     pairs = _edge_pairs_both_ways(g) if mode == "joint" else None
@@ -346,7 +331,7 @@ def predict_labels(g, params, head, x=None):
     """Class predictions from a trained encoder + head."""
     z = encode_tensors(g, params, x)
     theta, theta_b = head
-    return predict_classes(ad.add(ad.matmul(z, theta), theta_b).data)
+    return ad.predict_classes(ad.add(ad.matmul(z, theta), theta_b).data)
 
 
 # ---------------------------------------------------------------------

@@ -444,6 +444,21 @@ def glorot(rng, fan_in, fan_out):
     return parameter(rng.uniform(-s, s, size=(fan_in, fan_out)))
 
 
+def classifier_head(rng, width, n_classes, std):
+    """Linear head (theta, bias) over width-wide inputs: one sigmoid
+    column for two classes, one softmax column per class beyond."""
+    cols = 1 if n_classes <= 2 else n_classes
+    return (parameter(rng.normal(0.0, std, size=(width, cols))),
+            parameter(np.zeros((1, cols))))
+
+
+def predict_classes(scores):
+    """Class index per row of head scores (> 0 for a single column)."""
+    if scores.shape[1] == 1:
+        return (scores.reshape(-1) > 0).astype(np.int64)
+    return scores.argmax(axis=1)
+
+
 def exp(a):
     a = _wrap(a)
     e = np.exp(a.data)

@@ -14,7 +14,6 @@ import warnings
 import numpy as np
 
 from . import autodiff as ad
-from .aggenc import classifier_head, predict_classes
 from .errors import ConfigError, ContractError, ValidationError
 from .graph import Graph, _open_text
 from .report import REPORT_VERSION, EvalReport, _fmt  # noqa: F401 (re-export)
@@ -31,37 +30,54 @@ def _logistic_grads(x, y, theta, bias):
 
     The logit gradient is softmax - onehot, or for the single sigmoid
     column -sign * (1 - sigmoid(sign * logit)) with sign = 2y - 1; theta
-    takes x.T @ it and the bias its column sums.
+    takes x.T @ it and the bias its column sums. A leading stack axis,
+    x (s, m, d), y (s, m), theta (s, d, c) and bias (s, 1, c), gives
+    each stacked head its own gradients.
     """
     logits = x @ theta + bias
-    if logits.shape[1] == 1:
-        sign = (2.0 * y - 1.0).reshape(-1, 1)
+    if logits.shape[-1] == 1:
+        sign = (2.0 * y - 1.0)[..., None]
         r = -(1.0 - ad._sigmoid_np(logits * sign)) * sign
     else:
-        r = np.exp(logits - logits.max(axis=1, keepdims=True))
-        r /= r.sum(axis=1, keepdims=True)
-        r[np.arange(len(y)), y] -= 1.0
-    return x.T @ r, r.sum(axis=0, keepdims=True)
+        r = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        r /= r.sum(axis=-1, keepdims=True)
+        r[(*np.indices(y.shape, sparse=True), y)] -= 1.0
+    return np.swapaxes(x, -1, -2) @ r, r.sum(axis=-2, keepdims=True)
 
 
 def train_logistic(x, y, epochs=300, lr=0.1, seed=0):
     """Multinomial (or sigmoid-binary) regression; returns (theta, b).
 
-    Adam on the summed cross-entropy, its gradient in closed form.
+    Adam on the summed cross-entropy, its gradient in closed form. With
+    x stacked as (s, m, d), y as (s, m) and one seed per stack, all s
+    heads take one Adam run and come back stacked, (s, d, c) and
+    (s, 1, c); each is bit for bit the head its stack fits alone, since
+    Adam is elementwise, provided every stack holds the same classes.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
-    theta, bias = classifier_head(derived_rng(seed, "logistic_init"),
-                                  x.shape[1], int(y.max()) + 1, 0.01)
+    one = x.ndim == 2
+    if one:
+        x, y, seed = x[None], y[None], [seed]
+    s, _, d = x.shape
+    if len(seed) != s:
+        raise ContractError(f"{len(seed)} seeds for {s} stacked fits")
+    heads = [ad.classifier_head(derived_rng(k, "logistic_init"), d,
+                                int(y.max()) + 1, 0.01) for k in seed]
+    theta = ad.parameter(np.concatenate([t.data for t, _ in heads]))
+    bias = ad.parameter(np.concatenate([b.data for _, b in heads]))
+    thetas, biases = theta.data.reshape(s, d, -1), bias.data.reshape(s, 1, -1)
     opt = ad.Adam([theta, bias], lr=lr)
     for epoch in range(epochs):
-        theta.grad, bias.grad = _logistic_grads(x, y, theta.data, bias.data)
+        g_theta, g_bias = _logistic_grads(x, y, thetas, biases)
+        theta.grad = g_theta.reshape(theta.data.shape)
+        bias.grad = g_bias.reshape(bias.data.shape)
         opt.step(f"logistic head, epoch {epoch}")
-    return theta.data, bias.data
+    return (thetas[0], biases[0]) if one else (thetas, biases)
 
 
 def predict_logistic(x, theta, bias):
-    return predict_classes(np.asarray(x) @ theta + bias)
+    return ad.predict_classes(np.asarray(x) @ theta + bias)
 
 
 def stratified_split(labels, train_fraction, seed):
@@ -113,13 +129,17 @@ def node_classification_eval(z, labels, train_fraction=0.1, seeds=range(10),
     seeds = list(seeds)
     if not seeds:
         raise ContractError("seeds must not be empty")
+    # every split keeps round(fraction * size) of each class, so all
+    # share one train size and class set and their heads fit as a stack
+    masks = np.array([stratified_split(labels, train_fraction, seed)
+                      for seed in seeds])
+    if np.unique(labels[masks[0]]).size < 2:
+        raise ValidationError("train split lost a class")
+    train = np.nonzero(masks)[1].reshape(len(seeds), -1)
+    thetas, biases = train_logistic(vectors[train], labels[train],
+                                    epochs=epochs, lr=lr, seed=seeds)
     accs, f1s = [], []
-    for seed in seeds:
-        mask = stratified_split(labels, train_fraction, seed)
-        if np.unique(labels[mask]).size < 2:
-            raise ValidationError("train split lost a class")
-        theta, bias = train_logistic(vectors[mask], labels[mask],
-                                     epochs=epochs, lr=lr, seed=seed)
+    for mask, theta, bias in zip(masks, thetas, biases):
         pred = predict_logistic(vectors[~mask], theta, bias)
         accs.append(float((pred == labels[~mask]).mean()))
         f1s.append(macro_f1(labels[~mask], pred))
@@ -147,15 +167,12 @@ def auc_score(pos_scores, neg_scores):
         raise ContractError("auc needs both positive and negative scores")
     allv = np.concatenate([pos, neg])
     order = np.argsort(allv, kind="mergesort")
+    s = allv[order]
+    # tie runs of the sorted scores; != keeps each nan a run of its own
+    bounds = np.flatnonzero(np.concatenate([[True], s[1:] != s[:-1], [True]]))
     ranks = np.empty(allv.size, dtype=np.float64)
-    sorted_vals = allv[order]
-    i = 0
-    while i < allv.size:
-        j = i
-        while j + 1 < allv.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    ranks[order] = np.repeat(0.5 * (bounds[:-1] + bounds[1:] - 1) + 1.0,
+                             np.diff(bounds))
     rank_sum = ranks[:pos.size].sum()
     return float((rank_sum - pos.size * (pos.size + 1) / 2.0)
                  / (pos.size * neg.size))
@@ -187,25 +204,33 @@ def holdout_edges(g, fraction, seed):
 
 def sample_non_edges(g, count, seed):
     """``count`` distinct (lo, hi) node pairs joined by no edge or arc in
-    either direction, since the decoder scores are symmetric."""
-    existing = {(min(a, b), max(a, b)) for a, b in g.edge_pairs.tolist()}
-    rng = derived_rng(seed, "non_edges")
-    out = []
-    guard = 0
+    either direction, since the decoder scores are symmetric.
+
+    Candidates are drawn as (a, b) node pairs, a block at a time, and
+    the first new non-edges in draw order are kept; raises after
+    1000 * count draws.
+    """
     n = g.node_count
-    while len(out) < count:
-        guard += 1
-        if guard > 1000 * count:
+    pairs = np.sort(g.edge_pairs.astype(np.int64), axis=1)
+    # sorted lo * n + hi keys, capped by n * n so every search lands
+    taken = np.append(np.unique(pairs[:, 0] * n + pairs[:, 1]), n * n)
+    rng = derived_rng(seed, "non_edges")
+    out = np.empty(0, dtype=np.int64)
+    budget = 1000 * count
+    while out.size < count:
+        size = min(2 * (count - out.size) + 64, budget)
+        if size <= 0:
             raise ConfigError("graph too dense to sample non-edges")
-        a, b = int(rng.integers(n)), int(rng.integers(n))
-        if a == b:
-            continue
-        key = (min(a, b), max(a, b))
-        if key in existing:
-            continue
-        existing.add(key)
-        out.append(key)
-    return np.array(out, dtype=np.int64)
+        budget -= size
+        ab = rng.integers(n, size=2 * size).reshape(-1, 2)
+        lo, hi = ab.min(axis=1), ab.max(axis=1)
+        keys = (lo * n + hi)[lo != hi]
+        keys = keys[taken[np.searchsorted(taken, keys)] != keys]
+        _, first = np.unique(keys, return_index=True)
+        fresh = keys[np.sort(first)][:count - out.size]
+        out = np.concatenate([out, fresh])
+        taken = np.union1d(taken, fresh)
+    return np.stack([out // n, out % n], axis=1)
 
 
 def link_prediction_eval(g, embed_fn, holdout_fraction=0.2, seeds=range(10),

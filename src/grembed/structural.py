@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ContractError, NumericError, ResourceLimitError
 from .graph import DENSE_NODE_CAP, Graph, _open_text
 from .shallow import EmbeddingTable, ShallowConfig, _skipgram_train
-from .walks import WalkConfig, WalkCorpus, _walk, extract_pairs
+from .walks import WalkConfig, WalkCorpus, _check_hops, _walk, extract_pairs
 
 
 def _ratio_cost(a, b):
@@ -144,6 +144,7 @@ def struc2vec_embed(g, k_max=3, dim=16, walk_length=20, walks_per_node=8,
     """
     if not 0.0 <= switch_prob <= 1.0:
         raise ContractError(f"switch_prob must be in [0, 1], got {switch_prob}")
+    _check_hops("window", window, walk_length)
     n = g.node_count
     cfg = WalkConfig(length=walk_length, walks_per_node=walks_per_node,
                      seed=seed)

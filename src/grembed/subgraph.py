@@ -15,12 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .aggenc import (
-    classifier_head,
-    cross_entropy_loss,
-    node_features,
-    predict_classes,
-)
+from .aggenc import cross_entropy_loss, node_features
+from .autodiff import classifier_head, predict_classes
 from .errors import (
     ContractError,
     EdgeListParseError,

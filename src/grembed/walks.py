@@ -287,21 +287,20 @@ def _pairs(corpus, offsets):
     return out
 
 
-def _check_hops(name, k, corpus):
+def _check_hops(name, k, length):
     if k < 1:
         raise ContractError(f"{name} must be >= 1")
-    if k >= corpus.config.length:
-        raise ContractError(
-            f"{name} {k} must be < walk length {corpus.config.length}")
+    if k >= length:
+        raise ContractError(f"{name} {k} must be < walk length {length}")
 
 
 def extract_pairs(corpus, window):
     """(center, context) pairs within the sliding window, both directions."""
-    _check_hops("window", window, corpus)
+    _check_hops("window", window, corpus.config.length)
     return _pairs(corpus, range(1, window + 1))
 
 
 def extract_offset_pairs(corpus, offset):
     """Pairs at signed hop offset exactly +-offset (skip-length sampling)."""
-    _check_hops("offset", offset, corpus)
+    _check_hops("offset", offset, corpus.config.length)
     return _pairs(corpus, (offset,))

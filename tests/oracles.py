@@ -9,8 +9,9 @@ other way round.
 import numpy as np
 
 from grembed import autodiff as ad
-from grembed.aggenc import classifier_head, cross_entropy_loss
-from grembed.errors import NumericError
+from grembed.aggenc import cross_entropy_loss
+from grembed.autodiff import classifier_head
+from grembed.errors import ConfigError, NumericError
 from grembed.rng import derived_rng
 from grembed.shallow import (
     HierarchicalSoftmaxTree,
@@ -229,6 +230,49 @@ def auc_brute_force(pos_scores, neg_scores):
             elif p == q:
                 wins += 0.5
     return wins / (len(pos_scores) * len(neg_scores))
+
+
+def loop_auc_score(pos_scores, neg_scores):
+    """Rank-formula AUC, ties averaged by walking each run of equal
+    sorted scores one element at a time."""
+    allv = np.concatenate([np.asarray(pos_scores, dtype=np.float64),
+                           np.asarray(neg_scores, dtype=np.float64)])
+    order = np.argsort(allv, kind="mergesort")
+    ranks = np.empty(allv.size, dtype=np.float64)
+    sorted_vals = allv[order]
+    i = 0
+    while i < allv.size:
+        j = i
+        while j + 1 < allv.size and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    n_pos, n_neg = len(pos_scores), len(neg_scores)
+    rank_sum = ranks[:n_pos].sum()
+    return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+
+def loop_sample_non_edges(g, count, seed):
+    """harness.sample_non_edges one scalar draw pair at a time, with the
+    taken pairs in a Python set; raises after 1000 * count draws."""
+    existing = {(min(a, b), max(a, b)) for a, b in g.edge_pairs.tolist()}
+    rng = derived_rng(seed, "non_edges")
+    out = []
+    guard = 0
+    n = g.node_count
+    while len(out) < count:
+        guard += 1
+        if guard > 1000 * count:
+            raise ConfigError("graph too dense to sample non-edges")
+        a, b = int(rng.integers(n)), int(rng.integers(n))
+        if a == b:
+            continue
+        key = (min(a, b), max(a, b))
+        if key in existing:
+            continue
+        existing.add(key)
+        out.append(key)
+    return np.array(out, dtype=np.int64)
 
 
 def dtw_cost_table(a, b, cost_fn):

@@ -644,10 +644,11 @@ def _cli_fixture_files(root):
     export_edge_list(b, str(root / "lb.edges"))
 
 
-def test_criterion_12_cli_determinism(tmp_path, capsys):
-    _cli_fixture_files(tmp_path)
-    t = str(tmp_path)
-    commands = {
+def criterion_12_commands(root):
+    """Name -> (CLI argv, output file names) for every criterion-12 call,
+    reading and writing the files ``_cli_fixture_files(root)`` leaves."""
+    t = str(root)
+    return {
         "embed": (["embed", "--method", "deepwalk", "--input",
                    f"{t}/karate.edges", "--dim", "8", "--seed", "7",
                    "--epochs", "1", "--out", f"{t}/z.tsv"], ["z.tsv"]),
@@ -684,6 +685,11 @@ def test_criterion_12_cli_determinism(tmp_path, capsys):
                     "--seed", "4", "--out-prefix", f"{t}/oh_"],
                    ["oh_A.tsv", "oh_B.tsv"]),
     }
+
+
+def test_criterion_12_cli_determinism(tmp_path, capsys):
+    _cli_fixture_files(tmp_path)
+    commands = criterion_12_commands(tmp_path)
     stable = True
     details = []
     for name, (argv, outputs) in commands.items():

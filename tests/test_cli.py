@@ -830,7 +830,9 @@ NOT_FOR_WALKS = ("shallow", "autodiff", "similarity", "harness", "aggenc",
                  "autoenc", "gnn", "multiscale", "structural", "subgraph")
 
 
-def test_import_and_walk_call_load_only_their_own_layers(data_dir, tmp_path):
+def _layers_loaded_by(*argv):
+    """The grembed modules loaded after importing the CLI, then after
+    running ``argv`` (which must exit 0), in a fresh interpreter."""
     script = (
         "import json, sys\n"
         "def loaded():\n"
@@ -839,17 +841,33 @@ def test_import_and_walk_call_load_only_their_own_layers(data_dir, tmp_path):
         "after_import = loaded()\n"
         "code = cli.main(sys.argv[1:])\n"
         "print(json.dumps([code, after_import, loaded()]), file=sys.stderr)\n")
-    r = subprocess.run(
-        [sys.executable, "-c", script, "walk", "--kind", "node2vec",
-         "--q", "0.5", "--length", "5", "--input",
-         str(data_dir / "karate.edges"), "--out", str(tmp_path / "w.txt")],
-        capture_output=True, text=True, env=CHILD_ENV)
-    code, after_import, after_walk = json.loads(r.stderr.splitlines()[-1])
+    r = subprocess.run([sys.executable, "-c", script, *argv],
+                       capture_output=True, text=True, env=CHILD_ENV)
+    code, after_import, after_call = json.loads(r.stderr.splitlines()[-1])
     assert code == 0, r.stderr
+    return after_import, after_call
+
+
+def test_import_and_walk_call_load_only_their_own_layers(data_dir, tmp_path):
+    after_import, after_walk = _layers_loaded_by(
+        "walk", "--kind", "node2vec", "--q", "0.5", "--length", "5",
+        "--input", str(data_dir / "karate.edges"),
+        "--out", str(tmp_path / "w.txt"))
     assert "grembed.walks" in after_import
     for name in NOT_FOR_WALKS:
         assert f"grembed.{name}" not in after_import, name
         assert f"grembed.{name}" not in after_walk, name
+
+
+def test_eval_nodes_call_loads_neither_trainers_nor_encoders(data_dir,
+                                                             spectral_z):
+    _, after_eval = _layers_loaded_by(
+        "eval-nodes", "--embedding", str(spectral_z),
+        "--labels", str(data_dir / "karate.labels"), "--eval-seeds", "2")
+    assert "grembed.harness" in after_eval
+    for name in ("aggenc", "shallow", "similarity", "autoenc", "gnn",
+                 "multiscale", "structural", "subgraph"):
+        assert f"grembed.{name}" not in after_eval, name
 
 
 TRACECLI = os.path.join(os.path.dirname(os.path.dirname(__file__)),

@@ -102,6 +102,37 @@ def test_logistic_training_predicts_as_tape_oracle(classes):
     np.testing.assert_allclose(bias, ref_bias, rtol=0, atol=1e-9)
 
 
+@pytest.mark.parametrize("classes", [2, 3, 5])
+def test_stacked_logistic_fit_equals_per_seed_fits(classes):
+    rng = np.random.default_rng(40 + classes)
+    labels = np.arange(120) % classes
+    z = rng.normal(size=(classes, 6))[labels] + rng.normal(size=(120, 6))
+    seeds = [3, 0, 11, 7]
+    rep = node_classification_eval(z, labels, train_fraction=0.3,
+                                   seeds=seeds, epochs=60)
+    masks = [stratified_split(labels, 0.3, s) for s in seeds]
+    stack = np.array([np.nonzero(m)[0] for m in masks])
+    thetas, biases = train_logistic(z[stack], labels[stack], epochs=60,
+                                    seed=seeds)
+    accs, f1s = [], []
+    for k, (seed, mask) in enumerate(zip(seeds, masks)):
+        theta, bias = train_logistic(z[mask], labels[mask], epochs=60,
+                                     seed=seed)
+        assert np.array_equal(thetas[k], theta)
+        assert np.array_equal(biases[k], bias)
+        pred = predict_logistic(z[~mask], theta, bias)
+        accs.append(float((pred == labels[~mask]).mean()))
+        f1s.append(macro_f1(labels[~mask], pred))
+    assert rep.per_seed["accuracy"] == accs
+    assert rep.per_seed["macro_f1"] == f1s
+
+
+def test_stacked_logistic_fit_needs_one_seed_per_stack():
+    x = np.zeros((2, 4, 3))
+    with pytest.raises(ContractError, match="1 seeds for 2 stacked fits"):
+        train_logistic(x, np.zeros((2, 4)), seed=[0])
+
+
 def test_node_eval_separable_embeddings():
     z = np.array([[-1.0]] * 10 + [[1.0]] * 10)
     y = np.array([0] * 10 + [1] * 10)
@@ -127,6 +158,24 @@ def test_auc_matches_brute_force_oracle():
         neg = rng.integers(0, 6, size=rng.integers(3, 30)).astype(float)
         assert auc_score(pos, neg) == pytest.approx(
             oracles.auc_brute_force(pos, neg), abs=1e-12)
+
+
+def test_auc_tied_ranks_match_loop_oracle():
+    rng = np.random.default_rng(6)
+    for trial in range(40):
+        values = rng.integers(0, 1 + trial % 7, size=rng.integers(2, 200))
+        scores = values.astype(float)
+        if trial % 4 == 0:
+            scores[rng.random(scores.size) < 0.2] = np.nan
+        if trial % 5 == 0:
+            scores[scores == 0] = -0.0
+        cut = int(rng.integers(1, scores.size))
+        pos, neg = scores[:cut], scores[cut:]
+        got = auc_score(pos, neg)
+        assert got == oracles.loop_auc_score(pos, neg)
+        if not np.isnan(scores).any():
+            assert got == pytest.approx(oracles.auc_brute_force(pos, neg),
+                                        abs=1e-12)
 
 
 def test_auc_extremes():
@@ -177,6 +226,35 @@ def test_sample_non_edges_skips_both_directions_of_an_arc():
     pairs = sample_non_edges(g, 20, seed=0)
     assert len(pairs) == 20
     assert not {(int(a), int(b)) for a, b in pairs} & either_way
+
+
+def test_sample_non_edges_matches_loop_oracle():
+    from grembed.fixtures import erdos_renyi
+
+    rng = np.random.default_rng(8)
+    for trial in range(12):
+        n = int(rng.integers(5, 60))
+        if trial % 3 == 0:
+            g = erdos_renyi(n, 0.5, seed=trial)
+        else:
+            arcs = rng.integers(0, n, size=(int(rng.integers(1, 3 * n)), 2))
+            arcs = arcs[arcs[:, 0] != arcs[:, 1]]
+            g = Graph.from_edges([tuple(a) for a in arcs.tolist()],
+                                 directed=bool(trial % 2))
+        free = g.node_count * (g.node_count - 1) // 2 - g.edge_count
+        count = int(rng.integers(1, max(2, free)))
+        for seed in range(3):
+            got = sample_non_edges(g, count, seed)
+            assert got.dtype == np.int64
+            assert np.array_equal(
+                got, oracles.loop_sample_non_edges(g, count, seed))
+
+
+def test_sample_non_edges_raises_on_a_complete_graph():
+    g = Graph.from_edges([(a, b) for a in range(6) for b in range(a)])
+    for sample in (sample_non_edges, oracles.loop_sample_non_edges):
+        with pytest.raises(ConfigError, match="too dense"):
+            sample(g, 3, seed=0)
 
 
 def test_link_eval_with_oracle_scorer():

@@ -8,6 +8,7 @@ from grembed.fixtures import (
     barbell_graph,
     cycle_graph,
     erdos_renyi,
+    karate_club,
     path_graph,
     star_graph,
 )
@@ -236,6 +237,17 @@ def test_struc2vec_rejects_switch_prob_outside_unit_interval(
     monkeypatch.setattr(structural, "struc2vec_distances", no_dtw)
     with pytest.raises(ContractError, match="switch_prob"):
         struc2vec_embed(barbell_graph(3, 2), switch_prob=switch_prob)
+
+
+def test_struc2vec_rejects_window_before_distances(monkeypatch):
+    def no_dtw(*args, **kwargs):
+        raise AssertionError("distances computed before validation")
+
+    monkeypatch.setattr(structural, "struc2vec_distances", no_dtw)
+    g, _ = karate_club()
+    with pytest.raises(ContractError,
+                       match="window 25 must be < walk length 20"):
+        struc2vec_embed(g, window=25)
 
 
 def test_graphwave_zero_scale_gives_indicators():
