@@ -34,6 +34,24 @@ def _order_ids(ids):
         return sorted(ids)
 
 
+def window_search(values, lo, x, steps, side="left"):
+    """Each lo plus how many of values[lo : lo + 2**steps - 1] are below
+    its x (side "left") or at most x (side "right").
+
+    For nondecreasing values this is
+    clip(searchsorted(values, x, side), lo, lo + 2**steps - 1), found by
+    steps halvings of the window, so a key whose answer lies in a known
+    short run of values costs steps gathers, not a search of all of
+    them. values must hold every window's slots.
+    """
+    pos = np.array(lo, dtype=np.int64)
+    below = np.less if side == "left" else np.less_equal
+    for s in reversed(range(steps)):
+        half = 1 << s
+        pos += below(values.take(pos + (half - 1)), x) * half
+    return pos
+
+
 class Graph:
     """Read-only graph: CSR adjacency, optional weights/attributes/types."""
 
@@ -116,8 +134,11 @@ class Graph:
         self.csr_weights = self.pair_weights[edge]
         self.csr_types = (None if self.pair_types is None
                           else self.pair_types[edge])
-        # one increasing key per arc, then n*n so a lookup stays in range
-        self._arc_keys = np.append(keys[order], n * n)
+        # a window of 2**search_steps - 1 slots covers any CSR row
+        self.search_steps = int(np.diff(self.csr_offsets).max(initial=0)
+                                ).bit_length()
+        # one increasing key per arc, then n*n until any row's window ends
+        self._arc_keys = self.pad_rows(keys[order], n * n)
 
     # -- construction -------------------------------------------------
 
@@ -224,10 +245,25 @@ class Graph:
         v = self._check_node(v)
         return self.csr_weights[self.csr_offsets[v]:self.csr_offsets[v + 1]]
 
+    def pad_rows(self, values, fill):
+        """values followed by 2**search_steps copies of fill.
+
+        A ``window_search`` of the result from any CSR row's first slot
+        stays in range; fill must be at least every value for the
+        windows to stay nondecreasing.
+        """
+        return np.concatenate([values, np.full(1 << self.search_steps, fill)])
+
     def arc_slots(self, src, dst):
-        """CSR slot of each arc src[i] -> dst[i], or -1 where there is none."""
-        keys = np.asarray(src, dtype=np.int64) * self.node_count + dst
-        pos = np.searchsorted(self._arc_keys, keys)
+        """CSR slot of each arc src[i] -> dst[i], or -1 where there is none.
+
+        Arc keys src * n + dst increase along the CSR, so each key is
+        looked up by a ``window_search`` of src's own row.
+        """
+        src = np.asarray(src, dtype=np.int64)
+        keys = src * self.node_count + dst
+        pos = window_search(self._arc_keys, self.csr_offsets[src], keys,
+                            self.search_steps)
         return np.where(self._arc_keys[pos] == keys, pos, -1)
 
     def degrees(self, weighted=False):

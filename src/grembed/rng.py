@@ -1,12 +1,13 @@
 """Seeded random-number plumbing.
 
 Every stochastic routine takes an integer seed and derives independent
-streams with ``derived_rng``. Walk sampling instead hashes its draws:
-``hashed_uniforms`` gives the uniform for (seed, walk, step) by a
-counter-based splitmix64 hash, so a walk's draws do not depend on which
-other walks are stepped with it or in what order. Both read a seed
-modulo 2**64, so a negative seed names the streams of its 64-bit two's
-complement.
+streams with ``derived_rng``. Walk sampling instead hashes its draws
+from a counter-based splitmix64 generator per walk: ``walk_states``
+hashes (seed, walk) into the walk's state once, and
+``hashed_uniforms`` gives the state's output for a counter, so a walk's
+draws do not depend on which other walks are stepped with it or in what
+order. Both read a seed modulo 2**64, so a negative seed names the
+streams of its 64-bit two's complement.
 """
 
 import numpy as np
@@ -35,10 +36,15 @@ def _mix64(z):
     return z ^ (z >> np.uint64(31))
 
 
-def hashed_uniforms(seed, streams, step):
-    """Uniform in [0, 1) per stream: the step-th output, top 53 bits, of a
-    splitmix64 generator whose state starts at mix(mix(seed) ^ stream)."""
+def walk_states(seed, streams):
+    """splitmix64 state per stream, mix(mix(seed) ^ stream): a bijection
+    of the stream for a fixed seed."""
     key = _mix64(np.array([int(seed) & _MASK64], dtype=np.uint64))
-    state = _mix64(key ^ np.asarray(streams, dtype=np.uint64))
-    h = _mix64(state + np.uint64(0x9E3779B97F4A7C15 * int(step) & _MASK64))
+    return _mix64(key ^ np.asarray(streams, dtype=np.uint64))
+
+
+def hashed_uniforms(states, step):
+    """Uniform in [0, 1) per state: the step-th output, top 53 bits, of
+    the splitmix64 generator at that state (see ``walk_states``)."""
+    h = _mix64(states + np.uint64(0x9E3779B97F4A7C15 * int(step) & _MASK64))
     return (h >> np.uint64(11)) * 2.0 ** -53

@@ -19,6 +19,12 @@ from .graph import DENSE_NODE_CAP, Graph, _open_text
 from .shallow import EmbeddingTable, ShallowConfig, _skipgram_train
 from .walks import WalkConfig, WalkCorpus, _check_hops, _walk, extract_pairs
 
+# struc2vec runs a pure-Python DTW for each of the n(n - 1)/2 node pairs at
+# each of k_max layers: about 330 s on one core at 200 nodes of mean degree 6
+# and k_max 3, and some 1160 s at 300. So it is capped far below the dense
+# paths.
+STRUC2VEC_NODE_CAP = 200
+
 
 def _ratio_cost(a, b):
     hi, lo = (a, b) if a >= b else (b, a)
@@ -85,9 +91,14 @@ def struc2vec_distances(g, k_max=3):
     degree sequences onto layer k-1's; layer 0 is all zeros and is
     not returned. Element [k-1] of the result is the (n, n) matrix
     for layer k, so the sequence is monotone non-decreasing in k.
+    Graphs above STRUC2VEC_NODE_CAP nodes are refused before any of
+    that work.
     """
-    rings = degree_sequences(g, k_max)
     n = g.node_count
+    if n > STRUC2VEC_NODE_CAP:
+        raise ResourceLimitError(f"struc2vec distances on {n} nodes exceed "
+                                 f"cap {STRUC2VEC_NODE_CAP}")
+    rings = degree_sequences(g, k_max)
     prev = np.zeros((n, n))
     layers = []
     for k in range(1, k_max + 1):

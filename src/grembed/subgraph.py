@@ -335,24 +335,31 @@ def classify_subgraphs(specs, rounds=2, edge_dim=8, out_dim=8, epochs=200,
     all_params = params.tensors() + [theta, theta_b]
     opt = ad.Adam(all_params, lr=lr)
 
+    def forward(tape):
+        with tape:
+            return ad.segment_sum(edge_message_tensors(union, params, x),
+                                  batch, len(specs))
+
     model = SubgraphClassifier(params, theta, theta_b, classes)
     accuracy = 0.0
+    tape = ad.Tape()
+    pooled = forward(tape) if epochs > 0 else None
     for epoch in range(epochs):
         opt.zero_grad()
-        with ad.Tape():
-            h = edge_message_tensors(union, params, x)
-            pooled = ad.segment_sum(h, batch, len(specs))
+        with tape:
             loss = cross_entropy_loss(pooled, theta, theta_b, y)
             ad.backward(loss)
         opt.step(f"subgraph classifier, epoch {epoch}")
-        pooled_now = np.zeros((len(specs), out_dim))
-        np.add.at(pooled_now, batch,
-                  edge_message_tensors(union, params, x).data)
-        pred = predict_classes(pooled_now @ theta.data + theta_b.data)
+        # the forward at the stepped parameters scores this step and,
+        # unless training stops here, is the next step's forward
+        tape = ad.Tape()
+        pooled = forward(tape)
+        pred = predict_classes(pooled.data @ theta.data + theta_b.data)
         accuracy = float((pred == y).mean())
         model.history.append((loss.item(), accuracy))
         if target_acc is not None and accuracy >= target_acc:
             break
+    tape.clear()  # the last forward's tape, which no backward consumes
     return model, accuracy
 
 

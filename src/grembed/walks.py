@@ -13,9 +13,10 @@ metapath walks; a walk whose slots all weigh 0 ends. A walk samples it
 exactly by proposing a slot by edge weight and keeping it with
 probability factor / the kind's largest factor; one still rejected after
 ROUNDS rounds takes the slot ``_step`` draws from its laid-out row. Walk
-j from start v hashes each draw from (seed, v * walks_per_node + j,
-counter), and no two of its draws share a counter, so the corpus is
-byte-identical however the walks are cut into chunks or scheduled.
+j from start v hashes (seed, v * walks_per_node + j) into its generator
+state once and draws each uniform as that state's output for a counter,
+and no two of its draws share a counter, so the corpus is byte-identical
+however the walks are cut into chunks or scheduled.
 """
 
 from dataclasses import dataclass, field
@@ -23,8 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, ValidationError
-from .graph import _open_text
-from .rng import hashed_uniforms
+from .graph import _open_text, window_search
+from .rng import hashed_uniforms, walk_states
 
 # CSR slots laid out per chunk of walks in one step, plus at most one
 # node's degree; bounds the step's scratch arrays.
@@ -171,24 +172,28 @@ def _walk(g, config, factor=None, starts=None, top=1.0):
     starts defaults to every node with an out-arc; nodes not in starts
     count as skipped. Walk j from start v has id v * walks_per_node + j.
     Each step runs up to ROUNDS rounds that propose a slot by edge weight
-    from cum, the arc weights summed along each row scaled to sum 1, and
-    accept it when a second uniform times top, the kind's largest factor,
-    falls below factor(t, prev, target); a scalar factor accepts all, and
-    a zero-weight slot that rounding lands on is rejected. Walks left over
+    from cum, the arc weights summed along each row scaled to sum 1,
+    searching cur's row alone (``window_search``), and accept it when a
+    second uniform times top, the kind's largest factor, falls below
+    factor(t, prev, target); a scalar factor accepts all, and a
+    zero-weight slot that rounding lands on is rejected. Walks left over
     take _step's slot, in runs cut by the CHUNK_SLOTS block of their first
     CSR slot to bound memory. Round r of step t draws counters c + 2r
     (propose) and c + 2r + 1 (accept), with c = (t - 1)(2 ROUNDS + 1) + 1,
     and the fallback draws c + 2 ROUNDS.
     """
-    T, N, seed = config.length, config.walks_per_node, config.seed
+    T, N, steps = config.length, config.walks_per_node, g.search_steps
     deg = np.diff(g.csr_offsets)
     starts = np.flatnonzero(deg) if starts is None else starts
     ids = (starts[:, None] * N + np.arange(N)).ravel()
+    states = walk_states(config.seed, ids)
     batch = np.full((ids.size, T + 1), -1, dtype=np.int64)
     batch[:, 0] = np.repeat(starts, N)
     total = np.bincount(g.csr_sources, g.csr_weights, g.node_count)
-    cum = np.concatenate(([0.0], np.cumsum(
-        g.csr_weights / np.where(total > 0, total, 1.0)[g.csr_sources])))
+    # +inf past the last row keeps every row's search window nondecreasing
+    cum = g.pad_rows(np.concatenate(([0.0], np.cumsum(
+        g.csr_weights / np.where(total > 0, total, 1.0)[g.csr_sources]))),
+        np.inf)
     alive = np.arange(ids.size)
     for t in range(1, T + 1):
         if alive.size == 0:
@@ -199,18 +204,18 @@ def _walk(g, config, factor=None, starts=None, top=1.0):
         nxt = np.full(alive.size, -1, dtype=np.int64)
         todo = np.flatnonzero(cum[hi] > cum[lo])
         for r in range(ROUNDS):
-            key, a, b = ids[alive[todo]], lo[todo], hi[todo]
-            x = cum[a] + hashed_uniforms(seed, key, c + 2 * r) * (cum[b] - cum[a])
-            k = np.clip(np.searchsorted(cum, x, side="right") - 1, a, b - 1)
+            s, a, b = states[alive[todo]], lo[todo], hi[todo]
+            x = cum[a] + hashed_uniforms(s, c + 2 * r) * (cum[b] - cum[a])
+            k = np.clip(window_search(cum, a, x, steps, "right") - 1, a, b - 1)
             ok = cum[k + 1] > cum[k]
             f = 1.0 if factor is None else factor(t, prev[todo], g.csr_targets[k])
             if np.ndim(f):
-                ok &= hashed_uniforms(seed, key, c + 2 * r + 1) * top < f
+                ok &= hashed_uniforms(s, c + 2 * r + 1) * top < f
             nxt[todo[ok]] = g.csr_targets[k[ok]]
             todo = todo[~ok]
         if todo.size:
             cur, prev = cur[todo], prev[todo]
-            u = hashed_uniforms(seed, ids[alive[todo]], c + 2 * ROUNDS)
+            u = hashed_uniforms(states[alive[todo]], c + 2 * ROUNDS)
             first_slot = np.cumsum(deg[cur]) - deg[cur]
             cuts = np.flatnonzero(np.diff(first_slot // CHUNK_SLOTS)) + 1
             nxt[todo] = np.concatenate([

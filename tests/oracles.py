@@ -10,7 +10,7 @@ import numpy as np
 
 from grembed import autodiff as ad
 from grembed.aggenc import cross_entropy_loss
-from grembed.autodiff import classifier_head
+from grembed.autodiff import classifier_head, predict_classes
 from grembed.errors import ConfigError, NumericError
 from grembed.rng import derived_rng
 from grembed.shallow import (
@@ -20,6 +20,12 @@ from grembed.shallow import (
     negative_sampling_loss,
     softmax_cross_entropy_loss,
     unigram_noise,
+)
+from grembed.subgraph import (
+    EdgeMessageParams,
+    SubgraphClassifier,
+    _batch_specs,
+    edge_message_tensors,
 )
 from grembed.walks import AliasTable
 
@@ -450,3 +456,38 @@ def tape_train_logistic(x, y, epochs=300, lr=0.1, seed=0):
             ad.backward(loss)
         opt.step()
     return theta.data, bias.data
+
+
+def loop_classify_subgraphs(specs, rounds=2, edge_dim=8, out_dim=8,
+                            epochs=200, lr=0.01, seed=42, activation="tanh",
+                            target_acc=None):
+    """classify_subgraphs with a second, untaped forward per epoch that
+    scores each step, the pooled sums taken by np.add.at."""
+    labels_raw = [s.label for s in specs]
+    classes = sorted(set(labels_raw), key=str)
+    y = np.array([classes.index(l) for l in labels_raw], dtype=np.int64)
+    union, batch, x = _batch_specs(specs)
+    params = EdgeMessageParams(x.shape[1], edge_dim, out_dim, rounds,
+                               seed=seed, activation=activation)
+    theta, theta_b = classifier_head(derived_rng(seed, "subgraph_head"),
+                                     out_dim, len(classes), 0.1)
+    opt = ad.Adam(params.tensors() + [theta, theta_b], lr=lr)
+    model = SubgraphClassifier(params, theta, theta_b, classes)
+    accuracy = 0.0
+    for epoch in range(epochs):
+        opt.zero_grad()
+        with ad.Tape():
+            h = edge_message_tensors(union, params, x)
+            pooled = ad.segment_sum(h, batch, len(specs))
+            loss = cross_entropy_loss(pooled, theta, theta_b, y)
+            ad.backward(loss)
+        opt.step(f"subgraph classifier, epoch {epoch}")
+        pooled_now = np.zeros((len(specs), out_dim))
+        np.add.at(pooled_now, batch,
+                  edge_message_tensors(union, params, x).data)
+        pred = predict_classes(pooled_now @ theta.data + theta_b.data)
+        accuracy = float((pred == y).mean())
+        model.history.append((loss.item(), accuracy))
+        if target_acc is not None and accuracy >= target_acc:
+            break
+    return model, accuracy

@@ -574,6 +574,17 @@ def test_roles_struc2vec_writes_embedding(data_dir, tmp_path, capsys):
     assert out.read_text().splitlines()[0] == "node_id\t4"
 
 
+def test_roles_struc2vec_exits_3_above_the_node_cap(data_dir, tmp_path,
+                                                   capsys, monkeypatch):
+    monkeypatch.setattr(structural, "STRUC2VEC_NODE_CAP", 20)
+    out = tmp_path / "sv.tsv"
+    code, stdout, err = run_cli(
+        capsys, "roles", "--input", str(data_dir / "karate.edges"),
+        "--mode", "struc2vec", "--out", str(out))
+    assert code == 3 and stdout == "" and not out.exists()
+    assert err == "error: struc2vec distances on 34 nodes exceed cap 20\n"
+
+
 def test_subgraph_reports_accuracy(data_dir, tmp_path, capsys):
     preds = tmp_path / "preds.tsv"
     code, stdout, _ = run_cli(

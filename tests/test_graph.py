@@ -2,7 +2,7 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from grembed import fixtures
@@ -19,6 +19,7 @@ from grembed.graph import (
     load_attributes,
     load_edge_list,
     load_labels,
+    window_search,
 )
 from grembed.subgraph import parse_multigraph_file
 
@@ -235,6 +236,77 @@ def test_keyed_dedupe_matches_row_unique_oracle(case):
         got, ref = getattr(g, name), want[name]
         assert got.shape == ref.shape, name
         assert np.array_equal(got.view(np.int64), ref.view(np.int64)), name
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_window_search_is_a_clipped_searchsorted(data):
+    # rows of tied integers, empty rows included, each searched from its
+    # start in a window that covers the longest row, then past the end
+    rows = data.draw(st.lists(st.lists(st.integers(-3, 3), max_size=9),
+                              min_size=1, max_size=6))
+    values = np.sort(np.array(sum(rows, []), dtype=np.float64))
+    steps = max(map(len, rows)).bit_length() + data.draw(st.integers(0, 1))
+    width = (1 << steps) - 1
+    padded = np.concatenate([values, np.full(width, np.inf)])
+    starts = np.cumsum([0] + [len(r) for r in rows])
+    lo = np.array(data.draw(st.lists(
+        st.sampled_from(starts.tolist()) | st.integers(0, values.size),
+        min_size=1, max_size=12)), dtype=np.int64)
+    x = np.array(data.draw(st.lists(
+        st.sampled_from([-4, -3, -0.5, 0, 1, 2.5, 3, 4]),
+        min_size=lo.size, max_size=lo.size)), dtype=np.float64)
+    before = lo.copy()
+    for side in ("left", "right"):
+        want = np.clip(np.searchsorted(padded, x, side), lo, lo + width)
+        np.testing.assert_array_equal(
+            window_search(padded, lo, x, steps, side), want)
+    np.testing.assert_array_equal(lo, before)
+
+
+def test_pad_rows_keeps_every_row_window_in_range():
+    g = fixtures.star_graph(5)
+    assert g.search_steps == 3
+    values = np.arange(g.csr_targets.size, dtype=np.float64)
+    padded = g.pad_rows(values, np.inf)
+    np.testing.assert_array_equal(padded[:values.size], values)
+    np.testing.assert_array_equal(padded[values.size:], np.full(8, np.inf))
+    lo = g.csr_offsets[:-1]
+    np.testing.assert_array_equal(
+        window_search(padded, lo, np.full(lo.size, 1e9), g.search_steps),
+        np.minimum(lo + 7, values.size))
+
+
+@st.composite
+def _arc_cases(draw):
+    """(n, pairs, trailing isolated nodes, directed), self-loops allowed."""
+    n = draw(st.integers(1, 9))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1)),
+                          min_size=1, max_size=30))
+    return n, pairs, draw(st.integers(0, 3)), draw(st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(_arc_cases())
+@example((2, [(0, 1)], 0, True))
+@example((2, [(0, 1)], 0, False))
+@example((1, [(0, 0)], 2, False))
+@example((4, [(0, 1), (0, 2), (0, 3), (3, 3)], 1, True))
+def test_arc_slots_match_brute_force_arc_set(case):
+    n, pairs, extra, directed = case
+    m = n + extra
+    g = Graph.from_edges([(str(u), str(v)) for u, v in pairs],
+                         directed=directed, allow_self_loops=True,
+                         node_ids=[str(i) for i in range(m)])
+    arcs = set(pairs) | (set() if directed else {(v, u) for u, v in pairs})
+    src, dst = np.divmod(np.arange(m * m), m)
+    for u, v, slot in zip(src.tolist(), dst.tolist(),
+                          g.arc_slots(src, dst).tolist()):
+        if (u, v) in arcs:
+            assert (g.csr_sources[slot], g.csr_targets[slot]) == (u, v)
+        else:
+            assert slot == -1
 
 
 @pytest.mark.parametrize("make", [

@@ -250,6 +250,23 @@ def test_struc2vec_rejects_window_before_distances(monkeypatch):
         struc2vec_embed(g, window=25)
 
 
+def test_struc2vec_refuses_graphs_above_cap_before_dtw(monkeypatch):
+    def no_dtw(*args, **kwargs):
+        raise AssertionError("ring work started above the cap")
+
+    g = cycle_graph(10)
+    monkeypatch.setattr(structural, "STRUC2VEC_NODE_CAP", 10)
+    assert len(struc2vec_distances(g, 2)) == 2
+    monkeypatch.setattr(structural, "STRUC2VEC_NODE_CAP", 9)
+    monkeypatch.setattr(structural, "degree_sequences", no_dtw)
+    monkeypatch.setattr(structural, "_ring_cost", no_dtw)
+    message = "struc2vec distances on 10 nodes exceed cap 9"
+    for call in (lambda: struc2vec_distances(g, 2),
+                 lambda: struc2vec_embed(g, k_max=2)):
+        with pytest.raises(ResourceLimitError, match=message):
+            call()
+
+
 def test_graphwave_zero_scale_gives_indicators():
     g = cycle_graph(6)
     sigs = graphwave_signature(g, s=0.0)

@@ -29,6 +29,8 @@ from grembed.subgraph import (
     supernode_pool,
 )
 
+import oracles
+
 
 def test_spec_validation():
     g = cycle_graph(4)
@@ -291,6 +293,25 @@ def test_classify_cycles_vs_paths():
     preds = model.predict(specs[:10])
     truth = [s.label for s in specs[:10]]
     assert np.mean([p == t for p, t in zip(preds, truth)]) >= 0.9
+
+
+@pytest.mark.parametrize("target_acc,epochs,activation",
+                         [(None, 25, "tanh"), (0.9, 200, "tanh"),
+                          (None, 10, "relu"), (None, 0, "tanh")])
+def test_classifier_training_matches_two_forward_loop(target_acc, epochs,
+                                                      activation):
+    specs = dataset_from_pairs(cycles_and_paths(30, 5, 8, seed=11))
+    kw = dict(rounds=2, edge_dim=4, out_dim=5, epochs=epochs, lr=0.05,
+              seed=3, activation=activation, target_acc=target_acc)
+    model, acc = classify_subgraphs(specs, **kw)
+    expect, expect_acc = oracles.loop_classify_subgraphs(specs, **kw)
+    assert acc == expect_acc and model.history == expect.history
+    if target_acc is not None:
+        assert acc >= target_acc and len(model.history) < epochs
+    got = model.params.tensors() + [model.theta, model.theta_b]
+    want = expect.params.tensors() + [expect.theta, expect.theta_b]
+    for a, b in zip(got, want):
+        assert a.data.tobytes() == b.data.tobytes()
 
 
 def test_classify_rejects_single_class():

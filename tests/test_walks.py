@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from grembed import fixtures, walks
 from grembed.errors import ContractError, ValidationError
 from grembed.graph import Graph
+from grembed.rng import hashed_uniforms, walk_states
 from grembed.walks import (
     AliasTable,
     WalkConfig,
@@ -397,14 +398,33 @@ def _worst_second_order_gap(g, corpus, p, q, min_count=1000):
     return worst, checked
 
 
+def test_hashed_uniforms_keep_their_bits():
+    # every walk corpus at a fixed seed is made of these draws, so any
+    # change to their bits changes the corpora
+    streams = np.array([0, 1, 123456789, 2**62 + 3], dtype=np.int64)
+    pinned = {
+        (0, 1): ["0x1.c4415072f63b9p-1", "0x1.7fdf0061bb85ap-1",
+                 "0x1.a945675088650p-4", "0x1.628c169c2b2a8p-3"],
+        (42, 9): ["0x1.d5979daaf9fb6p-1", "0x1.679375319b450p-5",
+                  "0x1.4f17ef1685c79p-1", "0x1.ab8374a94ab90p-3"],
+        (-1, 2**40): ["0x1.b8e7245a0dc40p-4", "0x1.1f1150b977726p-1",
+                      "0x1.35c19f107f1e0p-4", "0x1.8fff924c857f4p-2"],
+        (2**64 + 5, 0): ["0x1.41b0884217654p-1", "0x1.f8f9b263191b2p-1",
+                         "0x1.8f59b9288b1e0p-3", "0x1.f353a6604fc62p-1"],
+    }
+    for (seed, counter), want in pinned.items():
+        got = hashed_uniforms(walk_states(seed, streams), counter)
+        assert [float(u).hex() for u in got] == want
+
+
 def test_each_walk_draws_each_counter_once(monkeypatch):
     # p and q make top 4, so rounds reject and some walks reach _step
     drawn, fallback = [], []
     real_uniforms, real_step = walks.hashed_uniforms, walks._step
 
-    def uniforms(seed, streams, step):
-        drawn.extend((s, step) for s in np.asarray(streams).tolist())
-        return real_uniforms(seed, streams, step)
+    def uniforms(states, step):
+        drawn.extend((s, step) for s in np.asarray(states).tolist())
+        return real_uniforms(states, step)
 
     def step(g, cur, *rest):
         fallback.append(cur.size)
@@ -432,8 +452,8 @@ def test_zero_weight_arcs_are_never_taken():
             patch.setattr(walks, "ROUNDS", rounds)
             if pinned:
                 patch.setattr(walks, "hashed_uniforms",
-                              lambda seed, streams, step:
-                              np.full(np.shape(streams), near_one))
+                              lambda states, step:
+                              np.full(np.shape(states), near_one))
             for kind, p, q in (("uniform", 1, 1), ("node2vec", 0.5, 2.0),
                                ("node2vec", 4.0, 0.25), ("metapath", 1, 1)):
                 corpus = _SAMPLERS[kind](g, WalkConfig(
