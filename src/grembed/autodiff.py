@@ -92,39 +92,8 @@ class Tensor:
             raise ShapeError("item() needs a single-element tensor")
         return float(self.data.reshape(()))
 
-    def zero_grad(self):
-        self.grad = None
-
-    def backward(self):
-        backward(self)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    # operator sugar; all routing through the module-level ops
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return neg(self)
 
 
 def parameter(data):
@@ -284,19 +253,6 @@ def transpose(a):
     a = _wrap(a)
     out = Tensor(a.data.T.copy())
     return _record(out, (a,), lambda g: (g.T,))
-
-
-def concat_rows(a, b):
-    a, b = _wrap(a), _wrap(b)
-    if a.data.shape[1] != b.data.shape[1]:
-        raise ShapeError(f"concat_rows {a.data.shape} | {b.data.shape}")
-    out = Tensor(np.concatenate([a.data, b.data], axis=0))
-    ra = a.data.shape[0]
-
-    def back(g):
-        return g[:ra], g[ra:]
-
-    return _record(out, (a, b), back)
 
 
 def concat_cols(a, b):

@@ -258,7 +258,9 @@ class Graph:
         """CSR slot of each arc src[i] -> dst[i], or -1 where there is none.
 
         Arc keys src * n + dst increase along the CSR, so each key is
-        looked up by a ``window_search`` of src's own row.
+        looked up by a ``window_search`` of src's own row. dst must lie in
+        [0, n), unchecked as node2vec walks pass CSR targets at every
+        step: a larger dst makes a later row's key and finds its arc.
         """
         src = np.asarray(src, dtype=np.int64)
         keys = src * self.node_count + dst

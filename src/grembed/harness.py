@@ -16,7 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from .errors import ConfigError, ContractError, ValidationError
 from .graph import Graph, _open_text
-from .report import REPORT_VERSION, EvalReport, _fmt  # noqa: F401 (re-export)
+from .report import EvalReport
 from .rng import derived_rng
 
 

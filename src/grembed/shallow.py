@@ -21,15 +21,17 @@ from . import autodiff as ad
 from .errors import ContractError, NumericError, ValidationError
 from .rng import derived_rng
 from .similarity import SimilaritySpec, build_similarity
-from .table import EmbeddingTable, load_embedding  # noqa: F401 (re-export)
+from .table import EmbeddingTable
 from .walks import (
     AliasTable,
     WalkConfig,
-    extract_offset_pairs,
-    extract_pairs,
+    WalkPairs,
     sample_node2vec_walks,
     sample_uniform_walks,
 )
+from .walks import extract_pairs  # noqa: F401 (perfbench's tracer wraps it)
+
+DECODE_BATCHES = 32  # batches whose pairs _skipgram decodes at once
 
 
 # ---------------------------------------------------------------------
@@ -447,8 +449,10 @@ def _skipgram(g, pairs, config, loss_kind, context_table=False,
     ``epoch(e)`` makes shuffled minibatch pass e and returns its mean
     pair loss. Each batch takes one SGD step, at the lr annealed over
     the run's batches, from closed-form gradients of the matching tape
-    loss, applied only to the rows the batch touches. ``seed_tag`` keys
-    the streams; ``where`` names the run in its errors.
+    loss, applied only to the rows the batch touches. ``pairs``, an array
+    or a ``walks.WalkPairs``, is read DECODE_BATCHES batches at a time in
+    ``permutation(P)`` order, held as int32 below 2**31 pairs. ``seed_tag``
+    keys the streams; ``where`` names the run in its errors.
     """
     where = where or f"{loss_kind} skip-gram"
     if len(pairs) == 0:
@@ -467,21 +471,27 @@ def _skipgram(g, pairs, config, loss_kind, context_table=False,
             rng = derived_rng(config.seed, "ctx_init", seed_tag)
             ctx = rng.uniform(-0.5, 0.5, size=(n, dim)) / dim
             counts = g.degrees(weighted=True)
-        else:
+        elif isinstance(pairs, np.ndarray):
             counts = np.bincount(pairs[:, 1], minlength=n).astype(np.float64)
+        else:
+            counts = pairs.context_counts()
         noise_table = AliasTable(unigram_noise(counts, config.noise_power))
         width = min(n, config.batch_size * (2 + config.negatives))
     offsets = np.arange(width * dim).reshape(width, dim)
     batches = int(np.ceil(len(pairs) / config.batch_size))
+    span = DECODE_BATCHES * config.batch_size
+    index = np.int32 if len(pairs) < 2 ** 31 else np.int64
 
     def epoch(e):
-        order = derived_rng(config.seed, "shuffle", seed_tag, e
-                            ).permutation(len(pairs))
+        order = np.arange(len(pairs), dtype=index)
+        derived_rng(config.seed, "shuffle", seed_tag, e).shuffle(order)
         noise_rng = derived_rng(config.seed, "noise", seed_tag, e)
         epoch_loss = 0.0
         for b, lo in enumerate(range(0, len(pairs), config.batch_size)):
+            if lo % span == 0:
+                block = pairs.take(order[lo:lo + span], axis=0)
             rows = order[lo:lo + config.batch_size]
-            batch = pairs.take(rows, axis=0)
+            batch = block[lo % span:lo % span + config.batch_size]
             if loss_kind == "hsoftmax":
                 loss, updates = _hsoftmax_step(z, w_tree, batch, tree)
             elif loss_kind == "softmax":
@@ -628,9 +638,9 @@ def _blocks(g, method, config, facts):
             corpus = sample_uniform_walks(g, cfg)
         if source == "offsets":
             for off in config.offsets:
-                yield f"off{off}", extract_offset_pairs(corpus, off), None
+                yield f"off{off}", WalkPairs(corpus, offset=off), None
         else:
-            pairs = extract_pairs(corpus, config.window)
+            pairs = WalkPairs(corpus, window=config.window)
             facts["pair_count"] = int(len(pairs))
             yield "", pairs, None
     else:

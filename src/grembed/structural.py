@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ContractError, NumericError, ResourceLimitError
 from .graph import DENSE_NODE_CAP, Graph, _open_text
 from .shallow import EmbeddingTable, ShallowConfig, _skipgram_train
-from .walks import WalkConfig, WalkCorpus, _check_hops, _walk, extract_pairs
+from .walks import WalkConfig, WalkCorpus, WalkPairs, _check_hops, _walk
 
 # struc2vec runs a pure-Python DTW for each of the n(n - 1)/2 node pairs at
 # each of k_max layers: about 330 s on one core at 200 nodes of mean degree 6
@@ -160,10 +160,10 @@ def struc2vec_embed(g, k_max=3, dim=16, walk_length=20, walks_per_node=8,
     cfg = WalkConfig(length=walk_length, walks_per_node=walks_per_node,
                      seed=seed)
     layered = _layered_graph(struc2vec_distances(g, k_max), switch_prob)
-    walks = _walk(layered, cfg, starts=np.arange(n)).walks
-    corpus = WalkCorpus([w % n for w in walks], cfg, n,
+    states = _walk(layered, cfg, starts=np.arange(n)).matrix
+    corpus = WalkCorpus(np.where(states >= 0, states % n, -1), cfg, n,
                         node_ids=list(g.node_ids))
-    pairs = extract_pairs(corpus, window)
+    pairs = WalkPairs(corpus, window=window)
     train_cfg = ShallowConfig(dim=dim, epochs=epochs, lr=lr,
                               negatives=negatives, seed=seed)
     z, history = _skipgram_train(g, pairs, train_cfg, "negsamp",

@@ -28,10 +28,12 @@ from .graph import _open_text, window_search
 from .rng import hashed_uniforms, walk_states
 
 # CSR slots laid out per chunk of walks in one step, plus at most one
-# node's degree; bounds the step's scratch arrays.
+# node's degree, or pairs decoded at once into one array; bounds scratch.
 CHUNK_SLOTS = 1 << 17
 # propose-and-accept rounds a walk runs per step before _step takes it
 ROUNDS = 4
+# pair indices per bucket of WalkPairs' block lookup
+BUCKET_BITS = 6
 
 
 class AliasTable:
@@ -100,16 +102,22 @@ class WalkConfig:
 
 @dataclass
 class WalkCorpus:
-    """Sampled walks plus bookkeeping for later pair extraction."""
+    """Sampled walks as one int64 matrix, each row a walk padded with -1."""
 
-    walks: list
+    matrix: np.ndarray
     config: WalkConfig
     node_count: int
     skipped_starts: int = 0
     node_ids: list = field(default=None, repr=False)
 
+    @property
+    def walks(self):
+        """Each walk as a view of its matrix row, listed anew per access."""
+        lengths = (self.matrix >= 0).sum(axis=1).tolist()
+        return [row[:k] for row, k in zip(self.matrix, lengths)]
+
     def __len__(self):
-        return len(self.walks)
+        return len(self.matrix)
 
     def __iter__(self):
         return iter(self.walks)
@@ -130,10 +138,12 @@ def load_corpus(source, g, config=None):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            walks.append(np.array([g.index_of(t) for t in line.split()],
-                                  dtype=np.int64))
-    cfg = config or WalkConfig(length=max((len(w) - 1 for w in walks), default=2))
-    return WalkCorpus(walks, cfg, g.node_count, node_ids=list(g.node_ids))
+            walks.append([g.index_of(t) for t in line.split()])
+    width = max(map(len, walks), default=0)
+    matrix = np.array([w + [-1] * (width - len(w)) for w in walks],
+                      dtype=np.int64).reshape(len(walks), width)
+    cfg = config or WalkConfig(length=width - 1 if walks else 2)
+    return WalkCorpus(matrix, cfg, g.node_count, node_ids=list(g.node_ids))
 
 
 def _step(g, cur, prev, u, t, factor):
@@ -223,9 +233,7 @@ def _walk(g, config, factor=None, starts=None, top=1.0):
                 zip(*(np.split(v, cuts) for v in (cur, prev, u)))])
         batch[alive, t] = nxt
         alive = alive[nxt >= 0]
-    lengths = (batch >= 0).sum(axis=1)
-    walks = [row[:k] for row, k in zip(batch, lengths.tolist())]
-    return WalkCorpus(walks, config, g.node_count, g.node_count - starts.size,
+    return WalkCorpus(batch, config, g.node_count, g.node_count - starts.size,
                       node_ids=list(g.node_ids))
 
 
@@ -267,29 +275,64 @@ def sample_metapath_walks(g, config):
                  np.flatnonzero((types == mp[0]) & (np.diff(g.csr_offsets) > 0)))
 
 
-def _pairs(corpus, offsets):
-    """Both directions of each hop in ascending offsets, walk by walk.
+class WalkPairs:
+    """A corpus' (center, context) pairs within a window or at one offset.
 
-    For each walk and then each offset, the forward pairs in walk order
-    come first, then the same pairs reversed.
-    """
-    lengths = np.array([len(w) for w in corpus.walks], dtype=np.int64)
-    if not lengths.size:
-        return np.zeros((0, 2), dtype=np.int64)
-    padded = np.full((lengths.size, lengths.max()), -1, dtype=np.int64)
-    inside = np.arange(padded.shape[1]) < lengths[:, None]
-    padded[inside] = np.concatenate(corpus.walks)
-    offsets = np.asarray(list(offsets), dtype=np.int64)
-    hops = np.maximum(lengths[:, None] - offsets, 0)
-    begin = np.cumsum(2 * hops).reshape(hops.shape) - 2 * hops
-    out = np.empty((2 * int(hops.sum()), 2), dtype=np.int64)
-    for k, off in enumerate(offsets.tolist()):
-        w, i = np.nonzero(inside[:, off:])
-        a, b = padded[w, i], padded[w, i + off]
-        at = begin[w, k] + i
-        out[at] = np.stack([a, b], axis=1)
-        out[at + hops[w, k]] = np.stack([b, a], axis=1)
-    return out
+    Pairs run walk by walk, then by ascending offset; a (walk, offset)
+    block holds its forward pairs in walk order, then those reversed.
+    ``take`` decodes pair p, unstored, from its block: the last one that
+    starts at or before p, found by a ``window_search`` from the last
+    one that starts at or before p rounded down to 2**BUCKET_BITS."""
+
+    def __init__(self, corpus, window=None, offset=None):
+        name, k = ("window", window) if offset is None else ("offset", offset)
+        _check_hops(name, k, corpus.config.length)
+        self.offsets = np.arange(1, k + 1) if offset is None else np.array([k])
+        self.matrix, self.node_count = corpus.matrix, corpus.node_count
+        self.lengths = (self.matrix >= 0).sum(axis=1)
+        self.hops = np.maximum(self.lengths[:, None] - self.offsets, 0).ravel()
+        starts = np.cumsum(2 * self.hops) - 2 * self.hops
+        self.count = 2 * int(self.hops.sum())
+        self.first = np.searchsorted(starts, np.arange(
+            0, self.count, 1 << BUCKET_BITS), side="right") - 1
+        # a bucket's pairs lie in at most that many blocks
+        self.steps = int(np.diff(self.first, append=starts.size - 1).max(
+            initial=-1) + 1).bit_length()
+        # count is past every pair index, so the windows stay in range
+        self.starts = np.append(starts, np.full(1 << self.steps, self.count))
+
+    def __len__(self):
+        return self.count
+
+    def take(self, idx, axis=0):
+        """Rows idx, each in [0, P), of the (P, 2) pair array, as its
+        ``take(idx, axis=0)`` gives them."""
+        block = window_search(self.starts, self.first.take(idx >> BUCKET_BITS),
+                              idx, self.steps, "right") - 1
+        walk, k = np.divmod(block, self.offsets.size)
+        i, hops = idx - self.starts.take(block), self.hops.take(block)
+        back = i >= hops
+        at = walk * self.matrix.shape[1] + i - back * hops
+        step = self.offsets.take(k)
+        shift = back * step  # a reversed pair's center is the later node
+        return self.matrix.take(np.stack([at + shift, at + step - shift], 1))
+
+    def stored(self):
+        """Every pair as one (P, 2) array, CHUNK_SLOTS decoded at a time."""
+        out = np.empty((self.count, 2), dtype=np.int64)
+        for lo in range(0, self.count, CHUNK_SLOTS):
+            out[lo:lo + CHUNK_SLOTS] = self.take(
+                np.arange(lo, min(lo + CHUNK_SLOTS, self.count)))
+        return out
+
+    def context_counts(self):
+        """``bincount(pairs[:, 1])``: position j of a walk of length L is
+        the context of a forward pair per offset <= j and of a reversed
+        pair per offset <= L - 1 - j."""
+        m, pos = self.matrix, np.arange(self.matrix.shape[1])
+        upto = np.searchsorted(self.offsets, pos, side="right")
+        mult = upto + upto.take(np.maximum(self.lengths[:, None] - 1 - pos, 0))
+        return np.bincount(m[m >= 0], mult[m >= 0], self.node_count)
 
 
 def _check_hops(name, k, length):
@@ -301,11 +344,9 @@ def _check_hops(name, k, length):
 
 def extract_pairs(corpus, window):
     """(center, context) pairs within the sliding window, both directions."""
-    _check_hops("window", window, corpus.config.length)
-    return _pairs(corpus, range(1, window + 1))
+    return WalkPairs(corpus, window=window).stored()
 
 
 def extract_offset_pairs(corpus, offset):
     """Pairs at signed hop offset exactly +-offset (skip-length sampling)."""
-    _check_hops("offset", offset, corpus.config.length)
-    return _pairs(corpus, (offset,))
+    return WalkPairs(corpus, offset=offset).stored()

@@ -59,8 +59,9 @@ def test_concat_transpose_gradient(rng):
     b = ad.parameter(randn(rng, 2, 3))
 
     def loss():
-        joined = ad.concat_cols(ad.concat_rows(a, b), ad.concat_rows(b, a))
-        return ad.reduce_sum(ad.tanh(ad.transpose(joined)))
+        joined = ad.concat_cols(ad.transpose(ad.concat_cols(a, b)),
+                                ad.transpose(ad.concat_cols(b, a)))
+        return ad.reduce_sum(ad.tanh(joined))
 
     assert ad.gradient_check(loss, [a, b]) < 1e-6
 

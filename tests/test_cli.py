@@ -15,6 +15,7 @@ import grembed
 from grembed import cli, harness, multiscale, shallow, structural, subgraph
 from grembed.fixtures import cycles_and_paths, karate_club, two_layer_graphs
 from grembed.graph import export_edge_list, load_edge_list, load_labels
+from grembed.table import load_embedding
 
 
 @pytest.fixture(scope="module")
@@ -379,7 +380,7 @@ def test_eval_nodes_without_options_runs_library_defaults(
                               str(spectral_z), "--labels",
                               str(data_dir / "karate.labels"))
     assert code == 0
-    table = shallow.load_embedding(str(spectral_z))
+    table = load_embedding(str(spectral_z))
     labels, _ = load_labels(str(data_dir / "karate.labels"), table)
     assert_report_has(stdout,
                       harness.node_classification_eval(table.vectors, labels))
@@ -392,7 +393,7 @@ def test_eval_cluster_without_options_runs_library_defaults(
                               str(spectral_z), "--labels",
                               str(data_dir / "karate.labels"))
     assert code == 0
-    table = shallow.load_embedding(str(spectral_z))
+    table = load_embedding(str(spectral_z))
     labels, names = load_labels(str(data_dir / "karate.labels"), table)
     assert_report_has(stdout, harness.clustering_eval(
         table.vectors, labels, len(names), seed=42))
@@ -417,7 +418,7 @@ def test_project_without_options_runs_library_defaults(spectral_z, tmp_path,
     code, stdout, _ = run_cli(capsys, "project", "--embedding",
                               str(spectral_z), "--out", str(out))
     assert code == 0
-    table = shallow.load_embedding(str(spectral_z))
+    table = load_embedding(str(spectral_z))
     ref = tmp_path / "ref.tsv"
     coords = harness.export_projection(str(ref), table.vectors, table.node_ids)
     assert report_dict(stdout)["dims"] == str(coords.shape[1])

@@ -1,5 +1,6 @@
 import io
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,20 +23,27 @@ from grembed.shallow import (
     gram_mse_loss,
     gram_residual,
     hierarchical_softmax_loss,
-    load_embedding,
     negative_sampling_loss,
     softmax_cross_entropy_loss,
     _hsoftmax_step,
     _init_table,
     _log_sigmoid_slope,
     _negsamp_step,
+    _skipgram,
     _skipgram_train,
     _sparse_sgd,
     train_shallow,
     unigram_noise,
     weighted_distance_loss,
 )
-from grembed.walks import WalkConfig, extract_pairs, sample_uniform_walks
+from grembed.table import load_embedding
+from grembed.walks import (
+    WalkConfig,
+    WalkCorpus,
+    WalkPairs,
+    extract_pairs,
+    sample_uniform_walks,
+)
 
 
 def rnd(seed, *shape):
@@ -522,6 +530,52 @@ def test_fused_step_leaves_untouched_rows_bitwise(case, batch_size):
     assert np.array_equal(z[~touched].view(np.uint64),
                           init[~touched].view(np.uint64))
     assert np.any(z[touched] != init[touched])
+
+
+@pytest.mark.parametrize("loss_kind", ["hsoftmax", "negsamp", "softmax"])
+def test_decoded_pairs_train_like_the_pair_array(loss_kind):
+    # batches of 7 end a decode block of 224 pairs off the batch grid's end
+    g = fixtures.karate_club()[0]
+    corpus = sample_uniform_walks(
+        g, WalkConfig(length=6, walks_per_node=3, seed=3))
+    cfg = small_config(dim=8, epochs=2, lr=2.0, batch_size=7, seed=11)
+    z, hist = _skipgram_train(g, WalkPairs(corpus, window=2), cfg, loss_kind)
+    z_arr, hist_arr = _skipgram_train(g, extract_pairs(corpus, 2), cfg,
+                                      loss_kind)
+    assert np.array_equal(z.view(np.int64), z_arr.view(np.int64))
+    assert hist == hist_arr
+
+
+def test_skipgram_without_pairs_names_the_run():
+    g = fixtures.karate_club()[0]
+    empty = WalkCorpus(np.zeros((0, 5), dtype=np.int64), WalkConfig(length=4),
+                       g.node_count)
+    for pairs in (WalkPairs(empty, window=2), np.zeros((0, 2), dtype=np.int64)):
+        with pytest.raises(ValidationError,
+                           match="^no training pairs extracted for run x$"):
+            _skipgram(g, pairs, small_config(), "negsamp", where="run x")
+
+
+def test_skipgram_epoch_holds_under_8_bytes_per_pair():
+    # one int32 shuffle index per pair; a (P, 2) int64 pair array and an
+    # int64 permutation of it hold 24 bytes per pair
+    g = fixtures.karate_club()[0]
+    cfg = small_config(epochs=1, batch_size=256)
+    peaks, counts = [], []
+    # the first run also makes one-off allocations, so it only warms up
+    for per_node in (2, 2, 8):
+        corpus = sample_uniform_walks(
+            g, WalkConfig(length=30, walks_per_node=per_node, seed=5))
+        tracemalloc.start()
+        try:
+            pairs = WalkPairs(corpus, window=10)
+            _, epoch = _skipgram(g, pairs, cfg, "negsamp")
+            epoch(0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        counts.append(len(pairs))
+    assert (peaks[2] - peaks[1]) / (counts[2] - counts[1]) < 8
 
 
 def offset_table(width, d):

@@ -13,6 +13,7 @@ from grembed.rng import hashed_uniforms, walk_states
 from grembed.walks import (
     AliasTable,
     WalkConfig,
+    WalkPairs,
     extract_offset_pairs,
     extract_pairs,
     load_corpus,
@@ -271,8 +272,14 @@ def _toy_corpus(walks, length):
     from grembed.walks import WalkCorpus
 
     cfg = WalkConfig(length=length, walks_per_node=1)
-    arr = [np.array(w, dtype=np.int64) for w in walks]
-    return WalkCorpus(arr, cfg, int(max(max(w) for w in walks)) + 1)
+    return WalkCorpus(_padded(walks), cfg, int(max(max(w) for w in walks)) + 1)
+
+
+def _padded(walks):
+    """Walks as the corpus matrix: one row each, -1 after its end."""
+    width = max(map(len, walks), default=0)
+    return np.array([list(w) + [-1] * (width - len(w)) for w in walks],
+                    dtype=np.int64).reshape(len(walks), width)
 
 
 def test_extract_pairs_matches_window_oracle():
@@ -513,12 +520,32 @@ def test_pairs_match_loop_oracle_in_order(data):
     from grembed.walks import WalkCorpus
 
     T = data.draw(st.integers(2, 7))
+    # empty corpora and single-node walks are drawn too
     rows = data.draw(st.lists(st.lists(st.integers(0, 9), min_size=1,
-                                       max_size=T + 1), max_size=8))
-    corpus = WalkCorpus([np.array(r, dtype=np.int64) for r in rows],
-                        WalkConfig(length=T, walks_per_node=1), 10)
+                                       max_size=T + 1), max_size=12))
+    corpus = WalkCorpus(_padded(rows), WalkConfig(length=T, walks_per_node=1),
+                        10)
     window = data.draw(st.integers(1, T - 1))
-    for got, offsets in ((extract_pairs(corpus, window), range(1, window + 1)),
-                         (extract_offset_pairs(corpus, window), (window,))):
-        expect = oracles.hop_pairs_loop(corpus.walks, offsets)
-        assert got.shape == expect.shape and np.array_equal(got, expect)
+    with pytest.MonkeyPatch.context() as mp:
+        # narrow buckets put many blocks, empty ones too, in one window;
+        # small chunks cut the stored array
+        mp.setattr(walks, "BUCKET_BITS", data.draw(st.integers(0, 6)))
+        mp.setattr(walks, "CHUNK_SLOTS", data.draw(st.integers(1, 40)))
+        for got, pairs, offsets in (
+                (extract_pairs(corpus, window), WalkPairs(corpus, window=window),
+                 range(1, window + 1)),
+                (extract_offset_pairs(corpus, window),
+                 WalkPairs(corpus, offset=window), (window,))):
+            expect = oracles.hop_pairs_loop(corpus.walks, offsets)
+            assert got.shape == expect.shape and np.array_equal(got, expect)
+            # any indices: unsorted, repeated or none, int32 as the
+            # trainer's shuffle holds them
+            picks = st.lists(st.integers(0, len(expect) - 1), max_size=20) \
+                if len(expect) else st.just([])
+            idx = np.array(data.draw(picks),
+                           dtype=data.draw(st.sampled_from([np.int32, np.int64])))
+            sub = pairs.take(idx, axis=0)
+            assert sub.shape == (idx.size, 2) and np.array_equal(sub, expect[idx])
+            assert len(pairs) == len(expect)
+            assert np.array_equal(pairs.context_counts(),
+                                  np.bincount(expect[:, 1], minlength=10))
