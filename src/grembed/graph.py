@@ -13,6 +13,8 @@ Dense matrices returned by this module are plain float64 numpy arrays.
 import contextlib
 import io
 import math
+from array import array
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,11 +29,35 @@ DENSE_NODE_CAP = 5000
 
 
 def _order_ids(ids):
-    ids = list(ids)
+    """Numeric order when every id parses as an integer, else lexicographic.
+
+    Ids of equal value (``7`` and ``07``) are ordered as strings, so the
+    order does not depend on the order of ``ids``.
+    """
     try:
-        return sorted(ids, key=lambda s: (0, int(s)))
-    except (TypeError, ValueError):
+        return sorted(ids, key=lambda s: (int(s), s))
+    except ValueError:
         return sorted(ids)
+
+
+class _Interned(NamedTuple):
+    """Edges with their ids numbered in order of first appearance."""
+
+    ids: dict  # str id -> its number
+    ends: array  # int64 u0, v0, u1, v1, ... as those numbers
+
+
+def _intern(edges):
+    """``edges``, (u, v) id pairs whose ids are read as str, interned."""
+    ids, ends = {}, array("q")
+    count = 0
+    for count, edge in enumerate(edges, start=1):
+        for u in edge:
+            ends.append(ids.setdefault(
+                u if type(u) is str else str(u), len(ids)))
+    if len(ends) != 2 * count:
+        raise ValidationError("every edge must be one (u, v) pair")
+    return _Interned(ids, ends)
 
 
 def window_search(values, lo, x, steps, side="left"):
@@ -148,25 +174,23 @@ class Graph:
                    edge_types=None, weighted=None):
         """Build a graph from (u, v) id pairs, collapsing duplicates.
 
+        ``edges`` may also be the ``_Interned`` form the parser builds.
         Duplicate edges sum their weights; an unweighted duplicate
         therefore becomes weight 2. Self-loops raise unless
         ``allow_self_loops`` is set.
         """
-        edges = list(edges)
-        # u0, v0, u1, v1, ...; the parser's ids are str already
-        ids = [u if type(u) is str else str(u) for e in edges for u in e]
-        if len(ids) != 2 * len(edges):
-            raise ValidationError("every edge must be one (u, v) pair")
+        ids, ends = edges if isinstance(edges, _Interned) else _intern(edges)
         if node_ids is None:
-            node_ids = _order_ids(set(ids))
+            node_ids = _order_ids(ids)
         else:
             node_ids = [str(i) for i in node_ids]
         index = {nid: i for i, nid in enumerate(node_ids)}
         try:
-            pairs = np.fromiter(map(index.__getitem__, ids), dtype=np.int64,
-                                count=len(ids)).reshape(-1, 2)
+            remap = np.fromiter(map(index.__getitem__, ids), dtype=np.int64,
+                                count=len(ids))
         except KeyError as e:
             raise ValidationError(f"edge references unknown node id {e.args[0]!r}")
+        pairs = remap[np.frombuffer(ends, dtype=np.int64)].reshape(-1, 2)
         if weights is None:
             w = np.ones(len(pairs), dtype=np.float64)
         else:
@@ -449,7 +473,8 @@ def load_edge_list(source, directed=False, allow_self_loops=False):
     skipped. Weight column is optional but must be consistent: mixing
     2- and 3-token lines is a parse error, as are negative weights.
     """
-    edges, weights = [], []
+    # ids are interned as the lines are read, so no object is kept per line
+    ids, ends, weights = {}, array("q"), array("d")
     weighted = None
     with _open_text(source) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -458,12 +483,14 @@ def load_edge_list(source, directed=False, allow_self_loops=False):
                 continue
             u, v, w = _edge_line(line, lineno, weighted)
             weighted = w is not None
-            edges.append((u, v))
+            ends.append(ids.setdefault(u, len(ids)))
+            ends.append(ids.setdefault(v, len(ids)))
             if weighted:
                 weights.append(w)
-    if not edges:
+    if not ends:
         raise EdgeListParseError("no edges in input")
-    return Graph.from_edges(edges, weights=weights if weighted else None,
+    return Graph.from_edges(_Interned(ids, ends),
+                            weights=weights if weighted else None,
                             directed=directed, allow_self_loops=allow_self_loops)
 
 

@@ -330,38 +330,50 @@ def _init_table(g, dim, seed, initial=None):
 
 
 def _sparse_sgd(updates, lr, where, offsets):
-    """One SGD step that writes only the rows a batch touched.
+    """One SGD step on the rows a batch touched.
 
     ``updates`` lists ``(table, rows, grad)`` with one gradient row per
     entry of ``rows``; repeated rows accumulate, each element summed in
-    input order from 0.0. Distinct rows are found without sorting: an
-    index scratch over the table's rows keeps one entry per row, so the
-    work is linear in ``len(rows)`` and the distinct rows come out
-    unsorted, which the write does not need. The flat ``bincount`` index
-    is gathered from ``offsets``, a trainer's ``(width, d)`` table of
-    ``u * d + arange(d)`` for its tables of d columns and its updates of
-    at most width distinct rows (one that does not fit raises). Every
+    input order from 0.0. The flat ``bincount`` index is gathered from
+    ``offsets``, a trainer's ``(n, d)`` table of ``u * d + arange(d)``
+    with a row for every row of each of its tables of d columns.
+
+    An update with at least as many rows as its table accumulates into
+    the whole table and writes all of it: there, finding the distinct
+    rows costs more than writing the rows no gradient touched, each of
+    which gets x - 0.0, which is x. A shorter update finds its distinct
+    rows without sorting (an index scratch over the table's rows keeps
+    one entry per row, so the work is linear in ``len(rows)``) and
+    writes only those. Either way each row gets the same sums. Every
     gradient is checked before any table is written, so a non-finite
     step leaves all tables as they were and names ``where`` in the error.
     """
     staged = []
     for table, rows, grad in updates:
-        m = np.arange(len(rows))
-        slot = np.empty(table.shape[0], dtype=np.intp)
-        slot[rows] = m
-        # whichever duplicate's write lands, one entry per row reads back
-        # its own index
-        uniq = rows[slot.take(rows) == m]
-        slot[uniq] = m[:uniq.size]
-        d = table.shape[1]
-        flat = offsets.take(slot.take(rows), axis=0).ravel()
-        acc = np.bincount(flat, weights=grad.ravel(),
-                          minlength=uniq.size * d).reshape(uniq.size, d)
+        if not len(rows):
+            continue
+        n, d = table.shape
+        uniq = None
+        if len(rows) < n:
+            m = np.arange(len(rows))
+            slot = np.empty(n, dtype=np.intp)
+            slot[rows] = m
+            # whichever duplicate's write lands, one entry per row reads
+            # back its own index
+            uniq = rows[slot.take(rows) == m]
+            slot[uniq] = m[:uniq.size]
+            rows, n = slot.take(rows), uniq.size
+        acc = np.bincount(offsets.take(rows, axis=0).ravel(),
+                          weights=grad.ravel(), minlength=n * d).reshape(n, d)
         if not np.isfinite(acc).all():
             raise NumericError(f"non-finite gradient in {where}")
         staged.append((table, uniq, acc))
     for table, uniq, acc in staged:
-        table[uniq] -= lr * acc
+        acc *= lr
+        if uniq is None:
+            table -= acc
+        else:
+            table[uniq] -= acc
 
 
 def _log_sigmoid_slope(x):
@@ -461,11 +473,9 @@ def _skipgram(g, pairs, config, loss_kind, context_table=False,
     z = _init_table(g, dim, config.seed, init)
     tree = w_tree = ctx = noise_table = None
     n = g.node_count
-    width = n  # distinct rows of an update: at most n, or what a batch writes
     if loss_kind == "hsoftmax":
         tree = HierarchicalSoftmaxTree(g.degrees(weighted=True))
         w_tree = np.zeros((tree.n_internal, dim))
-        width = min(n, config.batch_size * tree.depth)
     if loss_kind == "negsamp":
         if context_table:
             rng = derived_rng(config.seed, "ctx_init", seed_tag)
@@ -476,8 +486,7 @@ def _skipgram(g, pairs, config, loss_kind, context_table=False,
         else:
             counts = pairs.context_counts()
         noise_table = AliasTable(unigram_noise(counts, config.noise_power))
-        width = min(n, config.batch_size * (2 + config.negatives))
-    offsets = np.arange(width * dim).reshape(width, dim)
+    offsets = np.arange(n * dim).reshape(n, dim)
     batches = int(np.ceil(len(pairs) / config.batch_size))
     span = DECODE_BATCHES * config.batch_size
     index = np.int32 if len(pairs) < 2 ** 31 else np.int64

@@ -61,7 +61,7 @@ def load_embedding(source):
             d = int(header[1])
         except ValueError:
             raise EdgeListParseError("bad dimension in header", 1)
-        ids, rows = [], []
+        first, rows = {}, []  # node id -> the line it is on
         for lineno, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
             if not line:
@@ -71,8 +71,14 @@ def load_embedding(source):
             if len(vals) != d:
                 raise EdgeListParseError(
                     f"expected {d} values, got {len(vals)}", lineno)
-            ids.append(nid)
-            rows.append([float(x) for x in vals])
-    return EmbeddingTable(np.array(rows, dtype=np.float64), ids)
+            if first.setdefault(nid, lineno) != lineno:
+                raise EdgeListParseError(
+                    f"duplicate node id {nid!r} (first on line {first[nid]})",
+                    lineno)
+            try:
+                rows.append([float(x) for x in vals])
+            except ValueError as e:
+                raise EdgeListParseError(str(e), lineno)
+    return EmbeddingTable(np.array(rows, dtype=np.float64), list(first))
 
 

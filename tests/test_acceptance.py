@@ -672,6 +672,10 @@ def criterion_12_commands(root):
         "eval-links": (["eval-links", "--input", f"{t}/karate.edges",
                         "--method", "line1", "--epochs", "1",
                         "--eval-seeds", "2", "--seed", "0"], []),
+        "eval-links-node2vec": (["eval-links", "--input",
+                                 f"{t}/karate.edges", "--method", "node2vec",
+                                 "--epochs", "1", "--eval-seeds", "2",
+                                 "--seed", "0"], []),
         "eval-cluster": (["eval-cluster", "--embedding", f"{t}/z.tsv",
                           "--labels", f"{t}/karate.labels", "--k", "2",
                           "--restarts", "2", "--seed", "0"], []),

@@ -636,6 +636,30 @@ def test_eval_nodes_rejects_duplicate_label_with_line(data_dir, tmp_path,
     assert "duplicate" in stderr
 
 
+@pytest.mark.parametrize("fault, message", [
+    ("value", "could not convert string to float: 'x'"),
+    ("duplicate", "duplicate node id")])
+def test_eval_nodes_rejects_bad_embedding_line(data_dir, tmp_path, capsys,
+                                               fault, message):
+    z = tmp_path / "z.tsv"
+    code, _, _ = run_cli(capsys, "embed", "--method", "laplacian_eigenmaps",
+                         "--input", str(data_dir / "karate.edges"),
+                         "--dim", "4", "--seed", "0", "--out", str(z))
+    assert code == 0
+    lines = z.read_text().splitlines()
+    # line 3 of the file: a value that is not a number, or a copy of line 2
+    if fault == "value":
+        lines[2] = lines[2].split("\t")[0] + "\t0 x 0 0"
+    else:
+        lines.insert(2, lines[1])
+    z.write_text("\n".join(lines) + "\n")
+    code, stdout, stderr = run_cli(capsys, "eval-nodes", "--embedding", str(z),
+                                   "--labels", str(data_dir / "karate.labels"))
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("error: line 3: ") and message in stderr
+
+
 def test_eval_links_reports_auc(data_dir, capsys):
     code, stdout, _ = run_cli(
         capsys, "eval-links", "--input", str(data_dir / "karate.edges"),

@@ -67,6 +67,16 @@ def test_from_edges_reads_ids_of_any_type_as_their_str():
         assert np.array_equal(g.edge_pairs, as_str.edge_pairs)
 
 
+@given(st.permutations(["7", "07", "+7", "1", "1_000", "1000", "2"]))
+def test_node_order_does_not_depend_on_id_order(ids):
+    # ids of one integer value tie on it and are ordered as strings
+    want = ["1", "2", "+7", "07", "7", "1000", "1_000"]
+    edges = list(zip(ids, ids[1:]))
+    assert Graph.from_edges(edges).node_ids == want
+    text = "".join(f"{u} {v}\n" for u, v in edges)
+    assert load_edge_list(io.StringIO(text)).node_ids == want
+
+
 def test_duplicate_edge_with_conflicting_types_rejected():
     with pytest.raises(ValidationError, match="conflicting types"):
         Graph.from_edges([(0, 1), (1, 2), (1, 0)], edge_types=[0, 1, 1])

@@ -585,24 +585,23 @@ def offset_table(width, d):
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 4),
-       st.lists(st.tuples(st.integers(1, 12), st.integers(0, 40)),
-                min_size=1, max_size=3),
-       st.booleans(), st.integers(0, 2), st.integers(0, 2**32 - 1))
-def test_sparse_sgd_matches_unique_oracle_bitwise(d, shapes, tight, slack,
-                                                  seed):
-    # one d per call, as in a trainer. The offset table is exactly as
-    # wide as the most distinct rows of an update (tight) or as the
-    # longest update, or wider by the slack; tables may have fewer rows
-    # than their update, and updates may be empty.
+       st.lists(st.tuples(st.integers(1, 12), st.sampled_from((-1, 0, 1)),
+                          st.integers(0, 30)), min_size=1, max_size=3),
+       st.integers(0, 2), st.integers(0, 2**32 - 1))
+def test_sparse_sgd_matches_unique_oracle_bitwise(d, shapes, slack, seed):
+    # one d per call, as in a trainer, and an offset table with a row for
+    # every row of the largest table, or wider by the slack. Each update
+    # is shorter than its table (possibly empty), as long, or longer, so
+    # both the distinct-row write and the whole-table write run.
     rng = np.random.default_rng(seed)
     cases = []
-    for n, m in shapes:
+    for n, side, extra in shapes:
+        m = {-1: extra % n, 0: n, 1: n + 1 + extra}[side]
         rows = rng.integers(0, n, size=m)
         # spread exponents so that a changed summation order would show
         grad = rng.normal(size=(m, d)) * 10.0 ** rng.integers(-8, 9, (m, 1))
         cases.append((rng.normal(size=(n, d)), rows, grad))
-    width = max(np.unique(r).size if tight else r.size for _, r, _ in cases)
-    offsets = offset_table(width + slack, d)
+    offsets = offset_table(max(n for n, _, _ in shapes) + slack, d)
     ours = [t.copy() for t, _, _ in cases]
     ref = [t.copy() for t, _, _ in cases]
     _sparse_sgd([(t, r, g) for t, (_, r, g) in zip(ours, cases)], 0.3, "x",
@@ -616,8 +615,8 @@ def test_sparse_sgd_matches_unique_oracle_bitwise(d, shapes, tight, slack,
 @pytest.mark.parametrize("width,d,error", [(4, 3, IndexError),
                                            (5, 2, ValueError)])
 def test_sparse_sgd_rejects_an_offset_table_that_does_not_fit(width, d, error):
-    # five distinct rows of width 3: a table one row short, or of another
-    # d, raises before any write
+    # five distinct rows of a six-row table of width 3: an offset table
+    # too short for them, or of another d, raises before any write
     table = rnd(42, 6, 3)
     before = table.copy()
     with pytest.raises(error):
@@ -626,19 +625,25 @@ def test_sparse_sgd_rejects_an_offset_table_that_does_not_fit(width, d, error):
     assert np.array_equal(table.view(np.int64), before.view(np.int64))
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("bad", [
+    np.nan, np.inf, pytest.param(np.finfo(np.float64).max, id="overflow")])
 def test_sparse_sgd_nonfinite_last_table_writes_no_table(bad):
+    # entries 2 and 3 both write row 2, so two finite maxima sum to inf;
+    # on the distinct-row write (5 rows into 6) and the whole-table write
+    # (8 rows into 6)
     rng = np.random.default_rng(3)
-    tables = [rng.normal(size=(6, 3)) for _ in range(3)]
-    before = [t.copy() for t in tables]
-    rows = np.array([4, 0, 2, 2, 5])
-    updates = [(t, rows, rng.normal(size=(5, 3))) for t in tables]
-    updates[-1][2][3, 1] = bad
-    with pytest.raises(NumericError,
-                       match=r"^non-finite gradient in test step$"):
-        _sparse_sgd(updates, 0.1, "test step", offset_table(5, 3))
-    for t, b in zip(tables, before):
-        assert np.array_equal(t.view(np.int64), b.view(np.int64))
+    for rows in ([4, 0, 2, 2, 5], [4, 0, 2, 2, 5, 1, 1, 3]):
+        rows = np.array(rows)
+        tables = [rng.normal(size=(6, 3)) for _ in range(3)]
+        before = [t.copy() for t in tables]
+        updates = [(t, rows, rng.normal(size=(len(rows), 3)))
+                   for t in tables]
+        updates[-1][2][2:4, 1] = bad
+        with pytest.raises(NumericError,
+                           match=r"^non-finite gradient in test step$"):
+            _sparse_sgd(updates, 0.1, "test step", offset_table(6, 3))
+        for t, b in zip(tables, before):
+            assert np.array_equal(t.view(np.int64), b.view(np.int64))
 
 
 def bits(a):
