@@ -513,24 +513,16 @@ def _check_grads(params, where):
 
 
 class Sgd:
-    """Plain stochastic gradient descent with optional momentum."""
+    """Plain stochastic gradient descent."""
 
-    def __init__(self, params, lr=0.025, momentum=0.0):
+    def __init__(self, params, lr=0.025):
         self.params = list(params)
         self.lr = float(lr)
-        self.momentum = float(momentum)
-        self._vel = [np.zeros_like(p.data) for p in self.params]
 
     def step(self, where="optimizer step"):
         _check_grads(self.params, where)
-        for p, v in zip(self.params, self._vel):
-            if p.grad is None:
-                continue
-            if self.momentum:
-                v *= self.momentum
-                v += p.grad
-                p.data -= self.lr * v
-            else:
+        for p in self.params:
+            if p.grad is not None:
                 p.data -= self.lr * p.grad
 
     def zero_grad(self):
@@ -567,15 +559,6 @@ class Adam:
     def zero_grad(self):
         for p in self.params:
             p.grad = None
-
-
-def make_optimizer(kind, params, **cfg):
-    kind = kind.lower()
-    if kind == "sgd":
-        return Sgd(params, **cfg)
-    if kind == "adam":
-        return Adam(params, **cfg)
-    raise ContractError(f"unknown optimizer kind {kind!r}")
 
 
 # ---------------------------------------------------------------------

@@ -5,8 +5,9 @@ product MSE against a similarity target, per-power blocks, general
 similarity targets) and the skip-gram family over sampled walks
 (hierarchical softmax, negative sampling, edge-based first/second
 order variants). One embedding table serves both center and context
-roles except for the second-order edge method, which keeps its own
-context table.
+roles except for the second-order edge method, which trains separate
+context vectors; a skip-gram run keeps those, or the hierarchical
+softmax tree's vectors, as extra rows of its one parameter array.
 
 All trainers are deterministic for a fixed seed: pair shuffles and
 noise draws come from streams derived from (seed, purpose, epoch).
@@ -162,42 +163,35 @@ class HierarchicalSoftmaxTree:
         order = np.lexsort((np.arange(n), -w))
         self.n_leaves = n
         self.n_internal = n - 1
-        paths = [None] * n
-        self._counter = 0
-
-        def build(leaves, prefix):
-            if len(leaves) == 1:
-                paths[leaves[0]] = prefix
-                return
-            node = self._counter
-            self._counter += 1
-            mid = (len(leaves) + 1) // 2
-            build(leaves[:mid], prefix + [(node, 1.0)])
-            build(leaves[mid:], prefix + [(node, -1.0)])
-
-        build([int(v) for v in order], [])
-        self.depth = max(len(p) for p in paths)
-        self.path_nodes = np.zeros((n, self.depth), dtype=np.int64)
-        self.path_signs = np.zeros((n, self.depth))
-        self.path_mask = np.zeros((n, self.depth))
-        for v, path in enumerate(paths):
-            for t, (node, sign) in enumerate(path):
-                self.path_nodes[v, t] = node
-                self.path_signs[v, t] = sign
-                self.path_mask[v, t] = 1.0
+        # Built level by level over the leaves in tree order: each level
+        # splits every run of two or more leaves after its first
+        # (size + 1) // 2. Internal nodes are numbered in preorder, so a
+        # left child follows its parent and a right child follows the
+        # mid - 1 internal nodes of the left subtree.
+        pos = np.arange(n)
+        start, node = np.zeros(n, np.int64), np.zeros(n, np.int64)
+        size = np.full(n, n)
+        nodes, signs = [], []
+        while (size > 1).any():
+            inner = size > 1
+            mid = (size + 1) // 2
+            left = pos - start < mid
+            nodes.append(np.where(inner, node, 0))
+            signs.append(np.where(inner, np.where(left, 1.0, -1.0), 0.0))
+            node = np.where(left, node + 1, node + mid)
+            start = np.where(left, start, start + mid)
+            size = np.where(left, mid, size - mid)
+        self.depth = len(nodes)
+        rank = np.argsort(order)
+        self.path_nodes = np.stack(nodes, axis=1).take(rank, axis=0)
+        self.path_signs = np.stack(signs, axis=1).take(rank, axis=0)
+        self.path_mask = (self.path_signs != 0).astype(np.float64)
 
     def leaf_probabilities(self, z, w):
         """Probability of each leaf given input vector z, parameters w."""
-        z = np.asarray(z).reshape(-1)
-        dots = np.asarray(w) @ z
-        out = np.ones(self.n_leaves)
-        for v in range(self.n_leaves):
-            for t in range(self.depth):
-                if self.path_mask[v, t] == 0:
-                    break
-                x = self.path_signs[v, t] * dots[self.path_nodes[v, t]]
-                out[v] *= ad._sigmoid_np(np.array([[x]]))[0, 0]
-        return out
+        dots = np.asarray(w) @ np.asarray(z).reshape(-1)
+        sig = ad._sigmoid_np(self.path_signs * dots[self.path_nodes])
+        return np.where(self.path_mask > 0, sig, 1.0).prod(axis=1)
 
 
 def hierarchical_softmax_loss(z_t, w_t, pairs, tree):
@@ -329,51 +323,46 @@ def _init_table(g, dim, seed, initial=None):
     return rng.uniform(-0.5, 0.5, size=(g.node_count, dim)) / dim
 
 
-def _sparse_sgd(updates, lr, where, offsets):
-    """One SGD step on the rows a batch touched.
+def _sparse_sgd(table, rows, grad, lr, where, offsets):
+    """One SGD step on the rows of ``table`` that a batch touched.
 
-    ``updates`` lists ``(table, rows, grad)`` with one gradient row per
-    entry of ``rows``; repeated rows accumulate, each element summed in
-    input order from 0.0. The flat ``bincount`` index is gathered from
-    ``offsets``, a trainer's ``(n, d)`` table of ``u * d + arange(d)``
-    with a row for every row of each of its tables of d columns.
+    ``grad`` holds one gradient row per entry of ``rows``; repeated rows
+    accumulate, each element summed in input order from 0.0. The flat
+    ``bincount`` index is gathered from ``offsets``, a trainer's table of
+    ``u * d + arange(d)`` with a row for every row of ``table``.
 
-    An update with at least as many rows as its table accumulates into
+    An update with at least as many rows as the table accumulates into
     the whole table and writes all of it: there, finding the distinct
     rows costs more than writing the rows no gradient touched, each of
     which gets x - 0.0, which is x. A shorter update finds its distinct
     rows without sorting (an index scratch over the table's rows keeps
     one entry per row, so the work is linear in ``len(rows)``) and
-    writes only those. Either way each row gets the same sums. Every
-    gradient is checked before any table is written, so a non-finite
-    step leaves all tables as they were and names ``where`` in the error.
+    writes only those. Either way each row gets the same sums. The sums
+    are checked before any row is written, so a non-finite step leaves
+    the table as it was and names ``where`` in the error.
     """
-    staged = []
-    for table, rows, grad in updates:
-        if not len(rows):
-            continue
-        n, d = table.shape
-        uniq = None
-        if len(rows) < n:
-            m = np.arange(len(rows))
-            slot = np.empty(n, dtype=np.intp)
-            slot[rows] = m
-            # whichever duplicate's write lands, one entry per row reads
-            # back its own index
-            uniq = rows[slot.take(rows) == m]
-            slot[uniq] = m[:uniq.size]
-            rows, n = slot.take(rows), uniq.size
-        acc = np.bincount(offsets.take(rows, axis=0).ravel(),
-                          weights=grad.ravel(), minlength=n * d).reshape(n, d)
-        if not np.isfinite(acc).all():
-            raise NumericError(f"non-finite gradient in {where}")
-        staged.append((table, uniq, acc))
-    for table, uniq, acc in staged:
-        acc *= lr
-        if uniq is None:
-            table -= acc
-        else:
-            table[uniq] -= acc
+    if not len(rows):
+        return
+    n, d = table.shape
+    uniq = None
+    if len(rows) < n:
+        m = np.arange(len(rows))
+        slot = np.empty(n, dtype=np.intp)
+        slot[rows] = m
+        # whichever duplicate's write lands, one entry per row reads
+        # back its own index
+        uniq = rows[slot.take(rows) == m]
+        slot[uniq] = m[:uniq.size]
+        rows, n = slot.take(rows), uniq.size
+    acc = np.bincount(offsets.take(rows, axis=0).ravel(),
+                      weights=grad.ravel(), minlength=n * d).reshape(n, d)
+    if not np.isfinite(acc).all():
+        raise NumericError(f"non-finite gradient in {where}")
+    acc *= lr
+    if uniq is None:
+        table -= acc
+    else:
+        table[uniq] -= acc
 
 
 def _log_sigmoid_slope(x):
@@ -383,37 +372,42 @@ def _log_sigmoid_slope(x):
     return np.minimum(x, 0) - tail, np.where(x >= 0, e, 1.0) / (1.0 + e)
 
 
-# Closed-form steps: each returns the summed batch loss of its tape
-# twin above plus the row gradients of that loss, as _sparse_sgd updates.
+# Closed-form steps: each takes a run's parameter array (see _skipgram)
+# and returns the summed batch loss of its tape twin above, the rows of
+# that array the batch touched, and the loss's gradient for each of
+# them, as one _sparse_sgd update.
 
 
-def _hsoftmax_step(z, w_tree, batch, tree):
-    """hierarchical_softmax_loss and its gradients."""
+def _hsoftmax_step(params, batch, tree):
+    """hierarchical_softmax_loss and its gradients; the tree's vectors
+    are the rows of ``params`` from ``tree.n_leaves`` on."""
     ctx = batch[:, 1]
-    nodes = tree.path_nodes.take(ctx, axis=0)
     signs = tree.path_signs.take(ctx, axis=0)
-    zc = z.take(batch[:, 0], axis=0)
-    wv = w_tree.take(nodes, axis=0)
+    b, depth = signs.shape
+    rows = np.concatenate([batch[:, 0], tree.path_nodes.take(
+        ctx, axis=0).ravel() + tree.n_leaves])
+    vecs = params.take(rows, axis=0)
+    zc, wv = vecs[:b], vecs[b:].reshape(b, depth, -1)
     logsig, slope = _log_sigmoid_slope(np.einsum("btd,bd->bt", wv, zc) * signs)
     loss = -float((logsig * tree.path_mask.take(ctx, axis=0)).sum())
     # d loss / d (z . w) = -(1 - sigmoid(x)) * sign; sign is 0 off the path
     g = -slope * signs
-    grad_w = np.einsum("bt,bd->btd", g, zc).reshape(-1, z.shape[1])
-    return loss, [(z, batch[:, 0], np.einsum("bt,btd->bd", g, wv)),
-                  (w_tree, nodes.ravel(), grad_w)]
+    # the gathered rows become their gradients, each after its last read
+    grad_z = np.einsum("bt,btd->bd", g, wv)
+    np.einsum("bt,bd->btd", g, zc, out=wv)
+    zc[:] = grad_z
+    return loss, rows, vecs
 
 
-def _negsamp_step(z, ctx, batch, negs, weights=None):
-    """negative_sampling_loss and its gradients.
-
-    With no context table z plays both roles, so the center, context
-    and noise gradients all land in z.
-    """
-    ctx_table = z if ctx is None else ctx
+def _negsamp_step(params, ctx, batch, negs, weights=None):
+    """negative_sampling_loss and its gradients; context and noise
+    vectors are the rows of ``params`` from ``ctx`` on, which is 0 when
+    z plays both roles."""
     b, k = negs.shape
-    zi = z.take(batch[:, 0], axis=0)
-    zj = ctx_table.take(batch[:, 1], axis=0)
-    zn = ctx_table.take(negs, axis=0)
+    # rows: centers, then contexts, then noise draws
+    rows = np.concatenate([batch[:, 0], batch[:, 1] + ctx, negs.ravel() + ctx])
+    vecs = params.take(rows, axis=0)
+    zi, zj, zn = vecs[:b], vecs[b:2 * b], vecs[2 * b:].reshape(b, k, -1)
     # d loss / d (zi . zj) is -pos_slope, d loss / d (zi . zn) is gn
     pos, pos_slope = _log_sigmoid_slope(np.einsum("bd,bd->b", zi, zj))
     neg, gn = _log_sigmoid_slope(-np.einsum("bkd,bd->bk", zn, zi))
@@ -423,16 +417,13 @@ def _negsamp_step(z, ctx, batch, negs, weights=None):
         neg, gn = neg * w[:, None], gn * w[:, None]
     loss = -(float(pos.sum()) + float(neg.sum()))
     gp = -pos_slope[:, None]
-    # rows: centers, then contexts, then noise draws
-    rows = np.concatenate([batch[:, 0], batch[:, 1], negs.ravel()])
-    grad = np.empty((len(rows), z.shape[1]))
-    np.einsum("bk,bkd->bd", gn, zn, out=grad[:b])
-    grad[:b] += gp * zj
-    np.multiply(gp, zi, out=grad[b:2 * b])
-    np.einsum("bk,bd->bkd", gn, zi, out=grad[2 * b:].reshape(b, k, -1))
-    if ctx is None:
-        return loss, [(z, rows, grad)]
-    return loss, [(z, rows[:b], grad[:b]), (ctx, rows[b:], grad[b:])]
+    # the gathered rows become their gradients, each after its last read
+    grad_i = np.einsum("bk,bkd->bd", gn, zn)
+    grad_i += gp * zj
+    np.multiply(gp, zi, out=zj)
+    np.einsum("bk,bd->bkd", gn, zi, out=zn)
+    zi[:] = grad_i
+    return loss, rows, vecs
 
 
 def _softmax_step(z, batch):
@@ -450,43 +441,50 @@ def _softmax_step(z, batch):
     loss = -float((logits[b, batch[:, 1]] - np.log(total[:, 0])).sum())
     p /= total
     p[b, batch[:, 1]] -= 1.0
-    return loss, [(z, np.concatenate([batch[:, 0], np.arange(len(z))]),
-                   np.concatenate([p @ z, p.T @ zc]))]
+    return (loss, np.concatenate([batch[:, 0], np.arange(len(z))]),
+            np.concatenate([p @ z, p.T @ zc]))
 
 
 def _skipgram(g, pairs, config, loss_kind, context_table=False,
               pair_weights=None, dim=None, init=None, seed_tag="", where=None):
     """Set up one skip-gram run; returns its table and its epoch step.
 
-    ``epoch(e)`` makes shuffled minibatch pass e and returns its mean
-    pair loss. Each batch takes one SGD step, at the lr annealed over
-    the run's batches, from closed-form gradients of the matching tape
-    loss, applied only to the rows the batch touches. ``pairs``, an array
-    or a ``walks.WalkPairs``, is read DECODE_BATCHES batches at a time in
-    ``permutation(P)`` order, held as int32 below 2**31 pairs. ``seed_tag``
-    keys the streams; ``where`` names the run in its errors.
+    The run's parameters are one array: z's n rows, then the n - 1
+    vectors of the hsoftmax tree or LINE-2's n context vectors (rows n
+    on). The returned z is a view of its first n rows, so a caller that
+    steps z in place steps the run. ``epoch(e)`` makes shuffled
+    minibatch pass e and returns its mean pair loss. Each batch takes one
+    SGD step, at the lr annealed over the run's batches, from
+    closed-form gradients of the matching tape loss, applied only to the
+    rows the batch touches. ``pairs``, an array or a ``walks.WalkPairs``,
+    is read DECODE_BATCHES batches at a time in ``permutation(P)`` order,
+    held as int32 below 2**31 pairs. ``seed_tag`` keys the streams;
+    ``where`` names the run in its errors.
     """
     where = where or f"{loss_kind} skip-gram"
     if len(pairs) == 0:
         raise ValidationError(f"no training pairs extracted for {where}")
     dim = dim or config.dim
-    z = _init_table(g, dim, config.seed, init)
-    tree = w_tree = ctx = noise_table = None
     n = g.node_count
+    params = _init_table(g, dim, config.seed, init)
+    tree = noise_table = None
+    ctx = 0  # the first row of the context vectors
     if loss_kind == "hsoftmax":
         tree = HierarchicalSoftmaxTree(g.degrees(weighted=True))
-        w_tree = np.zeros((tree.n_internal, dim))
+        params = np.concatenate([params, np.zeros((tree.n_internal, dim))])
     if loss_kind == "negsamp":
         if context_table:
             rng = derived_rng(config.seed, "ctx_init", seed_tag)
-            ctx = rng.uniform(-0.5, 0.5, size=(n, dim)) / dim
+            params = np.concatenate(
+                [params, rng.uniform(-0.5, 0.5, size=(n, dim)) / dim])
+            ctx = n
             counts = g.degrees(weighted=True)
         elif isinstance(pairs, np.ndarray):
             counts = np.bincount(pairs[:, 1], minlength=n).astype(np.float64)
         else:
             counts = pairs.context_counts()
         noise_table = AliasTable(unigram_noise(counts, config.noise_power))
-    offsets = np.arange(n * dim).reshape(n, dim)
+    offsets = np.arange(params.size).reshape(-1, dim)
     batches = int(np.ceil(len(pairs) / config.batch_size))
     span = DECODE_BATCHES * config.batch_size
     index = np.int32 if len(pairs) < 2 ** 31 else np.int64
@@ -502,24 +500,24 @@ def _skipgram(g, pairs, config, loss_kind, context_table=False,
             rows = order[lo:lo + config.batch_size]
             batch = block[lo % span:lo % span + config.batch_size]
             if loss_kind == "hsoftmax":
-                loss, updates = _hsoftmax_step(z, w_tree, batch, tree)
+                loss, *update = _hsoftmax_step(params, batch, tree)
             elif loss_kind == "softmax":
-                loss, updates = _softmax_step(z, batch)
+                loss, *update = _softmax_step(params, batch)
             else:
                 negs = noise_table.sample(
                     noise_rng, size=(len(batch), config.negatives))
                 bw = None if pair_weights is None else pair_weights.take(rows)
-                loss, updates = _negsamp_step(z, ctx, batch, negs, bw)
+                loss, *update = _negsamp_step(params, ctx, batch, negs, bw)
             # the losses sum over the batch, so the step is scaled down
             # to keep per-pair update sizes in the word2vec lr regime
             annealed = config.lr + (config.lr_min - config.lr) * (
                 (e * batches + b) / max(1, config.epochs * batches - 1))
-            _sparse_sgd(updates, annealed / len(batch),
+            _sparse_sgd(params, *update, annealed / len(batch),
                         f"{where}, epoch {e}, batch {b}", offsets)
             epoch_loss += loss
         return epoch_loss / len(pairs)
 
-    return z, epoch
+    return params[:n], epoch
 
 
 def _skipgram_train(g, pairs, config, loss_kind, **kw):

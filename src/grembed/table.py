@@ -1,6 +1,7 @@
 """The node embedding table and its text file format; kept out of
 ``shallow`` so that reading a saved table does not load the trainers."""
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,9 +77,14 @@ def load_embedding(source):
                     f"duplicate node id {nid!r} (first on line {first[nid]})",
                     lineno)
             try:
-                rows.append([float(x) for x in vals])
+                row = [float(x) for x in vals]
             except ValueError as e:
                 raise EdgeListParseError(str(e), lineno)
+            bad = [x for x, v in zip(vals, row) if not math.isfinite(v)]
+            if bad:
+                raise EdgeListParseError(f"non-finite value {bad[0]!r}",
+                                         lineno)
+            rows.append(row)
     return EmbeddingTable(np.array(rows, dtype=np.float64), list(first))
 
 

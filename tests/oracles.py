@@ -389,24 +389,20 @@ def tape_skipgram_train(g, pairs, config, loss_kind, context_table=False,
     return z.data, history
 
 
-def unique_sparse_sgd(updates, lr, where):
+def unique_sparse_sgd(table, rows, grad, lr, where):
     """shallow._sparse_sgd with its distinct rows found by np.unique.
 
     The sorted form the sort-free helper replaced: same bincount sums in
-    input order, same check of every table before any write.
+    input order, same check before any write.
     """
-    staged = []
-    for table, rows, grad in updates:
-        uniq, inv = np.unique(rows, return_inverse=True)
-        d = table.shape[1]
-        flat = ((inv * d)[:, None] + np.arange(d)).ravel()
-        acc = np.bincount(flat, weights=grad.ravel(),
-                          minlength=uniq.size * d).reshape(uniq.size, d)
-        if not np.isfinite(acc).all():
-            raise NumericError(f"non-finite gradient in {where}")
-        staged.append((table, uniq, acc))
-    for table, uniq, acc in staged:
-        table[uniq] -= lr * acc
+    uniq, inv = np.unique(rows, return_inverse=True)
+    d = table.shape[1]
+    flat = ((inv * d)[:, None] + np.arange(d)).ravel()
+    acc = np.bincount(flat, weights=grad.ravel(),
+                      minlength=uniq.size * d).reshape(uniq.size, d)
+    if not np.isfinite(acc).all():
+        raise NumericError(f"non-finite gradient in {where}")
+    table[uniq] -= lr * acc
 
 
 def branch_log_sigmoid_slope(x):
@@ -417,13 +413,16 @@ def branch_log_sigmoid_slope(x):
     return np.where(pos, -tail, x - tail), np.where(pos, e, 1.0) / (1.0 + e)
 
 
-def masked_hsoftmax_step(z, w_tree, batch, tree):
+def masked_hsoftmax_step(params, batch, tree):
     """shallow._hsoftmax_step in its masked form, by fancy indexing.
 
+    ``params`` holds z's ``tree.n_leaves`` rows, then the tree's vectors.
     Off a leaf's path the tree's sign is 0 and its mask is 0; this form
-    multiplies by the mask in the gradient too, and takes log sigmoid
-    branch by branch.
+    multiplies by the mask in the gradient too, takes log sigmoid branch
+    by branch, and forms the z and tree gradients apart.
     """
+    n = tree.n_leaves
+    z, w_tree = params[:n], params[n:]
     nodes = tree.path_nodes[batch[:, 1]]
     signs = tree.path_signs[batch[:, 1]]
     mask = tree.path_mask[batch[:, 1]]
@@ -433,9 +432,48 @@ def masked_hsoftmax_step(z, w_tree, batch, tree):
         np.einsum("btd,bd->bt", wv, zc) * signs)
     loss = -float((logsig * mask).sum())
     g = -mask * slope * signs
+    grad_z = np.einsum("bt,btd->bd", g, wv)
     grad_w = np.einsum("bt,bd->btd", g, zc).reshape(-1, z.shape[1])
-    return loss, [(z, batch[:, 0], np.einsum("bt,btd->bd", g, wv)),
-                  (w_tree, nodes.ravel(), grad_w)]
+    return (loss, np.concatenate([batch[:, 0], nodes.ravel() + n]),
+            np.concatenate([grad_z, grad_w]))
+
+
+def recursive_tree_paths(weights):
+    """HierarchicalSoftmaxTree's path_nodes, path_signs and path_mask
+    from the recursive build.
+
+    Leaves sorted by weight, descending, ties by index; each run of
+    leaves split after its first (size + 1) // 2, with the left run
+    signed +1; internal nodes numbered by a counter in preorder; every
+    path written entry by entry.
+    """
+    w = np.asarray(weights, dtype=np.float64)
+    n = w.size
+    order = np.lexsort((np.arange(n), -w))
+    paths = [None] * n
+    counter = [0]
+
+    def build(leaves, prefix):
+        if len(leaves) == 1:
+            paths[leaves[0]] = prefix
+            return
+        node = counter[0]
+        counter[0] += 1
+        mid = (len(leaves) + 1) // 2
+        build(leaves[:mid], prefix + [(node, 1.0)])
+        build(leaves[mid:], prefix + [(node, -1.0)])
+
+    build([int(v) for v in order], [])
+    depth = max(len(p) for p in paths)
+    nodes = np.zeros((n, depth), dtype=np.int64)
+    signs = np.zeros((n, depth))
+    mask = np.zeros((n, depth))
+    for v, path in enumerate(paths):
+        for t, (node, sign) in enumerate(path):
+            nodes[v, t] = node
+            signs[v, t] = sign
+            mask[v, t] = 1.0
+    return nodes, signs, mask
 
 
 def tape_train_logistic(x, y, epochs=300, lr=0.1, seed=0):

@@ -652,6 +652,10 @@ def criterion_12_commands(root):
         "embed": (["embed", "--method", "deepwalk", "--input",
                    f"{t}/karate.edges", "--dim", "8", "--seed", "7",
                    "--epochs", "1", "--out", f"{t}/z.tsv"], ["z.tsv"]),
+        "embed-line2": (["embed", "--method", "line2", "--input",
+                         f"{t}/karate.edges", "--dim", "8", "--seed", "7",
+                         "--epochs", "3", "--out", f"{t}/z2.tsv"],
+                        ["z2.tsv"]),
         "walk": (["walk", "--input", f"{t}/karate.edges", "--kind",
                   "node2vec", "--q", "0.5", "--length", "6",
                   "--walks-per-node", "2", "--seed", "3", "--out",

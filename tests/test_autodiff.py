@@ -317,25 +317,6 @@ def test_optimizer_checks_every_gradient_before_writing(make):
     assert b.data[0, 0] == fresh[1].data[0, 0]
 
 
-def test_make_optimizer_dispatch():
-    w = ad.parameter([[1.0]])
-    assert isinstance(ad.make_optimizer("sgd", [w]), ad.Sgd)
-    assert isinstance(ad.make_optimizer("adam", [w]), ad.Adam)
-    with pytest.raises(ContractError):
-        ad.make_optimizer("rmsprop", [w])
-
-
-def test_momentum_sgd_still_converges():
-    w = ad.parameter([[4.0]])
-    opt = ad.Sgd([w], lr=0.05, momentum=0.9)
-    for _ in range(200):
-        opt.zero_grad()
-        with ad.Tape():
-            ad.backward(ad.reduce_sum(ad.mul(w, w)))
-        opt.step()
-    np.testing.assert_allclose(w.data, 0.0, atol=1e-5)
-
-
 def _poison_first_grad(step):
     def poisoned(self, *args, **kwargs):
         self.params[0].grad = np.full_like(self.params[0].data, np.nan)

@@ -660,6 +660,28 @@ def test_eval_nodes_rejects_bad_embedding_line(data_dir, tmp_path, capsys,
     assert stderr.startswith("error: line 3: ") and message in stderr
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", ["eval-nodes", "eval-cluster", "project"])
+def test_nonfinite_embedding_value_exits_2_with_its_line(
+        data_dir, spectral_z, tmp_path, capsys, command, value):
+    # line 4 of the file: its node's second value made non-finite
+    lines = spectral_z.read_text().splitlines()
+    nid, vals = lines[3].split("\t")
+    vals = vals.split()
+    vals[1] = value
+    lines[3] = nid + "\t" + " ".join(vals)
+    z = tmp_path / "z.tsv"
+    z.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "proj.tsv"
+    given = (["--out", str(out)] if command == "project" else
+             ["--labels", str(data_dir / "karate.labels")])
+    code, stdout, stderr = run_cli(capsys, command, "--embedding", str(z),
+                                   *given)
+    assert code == 2
+    assert stderr == f"error: line 4: non-finite value {value!r}\n"
+    assert stdout == "" and not out.exists()
+
+
 def test_eval_links_reports_auc(data_dir, capsys):
     code, stdout, _ = run_cli(
         capsys, "eval-links", "--input", str(data_dir / "karate.edges"),

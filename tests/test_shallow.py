@@ -224,6 +224,29 @@ def test_tree_leaf_probabilities_sum_to_one():
         assert np.all(p > 0)
 
 
+def assert_tree_equals_the_recursive_build(weights):
+    tree = HierarchicalSoftmaxTree(weights)
+    got = (tree.path_nodes, tree.path_signs, tree.path_mask)
+    for a, b in zip(got, oracles.recursive_tree_paths(weights)):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+    assert tree.depth == got[0].shape[1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 4), min_size=2, max_size=300))
+def test_tree_levels_equal_the_recursive_build(weights):
+    # small integer weights, so that many leaves tie and the index
+    # tie-break decides the order
+    assert_tree_equals_the_recursive_build(weights)
+
+
+@pytest.mark.parametrize("n", [1000, 1001, 1023, 1024, 1025, 4097])
+def test_tree_levels_equal_the_recursive_build_at_size(n):
+    assert_tree_equals_the_recursive_build(
+        np.random.default_rng(n).pareto(2.0, n))
+
+
 def test_tree_needs_two_leaves():
     with pytest.raises(ContractError):
         HierarchicalSoftmaxTree([1.0])
@@ -589,27 +612,22 @@ def offset_table(width, d):
                           st.integers(0, 30)), min_size=1, max_size=3),
        st.integers(0, 2), st.integers(0, 2**32 - 1))
 def test_sparse_sgd_matches_unique_oracle_bitwise(d, shapes, slack, seed):
-    # one d per call, as in a trainer, and an offset table with a row for
-    # every row of the largest table, or wider by the slack. Each update
-    # is shorter than its table (possibly empty), as long, or longer, so
-    # both the distinct-row write and the whole-table write run.
+    # one d per trainer, and an offset table with a row for every row of
+    # the largest table, or wider by the slack; one call per table. Each
+    # update is shorter than its table (possibly empty), as long, or
+    # longer, so both the distinct-row write and the whole-table write run.
     rng = np.random.default_rng(seed)
-    cases = []
+    offsets = offset_table(max(n for n, _, _ in shapes) + slack, d)
     for n, side, extra in shapes:
         m = {-1: extra % n, 0: n, 1: n + 1 + extra}[side]
         rows = rng.integers(0, n, size=m)
         # spread exponents so that a changed summation order would show
         grad = rng.normal(size=(m, d)) * 10.0 ** rng.integers(-8, 9, (m, 1))
-        cases.append((rng.normal(size=(n, d)), rows, grad))
-    offsets = offset_table(max(n for n, _, _ in shapes) + slack, d)
-    ours = [t.copy() for t, _, _ in cases]
-    ref = [t.copy() for t, _, _ in cases]
-    _sparse_sgd([(t, r, g) for t, (_, r, g) in zip(ours, cases)], 0.3, "x",
-                offsets)
-    oracles.unique_sparse_sgd(
-        [(t, r, g) for t, (_, r, g) in zip(ref, cases)], 0.3, "x")
-    for a, b in zip(ours, ref):
-        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+        ours = rng.normal(size=(n, d))
+        ref = ours.copy()
+        _sparse_sgd(ours, rows, grad, 0.3, "x", offsets)
+        oracles.unique_sparse_sgd(ref, rows, grad, 0.3, "x")
+        assert np.array_equal(ours.view(np.int64), ref.view(np.int64))
 
 
 @pytest.mark.parametrize("width,d,error", [(4, 3, IndexError),
@@ -620,7 +638,7 @@ def test_sparse_sgd_rejects_an_offset_table_that_does_not_fit(width, d, error):
     table = rnd(42, 6, 3)
     before = table.copy()
     with pytest.raises(error):
-        _sparse_sgd([(table, np.arange(5), rnd(43, 5, 3))], 0.1, "x",
+        _sparse_sgd(table, np.arange(5), rnd(43, 5, 3), 0.1, "x",
                     offset_table(width, d))
     assert np.array_equal(table.view(np.int64), before.view(np.int64))
 
@@ -628,22 +646,24 @@ def test_sparse_sgd_rejects_an_offset_table_that_does_not_fit(width, d, error):
 @pytest.mark.parametrize("bad", [
     np.nan, np.inf, pytest.param(np.finfo(np.float64).max, id="overflow")])
 def test_sparse_sgd_nonfinite_last_table_writes_no_table(bad):
-    # entries 2 and 3 both write row 2, so two finite maxima sum to inf;
-    # on the distinct-row write (5 rows into 6) and the whole-table write
-    # (8 rows into 6)
+    # three 6-row tables stacked in one array, as a skip-gram run keeps z
+    # and the tree or context vectors, each getting the same row pattern.
+    # In the last table, entries 2 and 3 both write row 2, so two finite
+    # maxima sum to inf; on the distinct-row write (15 rows into 18) and
+    # the whole-table write (24 rows into 18)
     rng = np.random.default_rng(3)
     for rows in ([4, 0, 2, 2, 5], [4, 0, 2, 2, 5, 1, 1, 3]):
-        rows = np.array(rows)
-        tables = [rng.normal(size=(6, 3)) for _ in range(3)]
-        before = [t.copy() for t in tables]
-        updates = [(t, rows, rng.normal(size=(len(rows), 3)))
-                   for t in tables]
-        updates[-1][2][2:4, 1] = bad
+        rows = np.concatenate([np.array(rows) + 6 * t for t in range(3)])
+        table = rng.normal(size=(18, 3))
+        before = table.copy()
+        grad = rng.normal(size=(len(rows), 3))
+        last = 2 * len(rows) // 3
+        grad[last + 2:last + 4, 1] = bad
         with pytest.raises(NumericError,
                            match=r"^non-finite gradient in test step$"):
-            _sparse_sgd(updates, 0.1, "test step", offset_table(6, 3))
-        for t, b in zip(tables, before):
-            assert np.array_equal(t.view(np.int64), b.view(np.int64))
+            _sparse_sgd(table, rows, grad, 0.1, "test step",
+                        offset_table(18, 3))
+        assert np.array_equal(table.view(np.int64), before.view(np.int64))
 
 
 def bits(a):
@@ -651,12 +671,11 @@ def bits(a):
 
 
 def assert_same_step(got, want):
-    (loss, updates), (want_loss, want_updates) = got, want
+    (loss, rows, grad), (want_loss, want_rows, want_grad) = got, want
     assert bits(loss) == bits(want_loss)
-    assert len(updates) == len(want_updates)
-    for (t, r, g), (wt, wr, wg) in zip(updates, want_updates):
-        assert t is wt and np.array_equal(r, wr)
-        assert g.shape == wg.shape and np.array_equal(bits(g), bits(wg))
+    assert np.array_equal(rows, want_rows)
+    assert grad.shape == want_grad.shape
+    assert np.array_equal(bits(grad), bits(want_grad))
 
 
 def spread(seed, *shape):
@@ -671,22 +690,25 @@ def test_hsoftmax_step_equals_the_masked_formula_bitwise():
     n, d = 11, 5
     tree = HierarchicalSoftmaxTree(np.arange(n, dtype=float))
     assert (tree.path_mask == 0).any()
-    z, w_tree = spread(44, n, d), spread(45, n - 1, d)
+    params = np.concatenate([spread(44, n, d), spread(45, n - 1, d)])
     batch = np.random.default_rng(46).integers(0, n, size=(200, 2))
-    assert_same_step(_hsoftmax_step(z, w_tree, batch, tree),
-                     oracles.masked_hsoftmax_step(z, w_tree, batch, tree))
+    assert_same_step(_hsoftmax_step(params, batch, tree),
+                     oracles.masked_hsoftmax_step(params, batch, tree))
 
 
 @pytest.mark.parametrize("context", [False, True])
 def test_negsamp_step_without_weights_equals_unit_weights_bitwise(context):
     n, d, b, k = 9, 4, 60, 3
     rng = np.random.default_rng(47)
-    z = spread(48, n, d)
-    ctx = spread(49, n, d) if context else None
+    # with a context table its n rows follow z's in the one array
+    params = spread(48, n, d)
+    if context:
+        params = np.concatenate([params, spread(49, n, d)])
+    ctx = n if context else 0
     batch = rng.integers(0, n, size=(b, 2))
     negs = rng.integers(0, n, size=(b, k))
-    assert_same_step(_negsamp_step(z, ctx, batch, negs),
-                     _negsamp_step(z, ctx, batch, negs, np.ones(b)))
+    assert_same_step(_negsamp_step(params, ctx, batch, negs),
+                     _negsamp_step(params, ctx, batch, negs, np.ones(b)))
 
 
 def test_log_sigmoid_slope_matches_the_branch_form():
