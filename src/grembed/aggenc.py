@@ -180,22 +180,14 @@ def _edge_arrays(g, config, rng=None):
 
 def _entry_coefficients(g, config, src, dst, w):
     """Per-entry averaging weight for the linear aggregators."""
-    n = g.node_count
-    if config.aggregator == "weighted_mean" and config.sym_norm:
-        deg = np.zeros(n)
-        np.add.at(deg, src, w)
-        safe = np.where(deg > 0, deg, 1.0)
-        return w / np.sqrt(safe[src] * safe[dst])
-    if config.aggregator == "weighted_mean":
-        deg = np.zeros(n)
-        np.add.at(deg, src, w)
-        safe = np.where(deg > 0, deg, 1.0)
-        return w / safe[src]
+    weighted = config.aggregator == "weighted_mean"
     # plain mean ignores edge weights
-    cnt = np.zeros(n)
-    np.add.at(cnt, src, 1.0)
-    safe = np.where(cnt > 0, cnt, 1.0)
-    return 1.0 / safe[src]
+    coef = w if weighted else np.ones(len(src))
+    deg = np.bincount(src, coef, g.node_count)
+    safe = np.where(deg > 0, deg, 1.0)
+    if weighted and config.sym_norm:
+        return w / np.sqrt(safe[src] * safe[dst])
+    return coef / safe[src]
 
 
 def encode_tensors(g, params, x=None, rng=None):

@@ -70,7 +70,7 @@ def erdos_renyi(n, p, seed=0):
                 edges.append((i, j))
     if not edges:
         edges = [(0, 1)]
-    return Graph.from_edges(edges, node_ids=[str(i) for i in range(n)])
+    return Graph(range(n), edges)
 
 
 def stochastic_block_model(sizes, p_in, p_out, seed=0):
@@ -85,7 +85,7 @@ def stochastic_block_model(sizes, p_in, p_out, seed=0):
             p = p_in if labels[i] == labels[j] else p_out
             if rng.random() < p:
                 edges.append((i, j))
-    g = Graph.from_edges(edges, node_ids=[str(i) for i in range(n)])
+    g = Graph(range(n), edges)
     return g, labels
 
 

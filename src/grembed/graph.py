@@ -4,8 +4,8 @@ Node ids are external strings; internally nodes are dense indices
 0..n-1. When every id parses as an integer the index order is numeric,
 otherwise lexicographic, so loading the same file always yields the
 same indexing. Undirected edges are stored in both CSR directions; a
-self-loop occupies a single CSR slot. Duplicate edges collapse by
-summing their weights.
+self-loop occupies a single CSR slot. The Graph constructor collapses
+duplicate edges by summing their weights.
 
 Dense matrices returned by this module are plain float64 numpy arrays.
 """
@@ -79,7 +79,13 @@ def window_search(values, lo, x, steps, side="left"):
 
 
 class Graph:
-    """Read-only graph: CSR adjacency, optional weights/attributes/types."""
+    """Read-only graph: CSR adjacency, optional weights/attributes/types.
+
+    The constructor owns the canonical edge form: it folds undirected
+    index pairs to (lo, hi), sorts them by src * n + dst, and collapses
+    duplicates, summing their weights in input order; duplicates with
+    different edge types raise. Self-loops are kept.
+    """
 
     def __init__(self, node_ids, edge_pairs, pair_weights=None, directed=False,
                  node_attributes=None, node_types=None, edge_pair_types=None,
@@ -105,16 +111,33 @@ class Graph:
             raise ValidationError("non-finite edge weight")
         if np.any(w < 0):
             raise ValidationError("negative edge weight")
+        et = None
+        if edge_pair_types is not None:
+            et = np.asarray(edge_pair_types, dtype=np.int64).reshape(-1)
+            if len(et) != len(pairs):
+                raise ValidationError("edge types length != edge count")
+
+        if len(pairs):
+            # int64 keys src * n + dst (lo, hi when undirected) sort as
+            # the pairs do; weights sum in input order
+            n = self.node_count
+            src, dst = pairs[:, 0], pairs[:, 1]
+            if not directed:
+                src, dst = np.minimum(src, dst), np.maximum(src, dst)
+            keys, inv = np.unique(src * n + dst, return_inverse=True)
+            w = np.bincount(inv, weights=w, minlength=len(keys))
+            if et is not None:
+                ct = np.zeros(len(keys), dtype=np.int64)
+                ct[inv] = et
+                if np.any(ct[inv] != et):
+                    raise ValidationError("duplicate edge with conflicting types")
+                et = ct
+            pairs = np.stack([keys // n, keys % n], axis=1)
 
         self.directed = bool(directed)
         self.edge_pairs = pairs
         self.pair_weights = w
-        if edge_pair_types is not None:
-            self.pair_types = np.asarray(edge_pair_types, dtype=np.int64).reshape(-1)
-            if len(self.pair_types) != len(pairs):
-                raise ValidationError("edge types length != edge count")
-        else:
-            self.pair_types = None
+        self.pair_types = et
 
         self._build_csr()
 
@@ -172,12 +195,13 @@ class Graph:
     def from_edges(cls, edges, weights=None, directed=False, allow_self_loops=False,
                    node_ids=None, node_attributes=None, node_types=None,
                    edge_types=None, weighted=None):
-        """Build a graph from (u, v) id pairs, collapsing duplicates.
+        """Build a graph from (u, v) id pairs.
 
         ``edges`` may also be the ``_Interned`` form the parser builds.
-        Duplicate edges sum their weights; an unweighted duplicate
-        therefore becomes weight 2. Self-loops raise unless
-        ``allow_self_loops`` is set.
+        Ids are read as their str and, unless ``node_ids`` gives the
+        order, numbered as ``_order_ids`` sorts them; self-loops raise
+        unless ``allow_self_loops`` is set. The constructor collapses
+        duplicates, so an unweighted duplicate becomes weight 2.
         """
         ids, ends = edges if isinstance(edges, _Interned) else _intern(edges)
         if node_ids is None:
@@ -191,44 +215,13 @@ class Graph:
         except KeyError as e:
             raise ValidationError(f"edge references unknown node id {e.args[0]!r}")
         pairs = remap[np.frombuffer(ends, dtype=np.int64)].reshape(-1, 2)
-        if weights is None:
-            w = np.ones(len(pairs), dtype=np.float64)
-        else:
-            w = np.asarray(weights, dtype=np.float64).reshape(-1)
-            if len(w) != len(pairs):
-                raise ValidationError("weights length != edge count")
-        et = None
-        if edge_types is not None:
-            et = np.asarray(edge_types, dtype=np.int64).reshape(-1)
-            if len(et) != len(pairs):
-                raise ValidationError("edge_types length != edge count")
-
-        if not allow_self_loops and pairs.size and np.any(pairs[:, 0] == pairs[:, 1]):
+        if not allow_self_loops and np.any(pairs[:, 0] == pairs[:, 1]):
             bad = pairs[pairs[:, 0] == pairs[:, 1]][0, 0]
             raise ValidationError(
                 f"self-loop on node {node_ids[bad]!r} (allow_self_loops=False)")
-
-        if len(pairs):
-            # int64 keys src * n + dst (lo, hi when undirected) sort as
-            # the pairs do; weights sum in input order
-            n = len(node_ids)
-            src, dst = pairs[:, 0], pairs[:, 1]
-            if not directed:
-                src, dst = np.minimum(src, dst), np.maximum(src, dst)
-            keys, inv = np.unique(src * n + dst, return_inverse=True)
-            w = np.bincount(inv, weights=w, minlength=len(keys))
-            if et is not None:
-                ct = np.zeros(len(keys), dtype=np.int64)
-                ct[inv] = et
-                if np.any(ct[inv] != et):
-                    raise ValidationError("duplicate edge with conflicting types")
-                et = ct
-            pairs = np.stack([keys // n, keys % n], axis=1)
-
-        return cls(node_ids, pairs, w, directed=directed,
+        return cls(node_ids, pairs, weights, directed=directed,
                    node_attributes=node_attributes, node_types=node_types,
-                   edge_pair_types=et, weighted=weighted if weighted is not None
-                   else (weights is not None))
+                   edge_pair_types=edge_types, weighted=weighted)
 
     def with_attributes(self, node_attributes):
         return Graph(self.node_ids, self.edge_pairs, self.pair_weights,
@@ -294,9 +287,8 @@ class Graph:
 
     def degrees(self, weighted=False):
         if weighted:
-            out = np.zeros(self.node_count)
-            np.add.at(out, self.csr_sources, self.csr_weights)
-            return out
+            return np.bincount(self.csr_sources, self.csr_weights,
+                               self.node_count)
         return np.diff(self.csr_offsets).astype(np.float64)
 
     def attribute_rows(self):
@@ -307,7 +299,7 @@ class Graph:
 
     def adjacency_matrix(self):
         a = np.zeros((self.node_count, self.node_count))
-        np.add.at(a, (self.csr_sources, self.csr_targets), self.csr_weights)
+        a[self.csr_sources, self.csr_targets] = self.csr_weights
         return a
 
     def laplacian(self):
@@ -374,10 +366,8 @@ class Graph:
         nodes = sorted({self._check_node(v) for v in nodes})
         keep = np.zeros(self.node_count, dtype=bool)
         keep[nodes] = True
-        remap = {v: i for i, v in enumerate(nodes)}
-        mask = keep[self.edge_pairs[:, 0]] & keep[self.edge_pairs[:, 1]]
-        pairs = np.array([[remap[a], remap[b]] for a, b in self.edge_pairs[mask]],
-                         dtype=np.int64).reshape(-1, 2)
+        mask = keep[self.edge_pairs].all(axis=1)
+        pairs = (np.cumsum(keep) - 1)[self.edge_pairs[mask]]
         attrs = None
         if self.node_attributes is not None:
             attrs = self.node_attributes[:, nodes]

@@ -48,43 +48,31 @@ class CoarseningMap:
 def coarsen(g, level=0):
     """Merge a maximal matching chosen greedily by descending weight.
 
-    Matched pairs become one supernode named "a+b"; unmatched nodes
-    copy through under their own ids. Parallel coarse edges sum their
-    weights and edges internal to a merged pair disappear.
+    Supernodes are numbered by their lowest fine index. A matched pair
+    becomes one supernode named "a+b", a the lower index; an unmatched
+    node copies through under its own id. The coarse graph keeps
+    g.directed and is built from the coarse index pairs, so the Graph
+    constructor sums parallel coarse edges (or arcs); edges internal to
+    a merged pair disappear.
     """
-    n = g.node_count
     order = np.lexsort((g.edge_pairs[:, 1], g.edge_pairs[:, 0],
                         -g.pair_weights))
-    partner = np.full(n, -1, dtype=np.int64)
+    partner = np.full(g.node_count, -1, dtype=np.int64)
     for e in order:
         a, b = int(g.edge_pairs[e, 0]), int(g.edge_pairs[e, 1])
         if partner[a] == -1 and partner[b] == -1:
             partner[a] = b
             partner[b] = a
-    node_map = np.full(n, -1, dtype=np.int64)
-    coarse_ids = []
-    for v in range(n):
-        if node_map[v] != -1:
-            continue
-        u = partner[v]
-        idx = len(coarse_ids)
-        if u == -1:
-            node_map[v] = idx
-            coarse_ids.append(g.node_ids[v])
-        else:
-            node_map[v] = node_map[u] = idx
-            coarse_ids.append(f"{g.node_ids[v]}+{g.node_ids[u]}")
-    agg = {}
-    for (a, b), w in zip(g.edge_pairs, g.pair_weights):
-        ca, cb = int(node_map[a]), int(node_map[b])
-        if ca == cb:
-            continue
-        key = (min(ca, cb), max(ca, cb))
-        agg[key] = agg.get(key, 0.0) + float(w)
-    pairs = [(coarse_ids[a], coarse_ids[b]) for a, b in sorted(agg)]
-    weights = [agg[k] for k in sorted(agg)]
-    coarse = Graph.from_edges(pairs, weights=weights, node_ids=coarse_ids,
-                              weighted=True)
+    v = np.arange(g.node_count)
+    reps, node_map = np.unique(
+        np.where(partner < 0, v, np.minimum(v, partner)), return_inverse=True)
+    coarse_ids = [g.node_ids[r] if partner[r] < 0
+                  else f"{g.node_ids[r]}+{g.node_ids[partner[r]]}"
+                  for r in reps]
+    ends = node_map[g.edge_pairs]
+    kept = ends[:, 0] != ends[:, 1]
+    coarse = Graph(coarse_ids, ends[kept], g.pair_weights[kept],
+                   directed=g.directed, weighted=True)
     return CoarseningMap(g, coarse, node_map, level=level)
 
 

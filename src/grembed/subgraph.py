@@ -159,27 +159,29 @@ SUPER_PREFIX = "__super__"
 def supernode_pool(g, spec, encoder):
     """Embed an added dummy node adjacent to every subset node.
 
-    The augmented graph keeps all original edges; the new node gets a
-    zero attribute row when the graph carries attributes. encoder maps
-    a graph to an EmbeddingTable; the dummy node's row is returned.
+    The augmented graph keeps all original edges and g.directed; the
+    dummy node n is joined to each subset node by a weight-1 edge, or by
+    arcs both ways on a directed graph, given as index pairs that the
+    Graph constructor collapses and sums. The new node gets a zero
+    attribute row when the graph carries attributes. encoder maps a
+    graph to an EmbeddingTable; the dummy node's row is returned.
     """
     super_id = SUPER_PREFIX
     while super_id in g.node_ids:
         super_id += "x"
-    ids = list(g.node_ids) + [super_id]
-    pairs = [(g.node_ids[int(a)], g.node_ids[int(b)])
-             for a, b in g.edge_pairs]
-    weights = list(g.pair_weights)
-    for v in spec.nodes:
-        pairs.append((g.node_ids[int(v)], super_id))
-        weights.append(1.0)
+    links = np.stack([spec.nodes, np.full_like(spec.nodes, g.node_count)], 1)
+    if g.directed:
+        links = np.concatenate([links, links[:, ::-1]])
+    pairs = np.concatenate([g.edge_pairs, links])
+    weights = np.concatenate([g.pair_weights, np.ones(len(links))])
     attrs = None
     if g.node_attributes is not None:
         attrs = np.concatenate(
             [g.node_attributes, np.zeros((g.node_attributes.shape[0], 1))],
             axis=1)
-    aug = Graph.from_edges(pairs, weights=weights, node_ids=ids,
-                           node_attributes=attrs, weighted=g.weighted)
+    aug = Graph(list(g.node_ids) + [super_id], pairs, weights,
+                directed=g.directed, node_attributes=attrs,
+                weighted=g.weighted)
     table = encoder(aug)
     return table.vectors[table.node_ids.index(super_id)]
 

@@ -199,7 +199,7 @@ def _walk(g, config, factor=None, starts=None, top=1.0):
     states = walk_states(config.seed, ids)
     batch = np.full((ids.size, T + 1), -1, dtype=np.int64)
     batch[:, 0] = np.repeat(starts, N)
-    total = np.bincount(g.csr_sources, g.csr_weights, g.node_count)
+    total = g.degrees(weighted=True)
     # +inf past the last row keeps every row's search window nondecreasing
     cum = g.pad_rows(np.concatenate(([0.0], np.cumsum(
         g.csr_weights / np.where(total > 0, total, 1.0)[g.csr_sources]))),

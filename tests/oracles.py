@@ -12,6 +12,7 @@ from grembed import autodiff as ad
 from grembed.aggenc import cross_entropy_loss
 from grembed.autodiff import classifier_head, predict_classes
 from grembed.errors import ConfigError, NumericError
+from grembed.graph import Graph
 from grembed.rng import derived_rng
 from grembed.shallow import (
     HierarchicalSoftmaxTree,
@@ -94,6 +95,96 @@ def row_unique_graph_arrays(edges, weights=None, directed=False,
             "pair_weights": summed, "csr_offsets": np.cumsum(offsets),
             "csr_targets": dst[order], "csr_weights": cw[order],
             "csr_types": None if ct is None else ct[order]}
+
+
+def graph_bits(g):
+    """Everything a Graph holds, as comparable values; the float arrays
+    as their bytes, so equal means bit-identical."""
+    arrays = (g.edge_pairs, g.pair_weights, g.pair_types, g.csr_offsets,
+              g.csr_targets, g.csr_weights, g.csr_types, g.node_attributes,
+              g.node_types)
+    return (g.node_ids, g.directed, g.weighted,
+            [None if a is None else (a.shape, a.tobytes()) for a in arrays])
+
+
+def dict_coarsen(g):
+    """``multiscale.coarsen``'s (coarse graph, node_map) on an undirected
+    graph, the dict way.
+
+    Supernodes are numbered in a scan of the fine nodes; each coarse
+    edge's weight is summed into a dict keyed by its (lo, hi) supernode
+    pair, and the coarse graph is rebuilt from id strings.
+    """
+    n = g.node_count
+    order = np.lexsort((g.edge_pairs[:, 1], g.edge_pairs[:, 0],
+                        -g.pair_weights))
+    partner = np.full(n, -1, dtype=np.int64)
+    for e in order:
+        a, b = int(g.edge_pairs[e, 0]), int(g.edge_pairs[e, 1])
+        if partner[a] == -1 and partner[b] == -1:
+            partner[a] = b
+            partner[b] = a
+    node_map = np.full(n, -1, dtype=np.int64)
+    coarse_ids = []
+    for v in range(n):
+        if node_map[v] != -1:
+            continue
+        u = partner[v]
+        node_map[v] = len(coarse_ids)
+        if u == -1:
+            coarse_ids.append(g.node_ids[v])
+        else:
+            node_map[u] = node_map[v]
+            coarse_ids.append(f"{g.node_ids[v]}+{g.node_ids[u]}")
+    agg = {}
+    for (a, b), w in zip(g.edge_pairs, g.pair_weights):
+        ca, cb = int(node_map[a]), int(node_map[b])
+        if ca != cb:
+            key = (min(ca, cb), max(ca, cb))
+            agg[key] = agg.get(key, 0.0) + float(w)
+    pairs = [(coarse_ids[a], coarse_ids[b]) for a, b in sorted(agg)]
+    weights = [agg[k] for k in sorted(agg)]
+    return Graph.from_edges(pairs, weights=weights, node_ids=coarse_ids,
+                            weighted=True), node_map
+
+
+def string_supernode_graph(g, nodes, super_id):
+    """The graph ``subgraph.supernode_pool`` encodes, for an undirected
+    g, rebuilt from id strings: every edge of g plus (v, super_id) for
+    each v in nodes, weight 1."""
+    ids = list(g.node_ids) + [super_id]
+    pairs = [(g.node_ids[int(a)], g.node_ids[int(b)])
+             for a, b in g.edge_pairs]
+    weights = list(g.pair_weights)
+    for v in nodes:
+        pairs.append((g.node_ids[int(v)], super_id))
+        weights.append(1.0)
+    attrs = None
+    if g.node_attributes is not None:
+        attrs = np.concatenate(
+            [g.node_attributes, np.zeros((g.node_attributes.shape[0], 1))],
+            axis=1)
+    return Graph.from_edges(pairs, weights=weights, node_ids=ids,
+                            node_attributes=attrs, weighted=g.weighted)
+
+
+def add_at_entry_coefficients(n, aggregator, sym_norm, src, dst, w):
+    """``aggenc._entry_coefficients`` with each degree summed by
+    ``np.add.at``, one branch per aggregator."""
+    if aggregator == "weighted_mean" and sym_norm:
+        deg = np.zeros(n)
+        np.add.at(deg, src, w)
+        safe = np.where(deg > 0, deg, 1.0)
+        return w / np.sqrt(safe[src] * safe[dst])
+    if aggregator == "weighted_mean":
+        deg = np.zeros(n)
+        np.add.at(deg, src, w)
+        safe = np.where(deg > 0, deg, 1.0)
+        return w / safe[src]
+    cnt = np.zeros(n)
+    np.add.at(cnt, src, 1.0)
+    safe = np.where(cnt > 0, cnt, 1.0)
+    return 1.0 / safe[src]
 
 
 def floyd_warshall_hops(edge_pairs, n):

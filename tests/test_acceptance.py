@@ -688,6 +688,10 @@ def criterion_12_commands(root):
         "harp": (["harp", "--input", f"{t}/karate.edges", "--base",
                   "deepwalk", "--levels", "1", "--epochs", "1", "--seed",
                   "2", "--out", f"{t}/zh.tsv"], ["zh.tsv"]),
+        "harp-line1": (["harp", "--input", f"{t}/karate.edges", "--base",
+                        "line1", "--levels", "3", "--dim", "8", "--epochs",
+                        "3", "--seed", "2", "--out", f"{t}/zh1.tsv"],
+                       ["zh1.tsv"]),
         "ohmnet": (["ohmnet", "--layer", f"A={t}/la.edges", "--layer",
                     f"B={t}/lb.edges", "--lam", "0.5", "--epochs", "1",
                     "--seed", "4", "--out-prefix", f"{t}/oh_"],

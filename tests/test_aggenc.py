@@ -8,6 +8,8 @@ from grembed import fixtures
 from grembed.aggenc import (
     AggConfig,
     AggParams,
+    _edge_arrays,
+    _entry_coefficients,
     column_config,
     default_attributes,
     encode_all,
@@ -20,6 +22,9 @@ from grembed.aggenc import (
     train_supervised,
 )
 from grembed.errors import ContractError, ValidationError
+from grembed.graph import Graph
+
+import oracles
 
 
 def node_features(g, m=3, seed=0):
@@ -276,3 +281,20 @@ def test_checkpoint_round_trip_and_validation():
     tampered = text.replace('"dims":[5,4]', '"dims":[5,3]')
     with pytest.raises(ContractError):
         load_agg_checkpoint(io.StringIO(tampered))
+
+
+@pytest.mark.parametrize("aggregator,sym_norm", [
+    ("mean", False), ("weighted_mean", False), ("weighted_mean", True)])
+def test_entry_coefficients_match_add_at_bitwise(aggregator, sym_norm):
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        g = fixtures.erdos_renyi(int(rng.integers(2, 25)), 0.3, seed=seed)
+        g = Graph(g.node_ids, g.edge_pairs, rng.uniform(0.0, 3.0, g.edge_count))
+        for self_loops, samples in ((False, None), (True, None), (True, 2)):
+            config = AggConfig(aggregator=aggregator, sym_norm=sym_norm,
+                               self_loops=self_loops, neighbor_samples=samples)
+            src, dst, w = _edge_arrays(g, config, np.random.default_rng(seed))
+            want = oracles.add_at_entry_coefficients(
+                g.node_count, aggregator, sym_norm, src, dst, w)
+            got = _entry_coefficients(g, config, src, dst, w)
+            assert got.tobytes() == want.tobytes()

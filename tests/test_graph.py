@@ -204,7 +204,8 @@ def test_csr_rows_sorted_symmetric_with_loops_once(g):
 @st.composite
 def _edge_lists(draw):
     """(edges, weights, directed, loops, edge types) with duplicates drawn
-    in both orientations; an edge's type is fixed by its endpoints."""
+    in both orientations, in shuffled order; an edge's type is fixed by
+    its endpoints."""
     n = draw(st.integers(2, 12))
     loops = draw(st.booleans())
     pairs = draw(st.lists(
@@ -212,7 +213,8 @@ def _edge_lists(draw):
             lambda p: loops or p[0] != p[1]), min_size=1, max_size=25))
     dups = draw(st.lists(st.tuples(st.sampled_from(pairs), st.booleans()),
                          max_size=15))
-    pairs += [(v, u) if flip else (u, v) for (u, v), flip in dups]
+    pairs = draw(st.permutations(
+        pairs + [(v, u) if flip else (u, v) for (u, v), flip in dups]))
     directed = draw(st.booleans())
     weights = draw(st.none() | st.lists(
         st.floats(0.0, 1e3), min_size=len(pairs), max_size=len(pairs)))
@@ -231,21 +233,27 @@ def _edge_lists(draw):
 @settings(max_examples=150, deadline=None)
 @given(_edge_lists())
 def test_keyed_dedupe_matches_row_unique_oracle(case):
+    """from_edges on id pairs and the constructor on index pairs both
+    give the oracle's arrays."""
     edges, weights, directed, loops, types = case
-    g = Graph.from_edges(edges, weights=weights, directed=directed,
-                         allow_self_loops=loops, edge_types=types)
     want = oracles.row_unique_graph_arrays(edges, weights, directed, types)
-    assert g.node_ids == want["node_ids"]
-    for name in ("pair_types", "csr_types"):
-        if types is None:
-            assert getattr(g, name) is None
-        else:
-            np.testing.assert_array_equal(getattr(g, name), want[name])
-    for name in ("edge_pairs", "pair_weights", "csr_offsets", "csr_targets",
-                 "csr_weights"):
-        got, ref = getattr(g, name), want[name]
-        assert got.shape == ref.shape, name
-        assert np.array_equal(got.view(np.int64), ref.view(np.int64)), name
+    index = {nid: i for i, nid in enumerate(want["node_ids"])}
+    direct = Graph(want["node_ids"], [(index[u], index[v]) for u, v in edges],
+                   weights, directed=directed, edge_pair_types=types)
+    for g in (Graph.from_edges(edges, weights=weights, directed=directed,
+                               allow_self_loops=loops, edge_types=types),
+              direct):
+        assert g.node_ids == want["node_ids"]
+        for name in ("pair_types", "csr_types"):
+            if types is None:
+                assert getattr(g, name) is None
+            else:
+                np.testing.assert_array_equal(getattr(g, name), want[name])
+        for name in ("edge_pairs", "pair_weights", "csr_offsets",
+                     "csr_targets", "csr_weights"):
+            got, ref = getattr(g, name), want[name]
+            assert got.shape == ref.shape, name
+            assert np.array_equal(got.view(np.int64), ref.view(np.int64)), name
 
 
 @settings(max_examples=300, deadline=None)
@@ -392,6 +400,32 @@ def test_weighted_degrees():
     i = g.index_of("0")
     assert g.degrees()[i] == 2
     assert g.degrees(weighted=True)[i] == 3.5
+
+
+@settings(max_examples=60, deadline=None)
+@given(_graphs(self_loops=True))
+def test_weighted_degrees_and_adjacency_match_add_at_bitwise(g):
+    deg = np.zeros(g.node_count)
+    np.add.at(deg, g.csr_sources, g.csr_weights)
+    assert g.degrees(weighted=True).tobytes() == deg.tobytes()
+    a = np.zeros((g.node_count, g.node_count))
+    np.add.at(a, (g.csr_sources, g.csr_targets), g.csr_weights)
+    assert g.adjacency_matrix().tobytes() == a.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_graphs(self_loops=True), st.data())
+def test_induced_subgraph_matches_rebuild_from_ids(g, data):
+    nodes = data.draw(st.sets(st.integers(0, g.node_count - 1), min_size=1))
+    keep = sorted(nodes)
+    mask = np.isin(g.edge_pairs, keep).all(axis=1)
+    want = Graph.from_edges(
+        [(g.node_ids[a], g.node_ids[b]) for a, b in g.edge_pairs[mask]],
+        weights=g.pair_weights[mask], directed=g.directed,
+        allow_self_loops=True, node_ids=[g.node_ids[v] for v in keep],
+        weighted=g.weighted)
+    assert (oracles.graph_bits(g.induced_subgraph(nodes))
+            == oracles.graph_bits(want))
 
 
 def test_attribute_parsing():

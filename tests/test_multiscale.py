@@ -26,6 +26,8 @@ from grembed.multiscale import (
 )
 from grembed.shallow import ShallowConfig, train_shallow
 
+import oracles
+
 
 def test_coarsen_four_cycle_perfect_matching():
     g = cycle_graph(4)
@@ -70,6 +72,38 @@ def test_coarsen_prefers_heavy_edges():
     # the heavy middle edge must be matched first
     assert cm.node_map[g.node_ids.index("b")] == cm.node_map[
         g.node_ids.index("c")]
+
+
+def _drawn_graphs(count):
+    """Undirected graphs of 2-30 nodes, every other one with weights from
+    a few values, so that matching order meets ties."""
+    for seed in range(count):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 31))
+        g = erdos_renyi(n, float(rng.uniform(0.05, 0.5)), seed=seed)
+        if seed % 2:
+            g = Graph(g.node_ids, g.edge_pairs,
+                      rng.choice([0.5, 1.0, 2.0, 3.25], g.edge_count))
+        yield g
+
+
+def test_coarsen_chain_matches_dict_oracle_bitwise():
+    for g in _drawn_graphs(60):
+        for cm in coarsen_chain(g, 3):
+            coarse, node_map = oracles.dict_coarsen(cm.fine)
+            assert oracles.graph_bits(cm.coarse) == oracles.graph_bits(coarse)
+            np.testing.assert_array_equal(cm.node_map, node_map)
+
+
+def test_coarsen_keeps_arc_direction():
+    arcs = [("a", "b"), ("b", "a"), ("b", "c"), ("c", "d"), ("d", "a")]
+    g = Graph.from_edges(arcs, weights=[1.0, 2.0, 1.0, 1.0, 5.0],
+                         directed=True)
+    cm = coarsen(g)
+    assert cm.coarse.directed
+    assert cm.coarse.node_ids == ["a+d", "b+c"]
+    np.testing.assert_array_equal(cm.coarse.edge_pairs, [[0, 1], [1, 0]])
+    np.testing.assert_array_equal(cm.coarse.pair_weights, [1.0, 3.0])
 
 
 def test_coarsen_chain_stops_when_stuck():

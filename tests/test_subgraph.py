@@ -28,6 +28,7 @@ from grembed.subgraph import (
     sum_pool,
     supernode_pool,
 )
+from grembed.table import EmbeddingTable
 
 import oracles
 
@@ -178,6 +179,45 @@ def test_supernode_pool_pendant_equivalence():
     aug = Graph.from_edges([("0", "1"), ("1", "2"), ("1", "p")])
     table = encoder(aug)
     assert np.allclose(z, table.vectors[table.node_ids.index("p")])
+
+
+def _augmented_graph(g, nodes):
+    """The graph supernode_pool hands its encoder."""
+    seen = {}
+
+    def encoder(graph):
+        seen["g"] = graph
+        return EmbeddingTable(np.zeros((graph.node_count, 1)), graph.node_ids)
+
+    supernode_pool(g, SubgraphSpec(g, nodes), encoder)
+    return seen["g"]
+
+
+def test_supernode_graph_matches_string_round_trip_bitwise():
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 20))
+        g = erdos_renyi(n, float(rng.uniform(0.1, 0.6)), seed=seed)
+        if seed % 2:
+            g = Graph(g.node_ids, g.edge_pairs,
+                      rng.uniform(0.0, 4.0, g.edge_count),
+                      node_attributes=rng.normal(size=(2, n)))
+        nodes = np.unique(rng.integers(0, n, int(rng.integers(1, n + 1))))
+        want = oracles.string_supernode_graph(g, nodes, "__super__")
+        assert (oracles.graph_bits(_augmented_graph(g, nodes))
+                == oracles.graph_bits(want))
+
+
+def test_supernode_pool_keeps_arc_direction():
+    g = Graph(["0", "1", "2"], [(0, 1), (1, 0), (1, 2)], [1.0, 2.0, 1.0],
+              directed=True)
+    aug = _augmented_graph(g, [0, 2])
+    assert aug.directed
+    np.testing.assert_array_equal(
+        aug.edge_pairs, [[0, 1], [0, 3], [1, 0], [1, 2], [2, 3], [3, 0],
+                         [3, 2]])
+    np.testing.assert_array_equal(aug.pair_weights,
+                                  [1.0, 1.0, 2.0, 1.0, 1.0, 1.0, 1.0])
 
 
 def test_supernode_pool_preserves_original_edges():
