@@ -307,7 +307,7 @@ def _cmd_harp(args):
     return EvalReport(
         task="harp",
         metrics={"node_count": g.node_count, "dim": cfg.dim,
-                 "levels": args.levels},
+                 "levels": table.metadata["levels"]},
         config={"base": args.base, "seed": args.seed,
                 "input": args.input, "out": args.out})
 

@@ -28,6 +28,8 @@ HARP_BASES = ("deepwalk", "node2vec", "line1", "line2")
 # ohmnet_train's config when none is given: small per-layer walk corpora
 OHMNET_CONFIG = ShallowConfig(dim=8, epochs=4, walk_length=10,
                               walks_per_node=5, window=3)
+# learning rate of ohmnet_train's after-epoch SGD step on the tying penalty
+OHMNET_PENALTY_LR = 0.02
 
 
 @dataclass
@@ -48,6 +50,7 @@ class CoarseningMap:
 def coarsen(g, level=0):
     """Merge a maximal matching chosen greedily by descending weight.
 
+    A self-loop matches nothing, so a node never pairs with itself.
     Supernodes are numbered by their lowest fine index. A matched pair
     becomes one supernode named "a+b", a the lower index; an unmatched
     node copies through under its own id. The coarse graph keeps
@@ -60,7 +63,7 @@ def coarsen(g, level=0):
     partner = np.full(g.node_count, -1, dtype=np.int64)
     for e in order:
         a, b = int(g.edge_pairs[e, 0]), int(g.edge_pairs[e, 1])
-        if partner[a] == -1 and partner[b] == -1:
+        if a != b and partner[a] == -1 and partner[b] == -1:
             partner[a] = b
             partner[b] = a
     v = np.arange(g.node_count)
@@ -92,9 +95,10 @@ def coarsen_chain(g, levels):
 def harp_train(g, base_method, levels, config=None):
     """Coarsen, embed coarsest, prolong as init, retrain per level.
 
-    levels=0 falls through to the plain trainer under the same seed.
-    Each training run gets 1/levels of the configured epoch budget
-    (minimum 1 epoch).
+    Coarsening stops before a level of config.dim or fewer nodes, and
+    metadata["levels"] counts the levels used. Each run gets 1/levels of
+    the epoch budget (minimum 1 epoch); at levels=0 g alone trains for
+    all of it under the same seed, as the plain trainer would.
     """
     if base_method not in HARP_BASES:
         raise ContractError(
@@ -102,15 +106,15 @@ def harp_train(g, base_method, levels, config=None):
     config = config or ShallowConfig()
     if levels < 0:
         raise ContractError("levels must be >= 0")
-    if levels == 0:
-        return train_shallow(g, base_method, config)
-    maps = coarsen_chain(g, levels)
+    maps = [cm for cm in coarsen_chain(g, levels)
+            if cm.coarse.node_count > config.dim]
     per_level = max(1, config.epochs // max(1, levels))
 
     def with_init(init):
         return replace(config, epochs=per_level, initial=init)
 
-    table = train_shallow(maps[-1].coarse, base_method, with_init(None))
+    coarsest = maps[-1].coarse if maps else g
+    table = train_shallow(coarsest, base_method, with_init(None))
     for cm in reversed(maps):
         init = cm.prolong(table.vectors)
         table = train_shallow(cm.fine, base_method, with_init(init))
@@ -194,7 +198,7 @@ def inter_layer_gap(tables, tied=None, shared=None):
 
 
 def ohmnet_train(layer_graphs, lam=0.1, config=None, hierarchy_edges=None,
-                 shared=None, squared=True, penalty_lr=0.02):
+                 shared=None, squared=True):
     """Per-layer skip-gram training with an after-epoch tying step.
 
     Layer li runs the shared skip-gram trainer, negative sampling on
@@ -223,7 +227,7 @@ def ohmnet_train(layer_graphs, lam=0.1, config=None, hierarchy_edges=None,
         steps.append(step)
     id_lists = [list(g.node_ids) for g in graphs]
 
-    penalty_opt = ad.Sgd(tensors, lr=penalty_lr)
+    penalty_opt = ad.Sgd(tensors, lr=OHMNET_PENALTY_LR)
     for epoch in range(config.epochs):
         for step in steps:
             step(epoch)

@@ -287,7 +287,6 @@ class ShallowConfig:
     p: float = 1.0
     q: float = 1.0
     negatives: int = 5
-    noise_power: float = 0.75
     power_max: int = 4
     offsets: tuple = (1, 2)
     loss: str = None
@@ -483,7 +482,7 @@ def _skipgram(g, pairs, config, loss_kind, context_table=False,
             counts = np.bincount(pairs[:, 1], minlength=n).astype(np.float64)
         else:
             counts = pairs.context_counts()
-        noise_table = AliasTable(unigram_noise(counts, config.noise_power))
+        noise_table = AliasTable(unigram_noise(counts))
     offsets = np.arange(params.size).reshape(-1, dim)
     batches = int(np.ceil(len(pairs) / config.batch_size))
     span = DECODE_BATCHES * config.batch_size

@@ -14,54 +14,53 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, NumericError, ResourceLimitError
+from .errors import (
+    ContractError,
+    NumericError,
+    ResourceLimitError,
+    ValidationError,
+)
 from .graph import DENSE_NODE_CAP, Graph, _open_text
 from .shallow import EmbeddingTable, ShallowConfig, _skipgram_train
 from .walks import WalkConfig, WalkCorpus, WalkPairs, _check_hops, _walk
 
-# struc2vec runs a pure-Python DTW for each of the n(n - 1)/2 node pairs at
-# each of k_max layers: about 330 s on one core at 200 nodes of mean degree 6
-# and k_max 3, and some 1160 s at 300. So it is capped far below the dense
-# paths.
-STRUC2VEC_NODE_CAP = 200
+# struc2vec's DTW covers n(n - 1)/2 node pairs at each of k_max layers. On
+# erdos_renyi(n, 6/(n - 1), seed=1) at k_max 3 it took 4.4, 55 and 231 s of
+# CPU at 200, 400 and 600 nodes (one core, numpy 2.4.6), and _layered_graph
+# then holds 7 n(n - 1) = 2,515,800 arcs: 600 is the largest measured size
+# under 330 s.
+STRUC2VEC_NODE_CAP = 600
+# float64 cells, pairs * (ring length + 1)^2, of one block of DTW tables
+DTW_BLOCK_CELLS = 1 << 22
 
 
-def _ratio_cost(a, b):
-    hi, lo = (a, b) if a >= b else (b, a)
-    return hi / lo - 1.0
+def _dtw(a, la, b, lb):
+    """DTW cost of each row pair (a[p, :la[p]], b[p, :lb[p]]), shape (P,).
+
+    The ground cost between degrees is max(x, y)/min(x, y) - 1. All pairs
+    fill their tables an anti-diagonal at a time; a pair's (la, lb) cell
+    reads none of its padding.
+    """
+    rows, cols = a.shape[1], b.shape[1]
+    table = np.full((rows + 1, cols + 1, len(a)), np.inf)
+    table[0, 0] = 0.0
+    a, b = a.T, b.T
+    for d in range(2, rows + cols + 1):
+        i = np.arange(max(1, d - cols), min(rows, d - 1) + 1)
+        j = d - i
+        x, y = a[i - 1], b[j - 1]
+        best = np.minimum(np.minimum(table[i - 1, j], table[i, j - 1]),
+                          table[i - 1, j - 1])
+        table[i, j] = np.maximum(x, y) / np.minimum(x, y) - 1.0 + best
+    return table[la, lb, np.arange(len(la))]
 
 
 def dtw_distance(a, b):
-    """Dynamic time warping with the degree-ratio ground cost.
-
-    Cost between degree values a, b is max(a,b)/min(a,b) - 1, so a
-    sequence compared with a scaled copy of itself stays cheap.
-    """
-    a = np.asarray(a, dtype=np.float64).reshape(-1)
-    b = np.asarray(b, dtype=np.float64).reshape(-1)
+    """``_dtw`` of one pair of nonempty degree sequences."""
+    a, b = (np.asarray(x, dtype=np.float64).reshape(1, -1) for x in (a, b))
     if a.size == 0 or b.size == 0:
         raise ContractError("dtw needs nonempty sequences")
-    table = np.full((a.size + 1, b.size + 1), np.inf)
-    table[0, 0] = 0.0
-    for i in range(1, a.size + 1):
-        for j in range(1, b.size + 1):
-            c = _ratio_cost(a[i - 1], b[j - 1])
-            table[i, j] = c + min(table[i - 1, j], table[i, j - 1],
-                                  table[i - 1, j - 1])
-    return float(table[-1, -1])
-
-
-def _ring_cost(a, b):
-    # rings can be empty on small-diameter graphs; keep the recursion
-    # total by comparing a lone placeholder degree of 1 instead
-    if a.size == 0 and b.size == 0:
-        return 0.0
-    one = np.ones(1)
-    if a.size == 0:
-        return dtw_distance(one, b)
-    if b.size == 0:
-        return dtw_distance(a, one)
-    return dtw_distance(a, b)
+    return float(_dtw(a, [a.size], b, [b.size])[0])
 
 
 def degree_sequences(g, k_max):
@@ -72,16 +71,9 @@ def degree_sequences(g, k_max):
     """
     if k_max < 1:
         raise ContractError("k_max must be >= 1")
-    deg = g.degrees().astype(np.float64)
-    out = []
-    for v in range(g.node_count):
-        dist = g.bfs_distances(v)
-        rings = {}
-        for k in range(1, k_max + 1):
-            members = np.nonzero(dist == k)[0]
-            rings[k] = np.sort(deg[members])
-        out.append(rings)
-    return out
+    deg = g.degrees()
+    return [{k: np.sort(deg[dist == k]) for k in range(1, k_max + 1)}
+            for dist in map(g.bfs_distances, range(g.node_count))]
 
 
 def struc2vec_distances(g, k_max=3):
@@ -91,23 +83,37 @@ def struc2vec_distances(g, k_max=3):
     degree sequences onto layer k-1's; layer 0 is all zeros and is
     not returned. Element [k-1] of the result is the (n, n) matrix
     for layer k, so the sequence is monotone non-decreasing in k.
-    Graphs above STRUC2VEC_NODE_CAP nodes are refused before any of
-    that work.
+    Graphs above STRUC2VEC_NODE_CAP nodes, and directed graphs where an
+    arc reaches a node of out-degree 0 (a ring degree the ratio cost
+    cannot divide by), are refused before any of that work.
     """
     n = g.node_count
     if n > STRUC2VEC_NODE_CAP:
         raise ResourceLimitError(f"struc2vec distances on {n} nodes exceed "
                                  f"cap {STRUC2VEC_NODE_CAP}")
+    sinks = np.flatnonzero(
+        (g.degrees() == 0) & (np.bincount(g.csr_targets, minlength=n) > 0))
+    if sinks.size:
+        raise ValidationError(
+            f"struc2vec ring degrees must be >= 1: node "
+            f"{g.node_ids[sinks[0]]!r} has an in-arc but out-degree 0")
     rings = degree_sequences(g, k_max)
-    prev = np.zeros((n, n))
+    first, second = np.triu_indices(n, 1)
     layers = []
     for k in range(1, k_max + 1):
+        # an empty ring compares as the lone degree 1
+        seqs = [r[k] if r[k].size else np.ones(1) for r in rings]
+        lens = np.array([s.size for s in seqs], dtype=np.int64)
+        padded = np.ones((n, max(lens, default=1)))
+        for v, s in enumerate(seqs):
+            padded[v, :s.size] = s
+        block = max(1, DTW_BLOCK_CELLS // (padded.shape[1] + 1) ** 2)
         step = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                step[i, j] = step[j, i] = _ring_cost(rings[i][k], rings[j][k])
-        prev = prev + step
-        layers.append(prev.copy())
+        for lo in range(0, first.size, block):
+            s, t = first[lo:lo + block], second[lo:lo + block]
+            step[s, t] = step[t, s] = _dtw(padded[s], lens[s],
+                                           padded[t], lens[t])
+        layers.append(layers[-1] + step if layers else step)
     return layers
 
 

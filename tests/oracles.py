@@ -121,7 +121,7 @@ def dict_coarsen(g):
     partner = np.full(n, -1, dtype=np.int64)
     for e in order:
         a, b = int(g.edge_pairs[e, 0]), int(g.edge_pairs[e, 1])
-        if partner[a] == -1 and partner[b] == -1:
+        if a != b and partner[a] == -1 and partner[b] == -1:
             partner[a] = b
             partner[b] = a
     node_map = np.full(n, -1, dtype=np.int64)
@@ -444,7 +444,7 @@ def tape_skipgram_train(g, pairs, config, loss_kind, context_table=False,
             counts = np.bincount(pairs[:, 1], minlength=n).astype(np.float64)
             if counts.sum() == 0:
                 counts = g.degrees(weighted=True)
-        noise_table = AliasTable(unigram_noise(counts, config.noise_power))
+        noise_table = AliasTable(unigram_noise(counts))
     total_batches = config.epochs * int(np.ceil(len(pairs) / config.batch_size))
     opt = ad.Sgd(params)
     history = []

@@ -586,6 +586,19 @@ def test_roles_struc2vec_exits_3_above_the_node_cap(data_dir, tmp_path,
     assert err == "error: struc2vec distances on 34 nodes exceed cap 20\n"
 
 
+def test_roles_struc2vec_exits_2_on_a_ring_node_of_out_degree_0(
+        tmp_path, capsys):
+    edges = tmp_path / "sink.edges"
+    edges.write_text("0\t1\n1\t2\n0\t3\n4\t0\n")
+    out = tmp_path / "sv.tsv"
+    code, stdout, err = run_cli(
+        capsys, "roles", "--input", str(edges), "--directed",
+        "--mode", "struc2vec", "--out", str(out))
+    assert code == 2 and stdout == "" and not out.exists()
+    assert err == ("error: struc2vec ring degrees must be >= 1: node '2' "
+                   "has an in-arc but out-degree 0\n")
+
+
 def test_subgraph_reports_accuracy(data_dir, tmp_path, capsys):
     preds = tmp_path / "preds.tsv"
     code, stdout, _ = run_cli(
@@ -746,6 +759,17 @@ def test_harp_runs(data_dir, tmp_path, capsys):
     assert code == 0
     assert report_dict(stdout)["levels"] == "1"
     assert out.exists()
+
+
+def test_harp_reports_the_levels_it_used(data_dir, tmp_path, capsys):
+    # karate coarsens 34 -> 23 -> 18 -> 15; 15 nodes cannot hold dim 16
+    out = tmp_path / "zh.tsv"
+    code, stdout, err = run_cli(
+        capsys, "harp", "--input", str(data_dir / "karate.edges"),
+        "--levels", "3", "--epochs", "1", "--out", str(out))
+    assert code == 0, err
+    assert report_dict(stdout)["levels"] == "2"
+    assert out.read_text().splitlines()[0] == "node_id\t16"
 
 
 def test_ohmnet_writes_layer_tables(data_dir, tmp_path, capsys):

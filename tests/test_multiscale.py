@@ -8,6 +8,7 @@ from grembed.errors import ContractError, NumericError, ValidationError
 from grembed.fixtures import (
     cycle_graph,
     erdos_renyi,
+    karate_club,
     stochastic_block_model,
     two_layer_graphs,
 )
@@ -95,6 +96,17 @@ def test_coarsen_chain_matches_dict_oracle_bitwise():
             np.testing.assert_array_equal(cm.node_map, node_map)
 
 
+def test_coarsen_never_matches_a_node_to_itself():
+    g = Graph.from_edges([("a", "a"), ("a", "b")], weights=[5.0, 1.0],
+                         allow_self_loops=True)
+    cm = coarsen(g)
+    assert cm.coarse.node_ids == ["a+b"]
+    np.testing.assert_array_equal(cm.node_map, [0, 0])
+    coarse, node_map = oracles.dict_coarsen(g)
+    assert oracles.graph_bits(cm.coarse) == oracles.graph_bits(coarse)
+    np.testing.assert_array_equal(cm.node_map, node_map)
+
+
 def test_coarsen_keeps_arc_direction():
     arcs = [("a", "b"), ("b", "a"), ("b", "c"), ("c", "d"), ("d", "a")]
     g = Graph.from_edges(arcs, weights=[1.0, 2.0, 1.0, 1.0, 5.0],
@@ -144,6 +156,19 @@ def test_harp_output_keyed_like_base(tmp_path):
     assert table.vectors.shape == (16, 4)
     assert table.node_ids == list(g.node_ids)
     assert table.method == "harp+deepwalk"
+
+
+def test_harp_stops_coarsening_before_dim_or_fewer_nodes():
+    g = karate_club()[0]
+    sizes = [cm.coarse.node_count for cm in coarsen_chain(g, 3)]
+    assert sizes == [23, 18, 15]
+    cfg = ShallowConfig(dim=16, epochs=1, walk_length=6, walks_per_node=2,
+                        window=2, seed=4)
+    for dim, used in ((16, 2), (17, 2), (18, 1), (8, 3), (23, 0)):
+        table = harp_train(g, "deepwalk", 3, replace(cfg, dim=dim))
+        assert table.metadata["levels"] == used
+        assert table.vectors.shape == (34, dim)
+        assert table.method == "harp+deepwalk"
 
 
 def test_ohmnet_penalty_zero_cases():

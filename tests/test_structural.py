@@ -3,7 +3,7 @@ import pytest
 
 import oracles
 from grembed import structural
-from grembed.errors import ContractError, ResourceLimitError
+from grembed.errors import ContractError, ResourceLimitError, ValidationError
 from grembed.fixtures import (
     barbell_graph,
     cycle_graph,
@@ -259,12 +259,95 @@ def test_struc2vec_refuses_graphs_above_cap_before_dtw(monkeypatch):
     assert len(struc2vec_distances(g, 2)) == 2
     monkeypatch.setattr(structural, "STRUC2VEC_NODE_CAP", 9)
     monkeypatch.setattr(structural, "degree_sequences", no_dtw)
-    monkeypatch.setattr(structural, "_ring_cost", no_dtw)
+    monkeypatch.setattr(structural, "_dtw", no_dtw)
     message = "struc2vec distances on 10 nodes exceed cap 9"
     for call in (lambda: struc2vec_distances(g, 2),
                  lambda: struc2vec_embed(g, k_max=2)):
         with pytest.raises(ResourceLimitError, match=message):
             call()
+
+
+def test_struc2vec_refuses_a_ring_node_of_out_degree_0_before_rings(
+        monkeypatch):
+    def no_rings(*args, **kwargs):
+        raise AssertionError("ring work started on a bad graph")
+
+    # 2 and 3 are sinks that 1 and 0 reach; 4 is a source
+    g = Graph.from_edges([(0, 1), (1, 2), (0, 3), (4, 0)], directed=True)
+    monkeypatch.setattr(structural, "degree_sequences", no_rings)
+    for call in (lambda: struc2vec_distances(g, 2),
+                 lambda: struc2vec_embed(g, k_max=2, dim=2)):
+        with pytest.raises(ValidationError,
+                           match="node '2' has an in-arc but out-degree 0"):
+            call()
+
+
+def test_struc2vec_takes_directed_graphs_without_reached_sinks():
+    # a directed 4-cycle plus a node no arc touches: every ring degree is 1
+    g = Graph.from_edges([(0, 1), (1, 2), (2, 3), (3, 0)], directed=True,
+                         node_ids=["0", "1", "2", "3", "9"])
+    with np.errstate(all="raise"):
+        layers = struc2vec_distances(g, 2)
+    for w in layers:
+        assert np.all(w == 0.0)
+
+
+def _oracle_layers(g, k_max):
+    """struc2vec_distances through the scalar oracle: each pair's
+    dtw_cost_table cost, an empty ring read as the lone degree 1."""
+    rings = degree_sequences(g, k_max)
+    n = g.node_count
+    prev, layers = np.zeros((n, n)), []
+    for k in range(1, k_max + 1):
+        seqs = [r[k] if r[k].size else np.ones(1) for r in rings]
+        step = np.zeros((n, n))
+        for i in range(n):
+            for j in range(i + 1, n):
+                step[i, j] = step[j, i] = oracles.dtw_cost_table(
+                    seqs[i], seqs[j], RATIO)
+        prev = prev + step
+        layers.append(prev)
+    return layers
+
+
+@pytest.mark.parametrize("name", ["karate", "barbell", "star", "er"])
+def test_struc2vec_distances_match_scalar_dtw_oracle_bitwise(
+        name, monkeypatch):
+    g = {"karate": lambda: karate_club()[0],
+         "barbell": lambda: barbell_graph(5, 3),
+         "star": lambda: star_graph(5),
+         "er": lambda: erdos_renyi(40, 0.15, seed=1)}[name]()
+    rings = degree_sequences(g, 3)
+    lengths = {r[k].size for r in rings for k in r}
+    if name == "star":
+        assert 0 in lengths
+    if name == "er":
+        assert len(lengths) > 5
+    want = _oracle_layers(g, 3)
+    # blocks of one pair up to all pairs at once give the same bits
+    for cells in (1, 997, structural.DTW_BLOCK_CELLS):
+        monkeypatch.setattr(structural, "DTW_BLOCK_CELLS", cells)
+        got = struc2vec_distances(g, 3)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def test_dtw_kernel_reads_each_pairs_own_cell_bitwise():
+    rng = np.random.default_rng(3)
+    seqs = [rng.integers(1, 9, size=rng.integers(1, 8)).astype(float)
+            for _ in range(12)]
+    lens = np.array([s.size for s in seqs])
+    padded = np.ones((12, lens.max() + 2))
+    for v, s in enumerate(seqs):
+        padded[v, :s.size] = s
+    first, second = np.triu_indices(12, 1)
+    got = structural._dtw(padded[first], lens[first], padded[second],
+                          lens[second])
+    want = [oracles.dtw_cost_table(seqs[i], seqs[j], RATIO)
+            for i, j in zip(first, second)]
+    np.testing.assert_array_equal(got.view(np.int64),
+                                  np.array(want).view(np.int64))
 
 
 def test_graphwave_zero_scale_gives_indicators():
