@@ -270,12 +270,6 @@ def cross_entropy_loss(z_t, theta, theta_b, labels, mask=None):
     return ad.neg(ad.reduce_sum(ad.log(hit)))
 
 
-def _edge_pairs_both_ways(g):
-    src = np.concatenate([g.edge_pairs[:, 0], g.edge_pairs[:, 1]])
-    dst = np.concatenate([g.edge_pairs[:, 1], g.edge_pairs[:, 0]])
-    return np.stack([src, dst], axis=1)
-
-
 def train_supervised(g, labels, config, x=None, mode="replace", sup_weight=1.0,
                      epochs=100, lr=0.01, train_mask=None, negatives=5):
     """Fit encoder weights plus a linear classifier head.
@@ -297,9 +291,10 @@ def train_supervised(g, labels, config, x=None, mode="replace", sup_weight=1.0,
                                         int(labels.max()) + 1, 0.1)
     opt = ad.Adam(params.tensors() + [theta, theta_b], lr=lr)
     history = []
-    pairs = _edge_pairs_both_ways(g) if mode == "joint" else None
-    noise = None
+    pairs = noise = None
     if mode == "joint":
+        edges = g.edge_pairs
+        pairs = np.concatenate([edges, edges[:, ::-1]])
         noise = AliasTable(unigram_noise(g.degrees(weighted=True)))
     for epoch in range(epochs):
         opt.zero_grad()

@@ -559,48 +559,3 @@ class Adam:
     def zero_grad(self):
         for p in self.params:
             p.grad = None
-
-
-# ---------------------------------------------------------------------
-# finite-difference checking
-# ---------------------------------------------------------------------
-
-
-def relative_error(analytic, numeric):
-    a = np.asarray(analytic, dtype=np.float64).ravel()
-    n = np.asarray(numeric, dtype=np.float64).ravel()
-    denom = max(np.linalg.norm(a) + np.linalg.norm(n), 1e-12)
-    return float(np.linalg.norm(a - n) / denom)
-
-
-def gradient_check(loss_fn, params, step=1e-5):
-    """Compare tape gradients against central differences.
-
-    ``loss_fn`` takes no arguments and must rebuild the loss from the
-    given parameter tensors each call. Returns the max relative error
-    across parameters (norm of difference over sum of norms).
-    """
-    params = list(params)
-    for p in params:
-        p.grad = None
-    with Tape():
-        loss = loss_fn()
-        backward(loss)
-    analytic = [np.array(p.grad if p.grad is not None else np.zeros_like(p.data))
-                for p in params]
-    worst = 0.0
-    for p, ag in zip(params, analytic):
-        num = np.zeros_like(p.data)
-        flat = p.data.reshape(-1)
-        nflat = num.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            hi = loss_fn().item()
-            flat[i] = orig - step
-            lo = loss_fn().item()
-            flat[i] = orig
-            nflat[i] = (hi - lo) / (2.0 * step)
-        worst = max(worst, relative_error(ag, num))
-        p.grad = None
-    return worst

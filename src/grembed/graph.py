@@ -3,9 +3,9 @@
 Node ids are external strings; internally nodes are dense indices
 0..n-1. When every id parses as an integer the index order is numeric,
 otherwise lexicographic, so loading the same file always yields the
-same indexing. Undirected edges are stored in both CSR directions; a
-self-loop occupies a single CSR slot. The Graph constructor collapses
-duplicate edges by summing their weights.
+same indexing. A Graph stores each arc once, in CSR arrays; an
+undirected edge is two arcs, a self-loop one. The Graph constructor
+collapses duplicate edges by summing their weights.
 
 Dense matrices returned by this module are plain float64 numpy arrays.
 """
@@ -60,7 +60,7 @@ def _intern(edges):
     return _Interned(ids, ends)
 
 
-def window_search(values, lo, x, steps, side="left"):
+def window_search(values, lo, x, steps, side="left", last=None):
     """Each lo plus how many of values[lo : lo + 2**steps - 1] are below
     its x (side "left") or at most x (side "right").
 
@@ -68,23 +68,35 @@ def window_search(values, lo, x, steps, side="left"):
     clip(searchsorted(values, x, side), lo, lo + 2**steps - 1), found by
     steps halvings of the window, so a key whose answer lies in a known
     short run of values costs steps gathers, not a search of all of
-    them. values must hold every window's slots.
+    them. values must hold every window's slots. With ``last``, each
+    probe reads values[min(slot, last)], as if the slots after last
+    repeated it, so values need only be nondecreasing up to last.
     """
     pos = np.array(lo, dtype=np.int64)
     below = np.less if side == "left" else np.less_equal
     for s in reversed(range(steps)):
         half = 1 << s
-        pos += below(values.take(pos + (half - 1)), x) * half
+        probe = pos + (half - 1)
+        if last is not None:
+            probe = np.minimum(probe, last)
+        pos += below(values.take(probe), x) * half
     return pos
+
+
+def _frozen(a):
+    a.setflags(write=False)
+    return a
 
 
 class Graph:
     """Read-only graph: CSR adjacency, optional weights/attributes/types.
 
-    The constructor owns the canonical edge form: it folds undirected
-    index pairs to (lo, hi), sorts them by src * n + dst, and collapses
-    duplicates, summing their weights in input order; duplicates with
-    different edge types raise. Self-loops are kept.
+    ``csr_offsets``, ``csr_targets``, ``csr_weights`` and ``csr_types``
+    are the only arc store, one slot per arc in src * n + dst order;
+    ``csr_sources`` and the edge list (``edge_pairs``, ``pair_weights``,
+    ``pair_types``) are derived, read-only, on each read. The
+    constructor collapses duplicate arcs, summing their weights in input
+    order; duplicates with different edge types raise. Self-loops stay.
     """
 
     def __init__(self, node_ids, edge_pairs, pair_weights=None, directed=False,
@@ -117,77 +129,48 @@ class Graph:
             if len(et) != len(pairs):
                 raise ValidationError("edge types length != edge count")
 
-        if len(pairs):
-            # int64 keys src * n + dst (lo, hi when undirected) sort as
-            # the pairs do; weights sum in input order
-            n = self.node_count
-            src, dst = pairs[:, 0], pairs[:, 1]
-            if not directed:
-                src, dst = np.minimum(src, dst), np.maximum(src, dst)
-            keys, inv = np.unique(src * n + dst, return_inverse=True)
-            w = np.bincount(inv, weights=w, minlength=len(keys))
-            if et is not None:
-                ct = np.zeros(len(keys), dtype=np.int64)
-                ct[inv] = et
-                if np.any(ct[inv] != et):
-                    raise ValidationError("duplicate edge with conflicting types")
-                et = ct
-            pairs = np.stack([keys // n, keys % n], axis=1)
+        # each pair's arc key src * n + dst, then for an undirected pair
+        # that is no self-loop its reverse key; one sort lays out the CSR
+        n = self.node_count
+        src, dst = pairs[:, 0], pairs[:, 1]
+        keys = src * n + dst
+        if not directed:
+            at = np.flatnonzero(np.c_[np.full(len(src), True), src != dst])
+            keys = np.c_[keys, dst * n + src].ravel()[at]
+            w, et = w[at >> 1], None if et is None else et[at >> 1]
+        keys, inv = np.unique(keys, return_inverse=True)
+        self.csr_weights = _frozen(
+            np.bincount(inv, weights=w, minlength=len(keys)))
+        if et is not None:
+            ct = np.zeros(len(keys), dtype=np.int64)
+            ct[inv] = et
+            if np.any(ct[inv] != et):
+                raise ValidationError("duplicate edge with conflicting types")
+            et = _frozen(ct)
+        self.csr_types = et
 
         self.directed = bool(directed)
-        self.edge_pairs = pairs
-        self.pair_weights = w
-        self.pair_types = et
+        m = len(keys)
+        self.edge_count = m if directed else int(
+            np.count_nonzero(keys // n <= keys % n))
+        self.csr_offsets = _frozen(np.searchsorted(keys, np.arange(n + 1) * n))
+        # a window of 2**search_steps - 1 slots covers any CSR row
+        self.search_steps = int(np.diff(self.csr_offsets).max(initial=0)
+                                ).bit_length()
+        self._padded_targets = _frozen(self.pad_rows(keys % n, n))
+        self.csr_targets = self._padded_targets[:m]
 
-        self._build_csr()
-
+        self.node_attributes = self.node_types = None
         if node_attributes is not None:
             attrs = np.asarray(node_attributes, dtype=np.float64)
             if attrs.ndim != 2 or attrs.shape[1] != self.node_count:
                 raise ValidationError(
                     "node_attributes must be (m, node_count), got %r" % (attrs.shape,))
             self.node_attributes = attrs
-        else:
-            self.node_attributes = None
-
         if node_types is not None:
-            nt = np.asarray(node_types, dtype=np.int64).reshape(-1)
-            if len(nt) != self.node_count:
+            self.node_types = np.asarray(node_types, np.int64).reshape(-1)
+            if len(self.node_types) != self.node_count:
                 raise ValidationError("node_types length != node count")
-            self.node_types = nt
-        else:
-            self.node_types = None
-
-        for arr in (self.edge_pairs, self.pair_weights, self.csr_offsets,
-                    self.csr_targets, self.csr_weights):
-            arr.setflags(write=False)
-
-    def _build_csr(self):
-        n = self.node_count
-        # arcs, and the edge each arc carries: an undirected edge gives
-        # both of its arcs, a self-loop one
-        arcs, edge = self.edge_pairs, np.arange(self.edge_count)
-        if not self.directed:
-            loops = arcs[:, 0] == arcs[:, 1]
-            arcs = np.concatenate(
-                [arcs[~loops], arcs[~loops, ::-1], arcs[loops]])
-            edge = np.concatenate([edge[~loops], edge[~loops], edge[loops]])
-        keys = arcs[:, 0] * n + arcs[:, 1]
-        order = np.argsort(keys, kind="stable")
-        edge = edge[order]
-        self.csr_sources = arcs[order, 0]
-        self.csr_sources.setflags(write=False)
-        self.csr_offsets = np.concatenate(
-            [[0], np.cumsum(np.bincount(self.csr_sources, minlength=n))])
-        self.csr_targets = arcs[order, 1]
-        self.csr_weights = self.pair_weights[edge]
-        self.csr_types = (None if self.pair_types is None
-                          else self.pair_types[edge])
-        # a window of 2**search_steps - 1 slots covers any CSR row
-        self.search_steps = int(np.diff(self.csr_offsets).max(initial=0)
-                                ).bit_length()
-        # one increasing key per arc, then n*n until any row's window ends
-        self._arc_keys = self.pad_rows(keys[order], n * n)
 
     # -- construction -------------------------------------------------
 
@@ -239,8 +222,25 @@ class Graph:
     # -- queries -------------------------------------------------------
 
     @property
-    def edge_count(self):
-        return len(self.edge_pairs)
+    def csr_sources(self):
+        return _frozen(np.repeat(np.arange(self.node_count),
+                                 np.diff(self.csr_offsets)))
+
+    def _on_edges(self, values):
+        """values at the arcs that are edges, in CSR order: every arc of
+        a directed graph, the src <= dst arcs of an undirected one."""
+        if self.directed or values is None:
+            return values
+        return _frozen(values[self.csr_sources <= self.csr_targets])
+
+    @property
+    def edge_pairs(self):
+        pairs = np.stack([self.csr_sources, self.csr_targets], axis=1)
+        return _frozen(pairs if self.directed
+                       else pairs[pairs[:, 0] <= pairs[:, 1]])
+
+    pair_weights = property(lambda self: self._on_edges(self.csr_weights))
+    pair_types = property(lambda self: self._on_edges(self.csr_types))
 
     def index_of(self, node_id):
         try:
@@ -274,16 +274,19 @@ class Graph:
     def arc_slots(self, src, dst):
         """CSR slot of each arc src[i] -> dst[i], or -1 where there is none.
 
-        Arc keys src * n + dst increase along the CSR, so each key is
-        looked up by a ``window_search`` of src's own row. dst must lie in
-        [0, n), unchecked as node2vec walks pass CSR targets at every
-        step: a larger dst makes a later row's key and finds its arc.
+        Targets ascend within a row but restart at the next one, so dst
+        is looked up by a ``window_search`` of src's own row that probes
+        no slot past the row's last; the padding after ``csr_targets``
+        keeps every window in range. src must lie in [0, n), unchecked
+        as node2vec walks pass CSR targets at every step; a dst outside
+        [0, n) finds no arc.
         """
         src = np.asarray(src, dtype=np.int64)
-        keys = src * self.node_count + dst
-        pos = window_search(self._arc_keys, self.csr_offsets[src], keys,
-                            self.search_steps)
-        return np.where(self._arc_keys[pos] == keys, pos, -1)
+        last = self.csr_offsets[src + 1] - 1
+        pos = window_search(self._padded_targets, self.csr_offsets[src], dst,
+                            self.search_steps, last=last)
+        return np.where((pos <= last) & (self._padded_targets[pos] == dst),
+                        pos, -1)
 
     def degrees(self, weighted=False):
         if weighted:
@@ -324,15 +327,12 @@ class Graph:
         source = self._check_node(source)
         dist = np.full(self.node_count, -1, dtype=np.int64)
         dist[source] = 0
-        frontier = np.array([source], dtype=np.int64)
-        d = 0
-        while frontier.size:
+        frontier, d = [source], 0
+        while len(frontier):
             d += 1
-            nbrs = np.concatenate([self.neighbors(v) for v in frontier])
-            nbrs = np.unique(nbrs)
-            new = nbrs[dist[nbrs] == -1]
-            dist[new] = d
-            frontier = new
+            nbrs = np.unique(np.concatenate(list(map(self.neighbors, frontier))))
+            frontier = nbrs[dist[nbrs] == -1]
+            dist[frontier] = d
         return dist
 
     def hop_ring(self, v, k):
@@ -343,36 +343,19 @@ class Graph:
         dist = self.bfs_distances(v)
         return set(np.nonzero(dist == k)[0].tolist())
 
-    def connected_components(self):
-        """Component label per node (labels are 0..c-1 by first member)."""
-        labels = np.full(self.node_count, -1, dtype=np.int64)
-        c = 0
-        for start in range(self.node_count):
-            if labels[start] != -1:
-                continue
-            stack = [start]
-            labels[start] = c
-            while stack:
-                v = stack.pop()
-                for u in self.neighbors(v):
-                    if labels[u] == -1:
-                        labels[u] = c
-                        stack.append(int(u))
-            c += 1
-        return labels
-
     def induced_subgraph(self, nodes):
         """Subgraph on the given node indices, keeping their ids."""
         nodes = sorted({self._check_node(v) for v in nodes})
         keep = np.zeros(self.node_count, dtype=bool)
         keep[nodes] = True
-        mask = keep[self.edge_pairs].all(axis=1)
-        pairs = (np.cumsum(keep) - 1)[self.edge_pairs[mask]]
+        edge_pairs = self.edge_pairs
+        mask = keep[edge_pairs].all(axis=1)
+        pairs = (np.cumsum(keep) - 1)[edge_pairs[mask]]
         attrs = None
         if self.node_attributes is not None:
             attrs = self.node_attributes[:, nodes]
         ntypes = self.node_types[nodes] if self.node_types is not None else None
-        ptypes = self.pair_types[mask] if self.pair_types is not None else None
+        ptypes = None if self.csr_types is None else self.pair_types[mask]
         return Graph([self.node_ids[v] for v in nodes], pairs,
                      self.pair_weights[mask], directed=self.directed,
                      node_attributes=attrs, node_types=ntypes,
@@ -400,15 +383,12 @@ def disjoint_union(graphs):
             raise ValidationError("cannot union directed with undirected graphs")
         offsets.append(off)
         ids.extend(f"g{gi}:{nid}" for nid in g.node_ids)
-        if g.edge_count:
-            pairs.append(g.edge_pairs + off)
-            weights.append(g.pair_weights)
+        pairs.append(g.edge_pairs + off)
+        weights.append(g.pair_weights)
         member.extend([gi] * g.node_count)
         off += g.node_count
-    pairs = np.concatenate(pairs) if pairs else np.zeros((0, 2), dtype=np.int64)
-    weights = np.concatenate(weights) if weights else np.zeros(0)
-    u = Graph(ids, pairs, weights, directed=directed,
-              weighted=any(g.weighted for g in graphs))
+    u = Graph(ids, np.concatenate(pairs), np.concatenate(weights),
+              directed=directed, weighted=any(g.weighted for g in graphs))
     return u, np.array(offsets, dtype=np.int64), np.array(member, dtype=np.int64)
 
 
@@ -491,13 +471,12 @@ def export_edge_list(g, target):
     duplicate edge summed to a weight other than 1, each weight as the
     shortest text that reads back to the same float.
     """
-    weighted = g.weighted or bool(np.any(g.pair_weights != 1.0))
+    pair_weights = g.pair_weights
+    weighted = g.weighted or bool(np.any(pair_weights != 1.0))
     with _open_text(target, "w") as fh:
-        order = np.lexsort((g.edge_pairs[:, 1], g.edge_pairs[:, 0]))
-        for k in order:
-            i, j = g.edge_pairs[k]
+        for (i, j), pw in zip(g.edge_pairs.tolist(), pair_weights):
             if weighted:
-                w = np.format_float_positional(g.pair_weights[k], trim="-")
+                w = np.format_float_positional(pw, trim="-")
                 fh.write(f"{g.node_ids[i]}\t{g.node_ids[j]}\t{w}\n")
             else:
                 fh.write(f"{g.node_ids[i]}\t{g.node_ids[j]}\n")

@@ -180,15 +180,16 @@ def auc_score(pos_scores, neg_scores):
 
 def holdout_edges(g, fraction, seed):
     """Pick edges to remove, keeping every endpoint's degree >= 1."""
-    target = int(round(fraction * g.edge_pairs.shape[0]))
+    target = int(round(fraction * g.edge_count))
     if target < 1:
         raise ConfigError(f"holdout fraction {fraction} removes no edges")
     deg = g.degrees().astype(np.int64).copy()
     rng = derived_rng(seed, "holdout")
-    order = rng.permutation(g.edge_pairs.shape[0])
+    order = rng.permutation(g.edge_count)
+    edge_pairs = g.edge_pairs
     chosen = []
     for e in order:
-        a, b = int(g.edge_pairs[e, 0]), int(g.edge_pairs[e, 1])
+        a, b = int(edge_pairs[e, 0]), int(edge_pairs[e, 1])
         if deg[a] <= 1 or deg[b] <= 1:
             continue
         deg[a] -= 1
@@ -211,7 +212,7 @@ def sample_non_edges(g, count, seed):
     1000 * count draws.
     """
     n = g.node_count
-    pairs = np.sort(g.edge_pairs.astype(np.int64), axis=1)
+    pairs = np.sort(g.edge_pairs, axis=1)
     # sorted lo * n + hi keys, capped by n * n so every search lands
     taken = np.append(np.unique(pairs[:, 0] * n + pairs[:, 1]), n * n)
     rng = derived_rng(seed, "non_edges")
@@ -245,10 +246,11 @@ def link_prediction_eval(g, embed_fn, holdout_fraction=0.2, seeds=range(10),
     if not seeds:
         raise ContractError("seeds must not be empty")
     aucs = []
+    edge_pairs, pair_weights = g.edge_pairs, g.pair_weights
     for seed in seeds:
         held = holdout_edges(g, holdout_fraction, seed)
-        keep = np.setdiff1d(np.arange(g.edge_pairs.shape[0]), held)
-        residual = Graph(g.node_ids, g.edge_pairs[keep], g.pair_weights[keep],
+        keep = np.setdiff1d(np.arange(g.edge_count), held)
+        residual = Graph(g.node_ids, edge_pairs[keep], pair_weights[keep],
                          directed=g.directed, weighted=g.weighted)
         table = embed_fn(residual, seed)
         z = table.vectors if hasattr(table, "vectors") else np.asarray(table)
@@ -258,7 +260,7 @@ def link_prediction_eval(g, embed_fn, holdout_fraction=0.2, seeds=range(10),
                 return score_fn(z, pairs)
             return (z[pairs[:, 0]] * z[pairs[:, 1]]).sum(axis=1)
 
-        pos = score(g.edge_pairs[held])
+        pos = score(edge_pairs[held])
         neg = score(sample_non_edges(g, len(held), seed))
         aucs.append(auc_score(pos, neg))
     return EvalReport(

@@ -58,11 +58,12 @@ def coarsen(g, level=0):
     constructor sums parallel coarse edges (or arcs); edges internal to
     a merged pair disappear.
     """
-    order = np.lexsort((g.edge_pairs[:, 1], g.edge_pairs[:, 0],
-                        -g.pair_weights))
+    edge_pairs, pair_weights = g.edge_pairs, g.pair_weights
+    # edges come in (src, dst) order, so a stable sort breaks ties by it
+    order = np.argsort(-pair_weights, kind="stable")
     partner = np.full(g.node_count, -1, dtype=np.int64)
     for e in order:
-        a, b = int(g.edge_pairs[e, 0]), int(g.edge_pairs[e, 1])
+        a, b = int(edge_pairs[e, 0]), int(edge_pairs[e, 1])
         if a != b and partner[a] == -1 and partner[b] == -1:
             partner[a] = b
             partner[b] = a
@@ -72,9 +73,9 @@ def coarsen(g, level=0):
     coarse_ids = [g.node_ids[r] if partner[r] < 0
                   else f"{g.node_ids[r]}+{g.node_ids[partner[r]]}"
                   for r in reps]
-    ends = node_map[g.edge_pairs]
+    ends = node_map[edge_pairs]
     kept = ends[:, 0] != ends[:, 1]
-    coarse = Graph(coarse_ids, ends[kept], g.pair_weights[kept],
+    coarse = Graph(coarse_ids, ends[kept], pair_weights[kept],
                    directed=g.directed, weighted=True)
     return CoarseningMap(g, coarse, node_map, level=level)
 

@@ -628,8 +628,9 @@ def _blocks(g, method, config, facts):
     """
     source = _TABLE[method].source
     if source == "edges":
-        yield (method, np.concatenate([g.edge_pairs, g.edge_pairs[:, ::-1]]),
-               np.concatenate([g.pair_weights, g.pair_weights]))
+        pairs, weights = g.edge_pairs, g.pair_weights
+        yield (method, np.concatenate([pairs, pairs[:, ::-1]]),
+               np.concatenate([weights, weights]))
     elif source == "powers":
         for k in range(1, config.power_max + 1):
             spec = SimilaritySpec(kind="adjacency_power", power=k)

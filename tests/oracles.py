@@ -92,7 +92,8 @@ def row_unique_graph_arrays(edges, weights=None, directed=False,
     for s in src:
         offsets[s + 1] += 1
     return {"node_ids": node_ids, "pair_types": types, "edge_pairs": pairs,
-            "pair_weights": summed, "csr_offsets": np.cumsum(offsets),
+            "pair_weights": summed, "edge_count": len(pairs),
+            "csr_offsets": np.cumsum(offsets), "csr_sources": src[order],
             "csr_targets": dst[order], "csr_weights": cw[order],
             "csr_types": None if ct is None else ct[order]}
 
@@ -116,11 +117,10 @@ def dict_coarsen(g):
     pair, and the coarse graph is rebuilt from id strings.
     """
     n = g.node_count
-    order = np.lexsort((g.edge_pairs[:, 1], g.edge_pairs[:, 0],
-                        -g.pair_weights))
+    edge_pairs, pair_weights = g.edge_pairs, g.pair_weights
+    order = np.lexsort((edge_pairs[:, 1], edge_pairs[:, 0], -pair_weights))
     partner = np.full(n, -1, dtype=np.int64)
-    for e in order:
-        a, b = int(g.edge_pairs[e, 0]), int(g.edge_pairs[e, 1])
+    for a, b in edge_pairs[order].tolist():
         if a != b and partner[a] == -1 and partner[b] == -1:
             partner[a] = b
             partner[b] = a
@@ -137,7 +137,7 @@ def dict_coarsen(g):
             node_map[u] = node_map[v]
             coarse_ids.append(f"{g.node_ids[v]}+{g.node_ids[u]}")
     agg = {}
-    for (a, b), w in zip(g.edge_pairs, g.pair_weights):
+    for (a, b), w in zip(edge_pairs, pair_weights):
         ca, cb = int(node_map[a]), int(node_map[b])
         if ca != cb:
             key = (min(ca, cb), max(ca, cb))
@@ -185,6 +185,66 @@ def add_at_entry_coefficients(n, aggregator, sym_norm, src, dst, w):
     np.add.at(cnt, src, 1.0)
     safe = np.where(cnt > 0, cnt, 1.0)
     return 1.0 / safe[src]
+
+
+def connected_components(g):
+    """Component label per node of g (labels are 0..c-1 by first
+    member), by a depth-first search from each unlabelled node."""
+    labels = np.full(g.node_count, -1, dtype=np.int64)
+    c = 0
+    for start in range(g.node_count):
+        if labels[start] != -1:
+            continue
+        stack = [start]
+        labels[start] = c
+        while stack:
+            v = stack.pop()
+            for u in g.neighbors(v):
+                if labels[u] == -1:
+                    labels[u] = c
+                    stack.append(int(u))
+        c += 1
+    return labels
+
+
+def relative_error(analytic, numeric):
+    a = np.asarray(analytic, dtype=np.float64).ravel()
+    n = np.asarray(numeric, dtype=np.float64).ravel()
+    denom = max(np.linalg.norm(a) + np.linalg.norm(n), 1e-12)
+    return float(np.linalg.norm(a - n) / denom)
+
+
+def gradient_check(loss_fn, params, step=1e-5):
+    """Compare tape gradients against central differences.
+
+    ``loss_fn`` takes no arguments and must rebuild the loss from the
+    given parameter tensors each call. Returns the max relative error
+    across parameters (norm of difference over sum of norms).
+    """
+    params = list(params)
+    for p in params:
+        p.grad = None
+    with ad.Tape():
+        loss = loss_fn()
+        ad.backward(loss)
+    analytic = [np.array(p.grad if p.grad is not None else np.zeros_like(p.data))
+                for p in params]
+    worst = 0.0
+    for p, ag in zip(params, analytic):
+        num = np.zeros_like(p.data)
+        flat = p.data.reshape(-1)
+        nflat = num.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + step
+            hi = loss_fn().item()
+            flat[i] = orig - step
+            lo = loss_fn().item()
+            flat[i] = orig
+            nflat[i] = (hi - lo) / (2.0 * step)
+        worst = max(worst, relative_error(ag, num))
+        p.grad = None
+    return worst
 
 
 def floyd_warshall_hops(edge_pairs, n):

@@ -63,6 +63,8 @@ from grembed.walks import (
     sample_uniform_walks,
 )
 
+import oracles
+
 
 def verdict(n, ok, detail=""):
     line = f"ACCEPTANCE {n}: {'PASS' if ok else 'FAIL'}"
@@ -217,7 +219,7 @@ def test_criterion_01_gradient_suite():
         errs = []
         for i in range(20):
             loss_fn, params = _grad_instances(family, i)
-            errs.append(ad.gradient_check(loss_fn, params))
+            errs.append(oracles.gradient_check(loss_fn, params))
         worst[family] = max(errs)
     elapsed = time.perf_counter() - start
     bad = {k: v for k, v in worst.items() if not v < 1e-5}

@@ -22,6 +22,8 @@ from grembed.gnn import (
 )
 from grembed.graph import Graph
 
+import oracles
+
 
 def test_spectral_norm_matches_svd():
     rng = np.random.default_rng(0)
@@ -42,7 +44,7 @@ def test_mlp_shapes_and_gradient():
         y = mlp.apply(ad.constant(x.data))
         return ad.reduce_sum(ad.mul(y, ad.constant(probe)))
 
-    assert ad.gradient_check(loss, mlp.tensors()) < 1e-6
+    assert oracles.gradient_check(loss, mlp.tensors()) < 1e-6
 
 
 def test_fixed_point_reaches_tolerance():
@@ -152,7 +154,7 @@ def test_mpnn_gradients_flow_through_rounds():
         h = mpnn_tensors(g, config)
         return ad.reduce_sum(ad.mul(h, ad.constant(probe)))
 
-    assert ad.gradient_check(loss, config.tensors()) < 1e-5
+    assert oracles.gradient_check(loss, config.tensors()) < 1e-5
 
 
 def test_typed_messages_respect_edge_types():

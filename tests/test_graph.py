@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -244,13 +245,14 @@ def test_keyed_dedupe_matches_row_unique_oracle(case):
                                allow_self_loops=loops, edge_types=types),
               direct):
         assert g.node_ids == want["node_ids"]
+        assert g.edge_count == want["edge_count"]
         for name in ("pair_types", "csr_types"):
             if types is None:
                 assert getattr(g, name) is None
             else:
                 np.testing.assert_array_equal(getattr(g, name), want[name])
         for name in ("edge_pairs", "pair_weights", "csr_offsets",
-                     "csr_targets", "csr_weights"):
+                     "csr_sources", "csr_targets", "csr_weights"):
             got, ref = getattr(g, name), want[name]
             assert got.shape == ref.shape, name
             assert np.array_equal(got.view(np.int64), ref.view(np.int64)), name
@@ -311,6 +313,12 @@ def _arc_cases(draw):
 @example((2, [(0, 1)], 0, False))
 @example((1, [(0, 0)], 2, False))
 @example((4, [(0, 1), (0, 2), (0, 3), (3, 3)], 1, True))
+# a row followed by a row of smaller targets: a search that runs past
+# row 0's end meets targets that restart low
+@example((4, [(0, 3), (1, 0), (1, 1), (1, 2)], 0, True))
+@example((4, [(0, 3), (1, 0), (1, 1), (1, 2)], 1, False))
+# an empty row 0 whose window starts on row 1's target 0
+@example((2, [(1, 0)], 0, True))
 def test_arc_slots_match_brute_force_arc_set(case):
     n, pairs, extra, directed = case
     m = n + extra
@@ -335,6 +343,25 @@ def test_arc_slots_reverse_index_matches_dict(make):
     g = make()
     np.testing.assert_array_equal(g.arc_slots(g.csr_targets, g.csr_sources),
                                   oracles.reverse_arc_index_dict(g))
+
+
+def test_directed_graph_holds_each_arc_once():
+    # the complete directed graph on 600 nodes, the shape of one layer of
+    # struc2vec's layered graph; the input is allocated before tracing
+    n = 600
+    u, v = np.divmod(np.arange(n * n), n)
+    pairs = np.stack([u, v], axis=1)[u != v]
+    ids = [str(i) for i in range(n)]
+    tracemalloc.start()
+    try:
+        g = Graph(ids, pairs, directed=True)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    m = n * (n - 1)
+    assert g.edge_count == len(g.csr_targets) == m
+    assert held / m <= 24
+    assert peak / m <= 72
 
 
 def test_numeric_id_ordering():
@@ -467,7 +494,7 @@ def test_disjoint_union_offsets_and_membership():
     assert u.edge_count == a.edge_count + b.edge_count
     np.testing.assert_array_equal(offsets, [0, 3])
     np.testing.assert_array_equal(member, [0, 0, 0, 1, 1, 1, 1])
-    comp = u.connected_components()
+    comp = oracles.connected_components(u)
     assert comp[0] == comp[1] == comp[2]
     assert comp[3] == comp[4] and comp[0] != comp[3]
 
