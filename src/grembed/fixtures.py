@@ -1,11 +1,24 @@
-"""Small deterministic graphs for tests, demos, and benchmarks."""
+"""Small deterministic graphs for tests, demos, and benchmarks.
+
+The random fixtures draw from numpy's SeedSequence streams, not from
+``grembed.rng``, so the graphs that tests and benchmarks read keep
+their bytes.
+"""
 
 import importlib.resources as resources
 
 import numpy as np
 
 from .graph import Graph, load_edge_list, load_labels
-from .rng import derived_rng
+from .rng import stream_parts
+
+
+def _numpy_rng(seed, *stream):
+    """numpy Generator for a (seed, *ints-or-strings) stream key, encoded
+    as ``rng.derived_rng`` encodes it."""
+    ss = np.random.SeedSequence(entropy=int(seed) % 2 ** 64,
+                                spawn_key=tuple(stream_parts(stream)))
+    return np.random.default_rng(ss)
 
 
 def karate_club():
@@ -62,7 +75,7 @@ def barbell_graph(m1=5, m2=3):
 
 
 def erdos_renyi(n, p, seed=0):
-    rng = derived_rng(seed, "erdos_renyi", n)
+    rng = _numpy_rng(seed, "erdos_renyi", n)
     edges = []
     for i in range(n):
         for j in range(i + 1, n):
@@ -75,7 +88,7 @@ def erdos_renyi(n, p, seed=0):
 
 def stochastic_block_model(sizes, p_in, p_out, seed=0):
     """Planted-partition graph; returns (graph, block labels)."""
-    rng = derived_rng(seed, "sbm")
+    rng = _numpy_rng(seed, "sbm")
     n = int(sum(sizes))
     labels = np.concatenate([np.full(s, b, dtype=np.int64)
                              for b, s in enumerate(sizes)])
@@ -91,7 +104,7 @@ def stochastic_block_model(sizes, p_in, p_out, seed=0):
 
 def block_attributes(labels, dim_per_block=2, noise=0.3, seed=0):
     """Noisy one-hot block indicators, shaped (m, n) like Graph attributes."""
-    rng = derived_rng(seed, "block_attrs")
+    rng = _numpy_rng(seed, "block_attrs")
     labels = np.asarray(labels)
     k = int(labels.max()) + 1
     m = k * dim_per_block
@@ -107,7 +120,7 @@ def cycles_and_paths(count=200, n_min=5, n_max=10, seed=0):
     Returns a list of (graph, label) with label 1 for cycles. Sizes are
     drawn uniformly from [n_min, n_max].
     """
-    rng = derived_rng(seed, "cycles_paths")
+    rng = _numpy_rng(seed, "cycles_paths")
     out = []
     for k in range(count):
         n = int(rng.integers(n_min, n_max + 1))

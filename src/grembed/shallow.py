@@ -10,7 +10,7 @@ context vectors; a skip-gram run keeps those, or the hierarchical
 softmax tree's vectors, as extra rows of its one parameter array.
 
 All trainers are deterministic for a fixed seed: pair shuffles and
-noise draws come from streams derived from (seed, purpose, epoch).
+noise draws come from ``rng`` streams keyed by (seed, purpose, epoch).
 """
 
 from dataclasses import dataclass, field, replace
@@ -456,9 +456,12 @@ def _skipgram(g, pairs, config, loss_kind, context_table=False,
     SGD step, at the lr annealed over the run's batches, from
     closed-form gradients of the matching tape loss, applied only to the
     rows the batch touches. ``pairs``, an array or a ``walks.WalkPairs``,
-    is read DECODE_BATCHES batches at a time in ``permutation(P)`` order,
-    held as int32 below 2**31 pairs. ``seed_tag`` keys the streams;
-    ``where`` names the run in its errors.
+    is read in the keyed order ``permutation(P)`` of the epoch's shuffle
+    stream, one block of DECODE_BATCHES batches at a time, and each
+    block's noise draws are taken at once; both streams are counter
+    based, so neither depends on the block size, and an epoch holds
+    O(block) indices however many pairs there are. ``seed_tag`` keys the
+    streams; ``where`` names the run in its errors.
     """
     where = where or f"{loss_kind} skip-gram"
     if len(pairs) == 0:
@@ -486,27 +489,30 @@ def _skipgram(g, pairs, config, loss_kind, context_table=False,
     offsets = np.arange(params.size).reshape(-1, dim)
     batches = int(np.ceil(len(pairs) / config.batch_size))
     span = DECODE_BATCHES * config.batch_size
-    index = np.int32 if len(pairs) < 2 ** 31 else np.int64
 
     def epoch(e):
-        order = np.arange(len(pairs), dtype=index)
-        derived_rng(config.seed, "shuffle", seed_tag, e).shuffle(order)
+        blocks = derived_rng(config.seed, "shuffle", seed_tag, e
+                             ).permutation_blocks(len(pairs), span)
         noise_rng = derived_rng(config.seed, "noise", seed_tag, e)
         epoch_loss = 0.0
         for b, lo in enumerate(range(0, len(pairs), config.batch_size)):
             if lo % span == 0:
-                block = pairs.take(order[lo:lo + span], axis=0)
-            rows = order[lo:lo + config.batch_size]
-            batch = block[lo % span:lo % span + config.batch_size]
+                order = next(blocks)
+                block = pairs.take(order, axis=0)
+                if loss_kind == "negsamp":
+                    noise = noise_table.sample(
+                        noise_rng, size=(len(order), config.negatives))
+            rows = slice(lo % span, lo % span + config.batch_size)
+            batch = block[rows]
             if loss_kind == "hsoftmax":
                 loss, *update = _hsoftmax_step(params, batch, tree)
             elif loss_kind == "softmax":
                 loss, *update = _softmax_step(params, batch)
             else:
-                negs = noise_table.sample(
-                    noise_rng, size=(len(batch), config.negatives))
-                bw = None if pair_weights is None else pair_weights.take(rows)
-                loss, *update = _negsamp_step(params, ctx, batch, negs, bw)
+                bw = (None if pair_weights is None
+                      else pair_weights.take(order[rows]))
+                loss, *update = _negsamp_step(params, ctx, batch,
+                                              noise[rows], bw)
             # the losses sum over the batch, so the step is scaled down
             # to keep per-pair update sizes in the word2vec lr regime
             annealed = config.lr + (config.lr_min - config.lr) * (

@@ -69,10 +69,12 @@ class AliasTable:
         self.n = n
 
     def sample(self, rng, size=None):
-        """Draw indices; one uniform pick plus one coin flip per draw."""
-        k = rng.integers(0, self.n, size=size)
-        accept = rng.random(size=size) < self.prob.take(k)
-        return np.where(accept, k, self.alias.take(k))
+        """Draw indices from one uniform u each: the pick is floor(u * n)
+        and the coin the fractional part of u * n."""
+        u = rng.random(size=size) * self.n
+        k = u.astype(np.int64)
+        u -= k
+        return np.where(u < self.prob.take(k), k, self.alias.take(k))
 
 
 @dataclass(frozen=True)

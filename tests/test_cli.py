@@ -952,6 +952,33 @@ def test_eval_nodes_call_loads_neither_trainers_nor_encoders(data_dir,
         assert f"grembed.{name}" not in after_eval, name
 
 
+def test_cli_calls_never_load_numpy_random(data_dir, tmp_path):
+    # training and eval streams are grembed.rng's; only fixtures use numpy's
+    edges, emb = str(data_dir / "karate.edges"), str(tmp_path / "z.tsv")
+    small = ["--dim", "4", "--epochs", "1", "--walk-length", "5",
+             "--walks-per-node", "2", "--window", "2"]
+    calls = {
+        "embed deepwalk": ["embed", "--method", "deepwalk", "--input", edges,
+                           "--out", emb, *small],
+        "embed node2vec": ["embed", "--method", "node2vec", "--q", "0.5",
+                           "--input", edges, "--out",
+                           str(tmp_path / "z2.tsv"), *small],
+        "eval-nodes": ["eval-nodes", "--embedding", emb, "--labels",
+                       str(data_dir / "karate.labels"), "--eval-seeds", "2"],
+        "eval-links": ["eval-links", "--input", edges, "--method",
+                       "node2vec", "--eval-seeds", "2", *small],
+        "walk": ["walk", "--input", edges, "--length", "5",
+                 "--out", str(tmp_path / "w.txt")],
+    }
+    script = ("import sys, grembed.cli as cli\n"
+              "code = cli.main(sys.argv[1:])\n"
+              "print(code, 'numpy.random' in sys.modules, file=sys.stderr)\n")
+    for name, argv in calls.items():
+        r = subprocess.run([sys.executable, "-c", script, *argv],
+                           capture_output=True, text=True, env=CHILD_ENV)
+        assert r.stderr.splitlines()[-1] == "0 False", (name, r.stderr)
+
+
 TRACECLI = os.path.join(os.path.dirname(os.path.dirname(__file__)),
                         "perfbench", "tracecli.py")
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from grembed import autodiff as ad
-from grembed import fixtures
+from grembed import fixtures, shallow
 from grembed.errors import ContractError, NumericError, ValidationError
 from grembed.shallow import (
     METHODS,
@@ -599,6 +599,49 @@ def test_skipgram_epoch_holds_under_8_bytes_per_pair():
             tracemalloc.stop()
         counts.append(len(pairs))
     assert (peaks[2] - peaks[1]) / (counts[2] - counts[1]) < 8
+
+
+@pytest.mark.parametrize("case", ["deepwalk-hsoftmax", "deepwalk-negsamp",
+                                  "line2"])
+def test_decode_block_size_leaves_the_run_bitwise(case, monkeypatch):
+    # the keyed order and the noise draws are positional, so a block of
+    # one batch reads what a block of 32 does; batches of 7 leave the
+    # last block short
+    g, cases = karate_skipgram_cases()
+    pairs, kw = cases[case]
+    cfg = small_config(dim=8, epochs=2, lr=2.0, batch_size=7, seed=11)
+    runs = []
+    for blocks in (1, 32, 5):
+        monkeypatch.setattr(shallow, "DECODE_BATCHES", blocks)
+        runs.append(_skipgram_train(g, pairs, cfg, **kw))
+    for z, hist in runs[1:]:
+        assert np.array_equal(z.view(np.int64), runs[0][0].view(np.int64))
+        assert hist == runs[0][1]
+
+
+@pytest.mark.parametrize("loss_kind", ["negsamp", "hsoftmax"])
+def test_skipgram_epoch_peak_does_not_grow_with_pairs(loss_kind):
+    # an epoch holds one decode block's order, pairs and noise draws;
+    # an index per pair would add 4 bytes per added pair
+    g = fixtures.karate_club()[0]
+    cfg = small_config(epochs=1, batch_size=64)
+    peaks, counts = [], []
+    # the first run also makes one-off allocations, so it only warms up
+    for per_node, window in ((4, 5), (4, 5), (8, 5), (4, 10)):
+        corpus = sample_uniform_walks(
+            g, WalkConfig(length=30, walks_per_node=per_node, seed=5))
+        pairs = WalkPairs(corpus, window=window)
+        _, epoch = _skipgram(g, pairs, cfg, loss_kind)
+        tracemalloc.start()
+        try:
+            epoch(0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        counts.append(len(pairs))
+    for peak, count in zip(peaks[2:], counts[2:]):
+        assert count > 1.8 * counts[1]
+        assert peak - peaks[1] < 0.25 * (count - counts[1])
 
 
 def offset_table(width, d):

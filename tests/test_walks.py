@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from grembed import fixtures, walks
 from grembed.errors import ContractError, ValidationError
 from grembed.graph import Graph
-from grembed.rng import hashed_uniforms, walk_states
+from grembed.rng import derived_rng, hashed_uniforms, walk_states
 from grembed.walks import (
     AliasTable,
     WalkConfig,
@@ -36,13 +36,14 @@ def test_alias_table_matches_weights():
 
 @pytest.mark.parametrize("size", [7, (40, 5)])
 def test_alias_table_sample_is_one_pick_and_one_coin(size):
+    # one uniform u per draw: the pick is floor(u * n), the coin u * n - pick
     t = AliasTable([1.0, 3.0, 6.0, 0.0, 2.5])
-    got = t.sample(np.random.default_rng(2), size=size)
-    rng = np.random.default_rng(2)
-    k = rng.integers(0, t.n, size=size)
-    accept = rng.random(size=size) < t.prob[k]
-    want = np.where(accept, k, t.alias[k])
-    assert got.dtype == want.dtype and np.array_equal(got, want)
+    for make_rng in (np.random.default_rng, derived_rng):
+        got = t.sample(make_rng(2), size=size)
+        u = make_rng(2).random(size=size) * t.n
+        k = np.floor(u).astype(np.int64)
+        want = np.where(u - k < t.prob[k], k, t.alias[k])
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_alias_table_validation():
@@ -538,8 +539,7 @@ def test_pairs_match_loop_oracle_in_order(data):
                  WalkPairs(corpus, offset=window), (window,))):
             expect = oracles.hop_pairs_loop(corpus.walks, offsets)
             assert got.shape == expect.shape and np.array_equal(got, expect)
-            # any indices: unsorted, repeated or none, int32 as the
-            # trainer's shuffle holds them
+            # any indices: unsorted, repeated or none, int32 or int64
             picks = st.lists(st.integers(0, len(expect) - 1), max_size=20) \
                 if len(expect) else st.just([])
             idx = np.array(data.draw(picks),
