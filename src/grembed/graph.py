@@ -309,8 +309,7 @@ class Graph:
         """Unnormalized combinatorial Laplacian L = D - A."""
         if self.directed:
             raise ValidationError("laplacian requires an undirected graph")
-        a = self.adjacency_matrix()
-        return np.diag(a.sum(axis=1)) - a
+        return laplacian_of(self.adjacency_matrix())
 
     def adjacency_power(self, k, cap=DENSE_NODE_CAP):
         """Dense A^k; guarded by a node-count cap."""
@@ -364,6 +363,25 @@ class Graph:
     def __repr__(self):
         kind = "directed" if self.directed else "undirected"
         return f"Graph({self.node_count} nodes, {self.edge_count} edges, {kind})"
+
+
+def laplacian_of(s):
+    """Dense Laplacian D - W of W = (S + S^T)/2; W is S for symmetric S."""
+    w = 0.5 * (s + s.T)
+    return np.diag(w.sum(axis=1)) - w
+
+
+def eigh_columns(sym, d, top=True):
+    """(eigenvalues, eigenvector columns) of the d largest (``top``) or
+    smallest eigenpairs of symmetric ``sym``, in that order, each column
+    signed so its largest-magnitude entry is positive."""
+    lam, u = np.linalg.eigh(sym)
+    order = np.argsort(lam)
+    pick = (order[::-1] if top else order)[:d]
+    lam, u = lam[pick], u[:, pick]
+    flip = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])] < 0
+    u[:, flip] = -u[:, flip]
+    return lam, u
 
 
 def disjoint_union(graphs):

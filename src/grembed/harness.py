@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, ContractError, ValidationError
-from .graph import Graph, _open_text
+from .graph import Graph, _open_text, eigh_columns
 from .report import EvalReport
 from .rng import derived_rng
 
@@ -384,14 +384,7 @@ def pca_project(z, dims=2):
     if np.allclose(cov, 0.0):
         warnings.warn("zero-variance embeddings project to zeros")
         return np.zeros((x.shape[0], dims))
-    lam, vecs = np.linalg.eigh(cov)
-    order = np.argsort(lam)[::-1][:dims]
-    comps = vecs[:, order]
-    for j in range(comps.shape[1]):
-        pivot = np.argmax(np.abs(comps[:, j]))
-        if comps[pivot, j] < 0:
-            comps[:, j] = -comps[:, j]
-    return centered @ comps
+    return centered @ eigh_columns(cov, dims)[1]
 
 
 def export_projection(target, z, node_ids, dims=2):

@@ -1,13 +1,14 @@
 """Lookup-table node embeddings trained against pairwise objectives.
 
-Covers the spectral/factorization family (weighted-distance, inner
-product MSE against a similarity target, per-power blocks, general
-similarity targets) and the skip-gram family over sampled walks
-(hierarchical softmax, negative sampling, edge-based first/second
-order variants). One embedding table serves both center and context
-roles except for the second-order edge method, which trains separate
-context vectors; a skip-gram run keeps those, or the hierarchical
-softmax tree's vectors, as extra rows of its one parameter array.
+Covers the spectral family (Laplacian eigenmaps and the closed-form
+factorization, each one exact eigendecomposition; inner product MSE
+against similarity targets, one per power block) and the skip-gram
+family over sampled walks (hierarchical softmax, negative sampling,
+edge-based first/second order variants). One embedding table serves
+both center and context roles except for the second-order edge method,
+which trains separate context vectors; a skip-gram run keeps those, or
+the hierarchical softmax tree's vectors, as extra rows of its one
+parameter array.
 
 All trainers are deterministic for a fixed seed: pair shuffles and
 noise draws come from ``rng`` streams keyed by (seed, purpose, epoch).
@@ -20,6 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ContractError, NumericError, ValidationError
+from .graph import eigh_columns, laplacian_of
 from .rng import derived_rng
 from .similarity import SimilaritySpec, build_similarity
 from .table import EmbeddingTable
@@ -244,14 +246,7 @@ def closed_form_factorization(s, d):
     if d < 1:
         raise ContractError("dim must be >= 1")
     sym = 0.5 * (values + values.T)
-    lam, u = np.linalg.eigh(sym)
-    top = np.argsort(lam)[::-1][:d]
-    lam_d = lam[top]
-    u_d = u[:, top]
-    for c in range(d):
-        k = int(np.argmax(np.abs(u_d[:, c])))
-        if u_d[k, c] < 0:
-            u_d[:, c] = -u_d[:, c]
+    lam_d, u_d = eigh_columns(sym, d)
     clamped = int(np.sum(lam_d < 0))
     z = u_d * np.sqrt(np.maximum(lam_d, 0.0))[None, :]
     meta = {"eigenvalues": lam_d.tolist(), "clamped_eigenvalues": clamped,
@@ -549,40 +544,26 @@ def _full_batch_gram(g, target, config, method, dim, init=None):
     return z.data, history
 
 
-def _whiten(z):
-    """Zero-mean, unit-covariance transform of the embedding columns."""
-    z = z - z.mean(axis=0, keepdims=True)
-    cov = (z.T @ z) / len(z)
-    lam, u = np.linalg.eigh(cov)
-    lam = np.maximum(lam, 1e-12)
-    return z @ (u / np.sqrt(lam)[None, :]) @ u.T
-
-
-def _eigenmaps(g, s, config, init):
-    """Gradient steps on the weighted-distance loss, whitened after each."""
-    pairs = np.argwhere(s > 0)
-    weights = s[pairs[:, 0], pairs[:, 1]]
-    z = _whiten(_init_table(g, config.dim, config.seed, init))
-    history = []
-    for _ in range(config.epochs):
-        zt = ad.parameter(z)
-        with ad.Tape():
-            loss = weighted_distance_loss(zt, pairs, weights)
-            history.append(loss.item())
-            ad.backward(loss)
-        z = _whiten(z - config.lr * zt.grad)
-    zt = ad.parameter(z)
-    with ad.Tape():
-        history.append(weighted_distance_loss(zt, pairs, weights).item())
-    return z, history
+def _eigenmaps(s, dim):
+    """The zero-mean, unit-covariance table of least loss
+    sum_ij s_ij ||z_i - z_j||^2 = 2n sum(lambda): sqrt(n) times the dim
+    bottom eigenvectors of the Laplacian L of (S + S^T)/2 orthogonal to
+    the constant vector. Adding (trace(L) + 1)/n to L's entries lifts only
+    the constant vector's eigenvalue, above all others, however many
+    components the graph has."""
+    n = len(s)
+    lap = laplacian_of(s)
+    lam, u = eigh_columns(lap + (np.trace(lap) + 1.0) / n, dim, top=False)
+    return np.sqrt(n) * u, [2.0 * n * float(lam.sum())]
 
 
 class _Method(NamedTuple):
     """A row of the survey's (similarity, decoder, loss) table.
 
     ``source`` is what the column blocks train against (see _blocks);
-    ``step`` fits a block ("skipgram", "gram" or "eigenmaps"); ``losses``
-    are the skip-gram losses taken, default first; ``meta`` the metadata
+    ``step`` fits a block ("skipgram", "gram", or "eigenmaps": one exact
+    eigendecomposition, with no epochs, lr or warm start); ``losses`` are
+    the skip-gram losses taken, default first; ``meta`` the metadata
     keys; ``context`` gives LINE's second order a context table.
     """
 
@@ -667,7 +648,7 @@ def train_shallow(g, method, config=None):
 
     Metadata carries the loss history and the hyperparameters that
     shaped the run. A warm start ``config.initial`` is one (n, dim)
-    array, sliced per column block.
+    array, sliced per column block (``laplacian_eigenmaps`` refuses one).
     """
     config = config or ShallowConfig()
     if method not in _TABLE:
@@ -676,6 +657,9 @@ def train_shallow(g, method, config=None):
     if config.dim >= g.node_count:
         raise ValidationError(
             f"dim {config.dim} must be < node count {g.node_count}")
+    if config.initial is not None and row.step == "eigenmaps":
+        raise ContractError(f"{method} is solved exactly and takes no warm "
+                            "start (config.initial)")
     if config.loss not in (None,) + row.losses:
         raise ContractError(f"{method} does not take the {config.loss!r} "
                             f"loss; it takes {row.losses}")
@@ -702,7 +686,7 @@ def train_shallow(g, method, config=None):
         elif row.step == "gram":
             z, hist = _full_batch_gram(g, data, config, tag, d, init)
         else:
-            z, hist = _eigenmaps(g, data, config, init)
+            z, hist = _eigenmaps(data, d)
         blocks.append(z)
         history.append(hist)
     facts["loss_history"] = history if row.source in blocked else history[0]

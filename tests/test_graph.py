@@ -17,6 +17,8 @@ from grembed.graph import (
     Graph,
     disjoint_union,
     edge_list_string,
+    eigh_columns,
+    laplacian_of,
     load_attributes,
     load_edge_list,
     load_labels,
@@ -414,6 +416,21 @@ def test_laplacian_properties():
     d = Graph.from_edges([(0, 1)], directed=True)
     with pytest.raises(ValidationError):
         d.laplacian()
+    # a directed S enters as (S + S^T)/2
+    np.testing.assert_array_equal(laplacian_of(d.adjacency_matrix()),
+                                  0.5 * Graph.from_edges([(0, 1)]).laplacian())
+
+
+@pytest.mark.parametrize("top", [True, False])
+def test_eigh_columns_takes_one_end_and_signs_each_column(top):
+    x = np.random.default_rng(3).normal(size=(9, 9))
+    sym = x + x.T
+    lam, u = eigh_columns(sym, 4, top=top)
+    every = np.linalg.eigvalsh(sym)
+    np.testing.assert_allclose(lam, every[::-1][:4] if top else every[:4])
+    np.testing.assert_allclose(sym @ u, u * lam, atol=1e-12)
+    for col in u.T:
+        assert col[np.argmax(np.abs(col))] > 0
 
 
 def test_directed_graph_one_way_edges():

@@ -12,6 +12,7 @@ import oracles
 from grembed import autodiff as ad
 from grembed import fixtures, shallow
 from grembed.errors import ContractError, NumericError, ValidationError
+from grembed.graph import Graph, disjoint_union
 from grembed.shallow import (
     METHODS,
     EmbeddingTable,
@@ -367,15 +368,43 @@ def test_gf_loss_history_decreases():
     assert hist[-1] < hist[0]
 
 
-def test_laplacian_eigenmaps_loss_decreases_and_whitens():
-    g = fixtures.karate_club()[0]
-    t = train_shallow(g, "laplacian_eigenmaps",
-                      small_config(dim=2, epochs=30, lr=0.002))
-    hist = t.metadata["loss_history"]
-    assert hist[-1] < hist[0]
+def _three_components():
+    parts = [fixtures.karate_club()[0], fixtures.cycle_graph(9),
+             fixtures.barbell_graph(4, 2)]
+    return disjoint_union(parts)[0]
+
+
+def _directed_er():
+    er = fixtures.erdos_renyi(30, 0.15, seed=2)
+    return Graph(er.node_ids, er.edge_pairs, directed=True)
+
+
+@pytest.mark.parametrize("graph", [
+    lambda: fixtures.karate_club()[0], _three_components, _directed_er],
+    ids=["karate", "three-components", "directed"])
+def test_laplacian_eigenmaps_is_the_spectral_optimum_and_whitens(graph):
+    g = graph()
+    t = train_shallow(g, "laplacian_eigenmaps", small_config(dim=4))
+    s = g.adjacency_matrix()
+    pairs = np.argwhere(s > 0)
+    weights = s[pairs[:, 0], pairs[:, 1]]
+
+    def loss(z):
+        return weighted_distance_loss(ad.constant(z), pairs, weights).item()
+
     z = t.vectors
+    optimum = t.metadata["loss_history"][-1]
+    assert optimum == pytest.approx(loss(z), rel=1e-9)
+    np.testing.assert_allclose(z.mean(0), 0.0, atol=1e-12)
     cov = (z - z.mean(0)).T @ (z - z.mean(0)) / len(z)
-    np.testing.assert_allclose(cov, np.eye(2), atol=1e-6)
+    np.testing.assert_allclose(cov, np.eye(4), atol=1e-6)
+    # any other zero-mean, unit-covariance table scores no lower
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        x = rng.normal(size=z.shape)
+        x -= x.mean(0)
+        chol = np.linalg.cholesky(x.T @ x / len(x))
+        assert loss(np.linalg.solve(chol, x.T).T) >= optimum * (1 - 1e-9)
 
 
 def test_deepwalk_deterministic_and_improving():
@@ -467,7 +496,8 @@ def test_warm_start_initial_embeddings():
         train_shallow(g, "deepwalk", bad)
 
 
-@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize(
+    "method", [m for m in METHODS if m != "laplacian_eigenmaps"])
 def test_warm_start_honours_initial_in_every_method(method):
     g = fixtures.karate_club()[0]
     cfg = dict(dim=6, power_max=3, offsets=(1, 2, 3), epochs=2)
@@ -478,6 +508,15 @@ def test_warm_start_honours_initial_in_every_method(method):
     with pytest.raises(ContractError, match="initial embeddings shape"):
         train_shallow(g, method, small_config(
             initial=np.zeros((g.node_count, 10)), **cfg))
+
+
+def test_laplacian_eigenmaps_refuses_a_warm_start():
+    # an exact solve has no start table to honour
+    g = fixtures.karate_club()[0]
+    with pytest.raises(ContractError,
+                       match="^laplacian_eigenmaps .* takes no warm start"):
+        train_shallow(g, "laplacian_eigenmaps", small_config(
+            initial=rnd(1, g.node_count, 4)))
 
 
 @pytest.mark.parametrize("method,loss", [
