@@ -97,11 +97,20 @@ def _given(args, *names):
 
 def _shallow_config(args, base=None):
     """``base`` with the seed and each ShallowConfig option that the
-    subcommand has a flag for and a flag or the config file set."""
-    from .shallow import ShallowConfig
+    subcommand has a flag for and a flag or the config file set. An
+    option set for a ``--method`` that does not read it is refused,
+    whatever its value."""
+    from .shallow import ShallowConfig, unread_settings
     base = base or ShallowConfig()
     names = [f.name for f in dataclasses.fields(base) if hasattr(args, f.name)]
-    return dataclasses.replace(base, **_given(args, *names))
+    given = _given(args, *names)
+    method = getattr(args, "method", None)
+    unread = [f"--{name.replace('_', '-')}"
+              for name in unread_settings(method) if name in given]
+    if unread:
+        raise ConfigError(f"{method} is solved exactly and reads no "
+                          f"{', '.join(unread)}")
+    return dataclasses.replace(base, **given)
 
 
 def _input_graph(args):

@@ -35,6 +35,7 @@ from .walks import (
 from .walks import extract_pairs  # noqa: F401 (perfbench's tracer wraps it)
 
 DECODE_BATCHES = 32  # batches whose pairs _skipgram decodes at once
+NOISE_BATCHES = 16  # batches whose noise draws _skipgram takes at once
 
 
 # ---------------------------------------------------------------------
@@ -452,11 +453,12 @@ def _skipgram(g, pairs, config, loss_kind, context_table=False,
     closed-form gradients of the matching tape loss, applied only to the
     rows the batch touches. ``pairs``, an array or a ``walks.WalkPairs``,
     is read in the keyed order ``permutation(P)`` of the epoch's shuffle
-    stream, one block of DECODE_BATCHES batches at a time, and each
-    block's noise draws are taken at once; both streams are counter
-    based, so neither depends on the block size, and an epoch holds
-    O(block) indices however many pairs there are. ``seed_tag`` keys the
-    streams; ``where`` names the run in its errors.
+    stream, one block of DECODE_BATCHES batches at a time, and the noise
+    stream is drawn one slice of NOISE_BATCHES batches at a time; both
+    streams are counter based, so neither depends on the block or slice
+    size, and an epoch holds O(block) indices however many pairs there
+    are. ``seed_tag`` keys the streams; ``where`` names the run in its
+    errors.
     """
     where = where or f"{loss_kind} skip-gram"
     if len(pairs) == 0:
@@ -484,6 +486,7 @@ def _skipgram(g, pairs, config, loss_kind, context_table=False,
     offsets = np.arange(params.size).reshape(-1, dim)
     batches = int(np.ceil(len(pairs) / config.batch_size))
     span = DECODE_BATCHES * config.batch_size
+    noise_span = NOISE_BATCHES * config.batch_size
 
     def epoch(e):
         blocks = derived_rng(config.seed, "shuffle", seed_tag, e
@@ -494,9 +497,9 @@ def _skipgram(g, pairs, config, loss_kind, context_table=False,
             if lo % span == 0:
                 order = next(blocks)
                 block = pairs.take(order, axis=0)
-                if loss_kind == "negsamp":
-                    noise = noise_table.sample(
-                        noise_rng, size=(len(order), config.negatives))
+            if loss_kind == "negsamp" and lo % noise_span == 0:
+                noise = noise_table.sample(noise_rng, size=(
+                    min(noise_span, len(pairs) - lo), config.negatives))
             rows = slice(lo % span, lo % span + config.batch_size)
             batch = block[rows]
             if loss_kind == "hsoftmax":
@@ -506,8 +509,9 @@ def _skipgram(g, pairs, config, loss_kind, context_table=False,
             else:
                 bw = (None if pair_weights is None
                       else pair_weights.take(order[rows]))
-                loss, *update = _negsamp_step(params, ctx, batch,
-                                              noise[rows], bw)
+                at = lo % noise_span
+                loss, *update = _negsamp_step(
+                    params, ctx, batch, noise[at:at + config.batch_size], bw)
             # the losses sum over the batch, so the step is scaled down
             # to keep per-pair update sizes in the word2vec lr regime
             annealed = config.lr + (config.lr_min - config.lr) * (
@@ -575,6 +579,8 @@ class _Method(NamedTuple):
 
 
 _SKIPGRAM_LOSSES = ("negsamp", "hsoftmax", "softmax")
+# the ShallowConfig fields that only a trained method reads
+_TRAINING = ("epochs", "lr", "lr_min", "batch_size")
 _TABLE = {
     "laplacian_eigenmaps": _Method("adjacency", "eigenmaps"),
     "graph_factorization": _Method("adjacency", "gram"),
@@ -594,6 +600,13 @@ _TABLE = {
                      ("loss", "loss_history", "order"), context=True),
 }
 METHODS = tuple(_TABLE)
+
+
+def unread_settings(method):
+    """The training fields of ShallowConfig that ``method`` ignores: all
+    of them for an exact solve, none for a trained or unknown method."""
+    row = _TABLE.get(method)
+    return _TRAINING if row and row.step == "eigenmaps" else ()
 
 
 def _block_dims(dim, count):
@@ -648,7 +661,9 @@ def train_shallow(g, method, config=None):
 
     Metadata carries the loss history and the hyperparameters that
     shaped the run. A warm start ``config.initial`` is one (n, dim)
-    array, sliced per column block (``laplacian_eigenmaps`` refuses one).
+    array, sliced per column block. ``laplacian_eigenmaps`` trains
+    nothing, so it refuses a warm start and any ``epochs``, ``lr``,
+    ``lr_min`` or ``batch_size`` but the defaults.
     """
     config = config or ShallowConfig()
     if method not in _TABLE:
@@ -663,6 +678,12 @@ def train_shallow(g, method, config=None):
     if config.loss not in (None,) + row.losses:
         raise ContractError(f"{method} does not take the {config.loss!r} "
                             f"loss; it takes {row.losses}")
+    unread = unread_settings(method)
+    given = [f"{name}={getattr(config, name)!r}" for name in unread
+             if getattr(config, name) != getattr(ShallowConfig(), name)]
+    if given:
+        raise ContractError(f"{method} is solved exactly and takes no "
+                            f"{', '.join(unread)}; got {', '.join(given)}")
     repeated = sorted({o for o in config.offsets if config.offsets.count(o) > 1})
     if row.source == "offsets" and repeated:
         raise ContractError(f"walklets offsets repeat {repeated}; each offset "
@@ -690,7 +711,9 @@ def train_shallow(g, method, config=None):
         blocks.append(z)
         history.append(hist)
     facts["loss_history"] = history if row.source in blocked else history[0]
-    meta = {"seed": config.seed, "dim": config.dim, "epochs": config.epochs}
+    meta = {"seed": config.seed, "dim": config.dim}
+    if "epochs" not in unread:
+        meta["epochs"] = config.epochs
     meta.update((key, facts[key]) for key in row.meta)
     return EmbeddingTable(np.concatenate(blocks, axis=1), list(g.node_ids),
                           method, meta)

@@ -70,11 +70,16 @@ class AliasTable:
 
     def sample(self, rng, size=None):
         """Draw indices from one uniform u each: the pick is floor(u * n)
-        and the coin the fractional part of u * n."""
-        u = rng.random(size=size) * self.n
+        and the coin the fractional part of u * n. Without ``size``, one
+        index as an int."""
+        u = np.atleast_1d(rng.random(size=size))
+        u *= self.n
         k = u.astype(np.int64)
         u -= k
-        return np.where(u < self.prob.take(k), k, self.alias.take(k))
+        keep = u < self.prob.take(k)
+        del u  # one float array fewer held while the picks are made
+        picks = np.where(keep, k, self.alias.take(k))
+        return int(picks[0]) if size is None else picks
 
 
 @dataclass(frozen=True)

@@ -120,6 +120,21 @@ def test_embed_rejects_nonpositive_batch_size(data_dir, tmp_path, capsys):
         assert stdout == "" and not out.exists()
 
 
+def test_embed_laplacian_eigenmaps_refuses_epochs(data_dir, tmp_path,
+                                                 capsys):
+    # an exact eigendecomposition has no epochs to run, so even the
+    # default count is refused once it is asked for
+    out = tmp_path / "z.tsv"
+    code, stdout, err = run_cli(
+        capsys, "embed", "--method", "laplacian_eigenmaps",
+        "--input", str(data_dir / "karate.edges"), "--dim", "4",
+        "--epochs", "5", "--out", str(out))
+    assert code == 2
+    assert err == ("error: laplacian_eigenmaps is solved exactly and reads "
+                   "no --epochs\n")
+    assert stdout == "" and not out.exists()
+
+
 def test_no_subcommand_exits_2(capsys):
     code, _, _ = run_cli(capsys)
     assert code == 2

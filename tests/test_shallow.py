@@ -384,7 +384,7 @@ def _directed_er():
     ids=["karate", "three-components", "directed"])
 def test_laplacian_eigenmaps_is_the_spectral_optimum_and_whitens(graph):
     g = graph()
-    t = train_shallow(g, "laplacian_eigenmaps", small_config(dim=4))
+    t = train_shallow(g, "laplacian_eigenmaps", ShallowConfig(dim=4, seed=5))
     s = g.adjacency_matrix()
     pairs = np.argwhere(s > 0)
     weights = s[pairs[:, 0], pairs[:, 1]]
@@ -515,8 +515,24 @@ def test_laplacian_eigenmaps_refuses_a_warm_start():
     g = fixtures.karate_club()[0]
     with pytest.raises(ContractError,
                        match="^laplacian_eigenmaps .* takes no warm start"):
-        train_shallow(g, "laplacian_eigenmaps", small_config(
-            initial=rnd(1, g.node_count, 4)))
+        train_shallow(g, "laplacian_eigenmaps", ShallowConfig(
+            dim=4, seed=5, initial=rnd(1, g.node_count, 4)))
+
+
+@pytest.mark.parametrize("setting", [dict(epochs=50), dict(lr=0.5),
+                                     dict(lr_min=0.0), dict(batch_size=64),
+                                     dict(epochs=3, lr=1.0)])
+def test_laplacian_eigenmaps_refuses_the_training_settings(setting):
+    # an exact solve has no epochs, lr schedule or batches to honour
+    g = fixtures.karate_club()[0]
+    got = ", ".join(f"{k}={v!r}" for k, v in setting.items())
+    with pytest.raises(ContractError, match=(
+            "^laplacian_eigenmaps is solved exactly and takes no epochs, lr, "
+            f"lr_min, batch_size; got {re.escape(got)}$")):
+        train_shallow(g, "laplacian_eigenmaps",
+                      ShallowConfig(dim=4, **setting))
+    t = train_shallow(g, "laplacian_eigenmaps", ShallowConfig(dim=4))
+    assert "epochs" not in t.metadata
 
 
 @pytest.mark.parametrize("method,loss", [
@@ -643,15 +659,17 @@ def test_skipgram_epoch_holds_under_8_bytes_per_pair():
 @pytest.mark.parametrize("case", ["deepwalk-hsoftmax", "deepwalk-negsamp",
                                   "line2"])
 def test_decode_block_size_leaves_the_run_bitwise(case, monkeypatch):
-    # the keyed order and the noise draws are positional, so a block of
-    # one batch reads what a block of 32 does; batches of 7 leave the
-    # last block short
+    # the keyed order and the noise draws are positional, so a block and
+    # a noise slice of one batch read what a block of 32 and a slice of
+    # 16 do; batches of 7 leave the last block and the last slice short
+    # (2,244 pairs: 321 batches; 156 pairs: 23 batches)
     g, cases = karate_skipgram_cases()
     pairs, kw = cases[case]
     cfg = small_config(dim=8, epochs=2, lr=2.0, batch_size=7, seed=11)
     runs = []
-    for blocks in (1, 32, 5):
+    for blocks, noise in ((1, 1), (32, 16), (10, 5)):
         monkeypatch.setattr(shallow, "DECODE_BATCHES", blocks)
+        monkeypatch.setattr(shallow, "NOISE_BATCHES", noise)
         runs.append(_skipgram_train(g, pairs, cfg, **kw))
     for z, hist in runs[1:]:
         assert np.array_equal(z.view(np.int64), runs[0][0].view(np.int64))
@@ -660,8 +678,8 @@ def test_decode_block_size_leaves_the_run_bitwise(case, monkeypatch):
 
 @pytest.mark.parametrize("loss_kind", ["negsamp", "hsoftmax"])
 def test_skipgram_epoch_peak_does_not_grow_with_pairs(loss_kind):
-    # an epoch holds one decode block's order, pairs and noise draws;
-    # an index per pair would add 4 bytes per added pair
+    # an epoch holds one decode block's order and pairs and one slice's
+    # noise draws; an index per pair would add 4 bytes per added pair
     g = fixtures.karate_club()[0]
     cfg = small_config(epochs=1, batch_size=64)
     peaks, counts = [], []
@@ -681,6 +699,32 @@ def test_skipgram_epoch_peak_does_not_grow_with_pairs(loss_kind):
     for peak, count in zip(peaks[2:], counts[2:]):
         assert count > 1.8 * counts[1]
         assert peak - peaks[1] < 0.25 * (count - counts[1])
+
+
+def test_negsamp_epoch_peak_stays_under_twelve_noise_slices():
+    # 38,080 pairs in batches of 64: 18 full decode blocks. In units of
+    # one slice's int64 noise draws, the epoch peaks at about 9.3, in a
+    # block's decode; a slice's draw peaks at about 8.4 (the slice and
+    # the one before, its counters, uniforms, picks, coins and aliases,
+    # with the block's order and pairs). Drawing a whole block's noise
+    # at once peaks at about 14.5.
+    g = fixtures.karate_club()[0]
+    cfg = small_config(epochs=1, batch_size=64)
+    corpus = sample_uniform_walks(
+        g, WalkConfig(length=30, walks_per_node=4, seed=5))
+    pairs = WalkPairs(corpus, window=5)
+    assert len(pairs) > 16 * shallow.DECODE_BATCHES * cfg.batch_size
+    slice_bytes = 8 * shallow.NOISE_BATCHES * cfg.batch_size * cfg.negatives
+    # the first run also makes one-off allocations, so it only warms up
+    for _ in range(2):
+        _, epoch = _skipgram(g, pairs, cfg, "negsamp")
+        tracemalloc.start()
+        try:
+            epoch(0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 12 * slice_bytes
 
 
 def offset_table(width, d):

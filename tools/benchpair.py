@@ -14,10 +14,14 @@ itself), or the comparison would measure the benchmark too.
 
 ``BENCH_<tag>.json`` at the root of the working tree is rewritten after
 every run. Per workload and end-to-end metric it holds each side's median
-and inclusive quartiles over the seeds, and the number of pairs the change
-won (ties count for neither side); then each side's traced per-layer
-numbers and every run, with the host (``nproc``, Python, numpy, BLAS) as
-the benchmark reports it.
+and inclusive quartiles over the seeds, the number of pairs the change
+won (ties count for neither side), and ``claim_met``: whether a gain on
+that metric may be claimed, that is, at least ten pairs ran, the change
+won at least nine tenths of them, and its median is better than the
+parent's by more than the parent's quartile spread. Per workload it also
+totals each side's failed operations (``failed``); then come each side's
+traced per-layer numbers and every run, with the host (``nproc``,
+Python, numpy, BLAS) as the benchmark reports it.
 """
 
 import argparse
@@ -64,7 +68,8 @@ def spread(values):
 
 
 def summary(runs, units):
-    """Per end-to-end metric: each side's spread and the pairs won."""
+    """Per end-to-end metric: each side's spread, the pairs won and
+    whether a gain may be claimed."""
     out = {}
     for metric in SPEC["end_to_end"]:
         name = metric["name"]
@@ -78,6 +83,12 @@ def summary(runs, units):
         out[name].update((side, spread(list(sides[side].values())))
                          for side in sides if sides[side])
         out[name].update(change_better_pairs=won, pairs=len(seeds))
+        if seeds:
+            parent, change = out[name]["parent"], out[name]["change"]
+            gap = sign * (change["median"] - parent["median"])
+            out[name]["claim_met"] = (len(seeds) >= 10
+                                      and 10 * won >= 9 * len(seeds)
+                                      and gap > parent["q3"] - parent["q1"])
     return out
 
 
@@ -123,7 +134,7 @@ def main(argv=None):
         trees = {"parent": Path(tmp), "change": ROOT}
         for workload in (w["name"] for w in SPEC["workloads"]):
             entry = record["workloads"][workload] = {
-                "why": None, "input": None, "end_to_end": {},
+                "why": None, "input": None, "end_to_end": {}, "failed": {},
                 "per_layer_traced": {}, "runs": []}
             for i, seed in enumerate(args.seeds):
                 order = ("change", "parent") if i % 2 else ("parent", "change")
@@ -144,6 +155,9 @@ def main(argv=None):
                     units = {k: m["unit"] for k, m
                              in result["metrics"].items()}
                     entry["end_to_end"] = summary(entry["runs"], units)
+                    entry["failed"] = {
+                        s: sum(r["failed"] for r in entry["runs"]
+                               if r["side"] == s) for s in trees}
                     save()
                     print(f"{workload} seed {seed} {side}: "
                           f"{json.dumps(entry['runs'][-1]['metrics'])}",
