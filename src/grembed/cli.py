@@ -105,11 +105,13 @@ def _shallow_config(args, base=None):
     names = [f.name for f in dataclasses.fields(base) if hasattr(args, f.name)]
     given = _given(args, *names)
     method = getattr(args, "method", None)
-    unread = [f"--{name.replace('_', '-')}"
-              for name in unread_settings(method) if name in given]
+    ignored = unread_settings(method)
+    unread = [f"--{name.replace('_', '-')}" for name in ignored
+              if name in given]
     if unread:
-        raise ConfigError(f"{method} is solved exactly and reads no "
-                          f"{', '.join(unread)}")
+        # a method that reads no epochs trains nothing
+        how = " is solved exactly and" if "epochs" in ignored else ""
+        raise ConfigError(f"{method}{how} reads no {', '.join(unread)}")
     return dataclasses.replace(base, **given)
 
 

@@ -168,25 +168,32 @@ def _feistel_blocks(keys, count, span):
         src, dst = (hi_bits, lo_bits) if r % 2 else (lo_bits, hi_bits)
         h = _hashes(key, np.arange(1 << src, dtype=np.uint64))
         tables.append((h & np.uint64((1 << dst) - 1)).astype(np.int64))
-    held = np.zeros(0, dtype=np.int64)
-    at, end = 0, (1 << bits) * (count > 0)
-    while True:
-        while held.size < span and at < end:
-            x = np.arange(at, min(at + span, end))
-            at += x.size
-            hi, lo = x >> lo_bits, x & ((1 << lo_bits) - 1)
-            for r, table in enumerate(tables):
-                if r % 2:
-                    lo ^= table.take(hi)
-                else:
-                    hi ^= table.take(lo)
-            hi <<= lo_bits
-            hi |= lo
-            held = np.concatenate([held, hi[hi < count]])
-        if not held.size:
-            return
-        yield held[:span]
-        held = held[span:]
+    end = (1 << bits) * (count > 0)
+    # the values run a quarter block at a time, so the round arithmetic
+    # holds a fraction of a block while the blocks fill
+    step = span // 4 + 1
+    left, filled = count, 0
+    block = np.empty(min(span, left), dtype=np.int64)
+    for at in range(0, end, step):
+        lo = np.arange(at, min(at + step, end))
+        hi = lo >> lo_bits
+        lo &= (1 << lo_bits) - 1
+        for r, table in enumerate(tables):
+            if r % 2:
+                lo ^= table.take(hi)
+            else:
+                hi ^= table.take(lo)
+        hi <<= lo_bits
+        hi |= lo
+        kept = hi[hi < count]
+        while kept.size:
+            k = min(block.size - filled, kept.size)
+            block[filled:filled + k] = kept[:k]
+            filled, kept = filled + k, kept[k:]
+            if filled == block.size:
+                yield block
+                left -= filled
+                block, filled = np.empty(min(span, left), dtype=np.int64), 0
 
 
 def walk_states(seed, streams):

@@ -189,6 +189,9 @@ class HierarchicalSoftmaxTree:
         self.path_nodes = np.stack(nodes, axis=1).take(rank, axis=0)
         self.path_signs = np.stack(signs, axis=1).take(rank, axis=0)
         self.path_mask = (self.path_signs != 0).astype(np.float64)
+        # the tree's vectors follow the leaves' rows in a skip-gram run's
+        # parameter array (see _skipgram)
+        self.path_rows = self.path_nodes + n
 
     def leaf_probabilities(self, z, w):
         """Probability of each leaf given input vector z, parameters w."""
@@ -318,13 +321,62 @@ def _init_table(g, dim, seed, initial=None):
     return rng.uniform(-0.5, 0.5, size=(g.node_count, dim)) / dim
 
 
-def _sparse_sgd(table, rows, grad, lr, where, offsets):
+class _Workspace:
+    """One skip-gram run's batch scratch, sized once for its full batch.
+
+    A step lists its rows in ``rows``, gathers their vectors into
+    ``vecs`` and turns them into their gradients there, and keeps its
+    per-term arithmetic in ``terms`` (and the boolean ``flag``) and its
+    per-pair vectors in ``head``. ``_sparse_sgd`` builds the flat
+    ``bincount`` index in ``flat`` from ``offsets``, the table of
+    ``u * d + arange(d)`` over the run's parameter rows, and checks the
+    sums in ``finite``; a decode block lands in ``block``, with
+    ``decode`` as the decode's scratch. A batch shorter than the full
+    one uses the front of each buffer. So a full-table update allocates
+    only ``bincount``'s accumulator, which has no ``out=``.
+
+    ``shape`` is the run's parameter array's, ``rows`` the most gradient
+    rows one batch's update holds, ``terms`` the shape of the float
+    scratch and ``span`` the pairs a decode block holds.
+    """
+
+    def __init__(self, shape, batch_size, rows, terms, span=0):
+        n, d = shape
+        self.rows = np.empty(rows, dtype=np.intp)
+        self.vecs = np.empty((rows, d))
+        self.flat = np.empty((rows, d), dtype=np.intp)
+        self.head = np.empty((batch_size, d))
+        self.terms = np.empty(terms)
+        self.flag = np.empty(terms[1], dtype=bool)
+        self.offsets = np.arange(n * d).reshape(n, d)
+        self.count = np.arange(max(rows, n))
+        self.slot = np.empty(n, dtype=np.intp)
+        self.finite = np.empty(n * d, dtype=bool)
+        self.block = np.empty((span, 2), dtype=np.int64)
+        self.decode = np.empty((2, span), dtype=np.int64)
+
+    @classmethod
+    def sized(cls, shape, loss_kind, batch_size, per_pair, span=0):
+        """The workspace of a ``loss_kind`` run; ``per_pair`` is the
+        tree's depth (hsoftmax) or the noise draws per pair (negsamp)."""
+        b = batch_size
+        if loss_kind == "hsoftmax":
+            return cls(shape, b, b * (1 + per_pair), (4, b * per_pair), span)
+        if loss_kind == "negsamp":
+            return cls(shape, b, b * (2 + per_pair), (3, b * (1 + per_pair)),
+                       span)
+        # softmax: every row gets a gradient; logits and probabilities
+        return cls(shape, b, b + shape[0], (2, b * shape[0]), span)
+
+
+def _sparse_sgd(table, rows, grad, lr, where, ws):
     """One SGD step on the rows of ``table`` that a batch touched.
 
     ``grad`` holds one gradient row per entry of ``rows``; repeated rows
     accumulate, each element summed in input order from 0.0. The flat
-    ``bincount`` index is gathered from ``offsets``, a trainer's table of
-    ``u * d + arange(d)`` with a row for every row of ``table``.
+    ``bincount`` index is gathered from ``ws.offsets`` (a ``_Workspace``
+    sized for ``table``) into ``ws.flat``; once the sums are taken,
+    ``ws.vecs`` is scratch, so ``grad`` may be it.
 
     An update with at least as many rows as the table accumulates into
     the whole table and writes all of it: there, finding the distinct
@@ -336,108 +388,156 @@ def _sparse_sgd(table, rows, grad, lr, where, offsets):
     are checked before any row is written, so a non-finite step leaves
     the table as it was and names ``where`` in the error.
     """
-    if not len(rows):
+    m = len(rows)
+    if not m:
         return
     n, d = table.shape
     uniq = None
-    if len(rows) < n:
-        m = np.arange(len(rows))
-        slot = np.empty(n, dtype=np.intp)
-        slot[rows] = m
+    if m < n:
+        count = ws.count[:m]
+        ws.slot[rows] = count
         # whichever duplicate's write lands, one entry per row reads
         # back its own index
-        uniq = rows[slot.take(rows) == m]
-        slot[uniq] = m[:uniq.size]
-        rows, n = slot.take(rows), uniq.size
-    acc = np.bincount(offsets.take(rows, axis=0).ravel(),
-                      weights=grad.ravel(), minlength=n * d).reshape(n, d)
-    if not np.isfinite(acc).all():
+        uniq = rows[ws.slot.take(rows) == count]
+        ws.slot[uniq] = count[:uniq.size]
+        rows, n = ws.slot.take(rows), uniq.size
+    flat = ws.offsets.take(rows, axis=0, out=ws.flat[:m], mode="clip")
+    acc = np.bincount(flat.ravel(), weights=grad.ravel(),
+                      minlength=n * d).reshape(n, d)
+    if not np.isfinite(acc, out=ws.finite[:n * d].reshape(n, d)).all():
         raise NumericError(f"non-finite gradient in {where}")
     acc *= lr
     if uniq is None:
         table -= acc
     else:
-        table[uniq] -= acc
+        rest = table.take(uniq, axis=0, out=ws.vecs[:n], mode="clip")
+        rest -= acc
+        table[uniq] = rest
 
 
-def _log_sigmoid_slope(x):
-    """log(sigmoid(x)) and its slope 1 - sigmoid(x), stable, from one exp."""
-    e = np.exp(-np.abs(x))
-    tail = np.log1p(e)
-    return np.minimum(x, 0) - tail, np.where(x >= 0, e, 1.0) / (1.0 + e)
+def _log_sigmoid_slope(x, slope, tail, flag):
+    """log(sigmoid(x)) and its slope 1 - sigmoid(x), stable, from one exp.
+
+    Log sigmoid is written over x and the slope into ``slope``, which
+    are returned; ``tail`` and the boolean ``flag`` are scratch of x's
+    shape.
+    """
+    np.greater_equal(x, 0, out=flag)
+    e = np.exp(np.negative(np.abs(x, out=slope), out=slope), out=slope)
+    np.log1p(e, out=tail)
+    np.minimum(x, 0, out=x)
+    x -= tail
+    np.add(e, 1.0, out=tail)
+    # e where x >= 0, 1.0 elsewhere, over 1 + e
+    np.copyto(slope, 1.0, where=np.logical_not(flag, out=flag))
+    slope /= tail
+    return x, slope
 
 
 # Closed-form steps: each takes a run's parameter array (see _skipgram)
-# and returns the summed batch loss of its tape twin above, the rows of
-# that array the batch touched, and the loss's gradient for each of
-# them, as one _sparse_sgd update.
+# and its _Workspace, and returns the summed batch loss of its tape
+# twin above, the rows of that array the batch touched, and the loss's
+# gradient for each of them, as one _sparse_sgd update, in the workspace.
 
 
-def _hsoftmax_step(params, batch, tree):
+def _hsoftmax_step(params, batch, tree, ws):
     """hierarchical_softmax_loss and its gradients; the tree's vectors
     are the rows of ``params`` from ``tree.n_leaves`` on."""
+    b, depth = len(batch), tree.depth
     ctx = batch[:, 1]
-    signs = tree.path_signs.take(ctx, axis=0)
-    b, depth = signs.shape
-    rows = np.concatenate([batch[:, 0], tree.path_nodes.take(
-        ctx, axis=0).ravel() + tree.n_leaves])
-    vecs = params.take(rows, axis=0)
+    rows = ws.rows[:b * (1 + depth)]
+    rows[:b] = batch[:, 0]
+    tree.path_rows.take(ctx, axis=0, out=rows[b:].reshape(b, depth),
+                        mode="clip")
+    signs, x, slope, tail = ws.terms[:, :b * depth].reshape(4, b, depth)
+    tree.path_signs.take(ctx, axis=0, out=signs, mode="clip")
+    vecs = params.take(rows, axis=0, out=ws.vecs[:len(rows)], mode="clip")
     zc, wv = vecs[:b], vecs[b:].reshape(b, depth, -1)
-    logsig, slope = _log_sigmoid_slope(np.einsum("btd,bd->bt", wv, zc) * signs)
-    loss = -float((logsig * tree.path_mask.take(ctx, axis=0)).sum())
+    x = np.einsum("btd,bd->bt", wv, zc, out=x)
+    x *= signs
+    logsig, slope = _log_sigmoid_slope(
+        x, slope, tail, ws.flag[:b * depth].reshape(b, depth))
+    mask = tree.path_mask.take(ctx, axis=0, out=tail, mode="clip")
+    mask *= logsig
+    loss = -float(mask.sum())
     # d loss / d (z . w) = -(1 - sigmoid(x)) * sign; sign is 0 off the path
-    g = -slope * signs
+    g = np.negative(slope, out=slope)
+    g *= signs
     # the gathered rows become their gradients, each after its last read
-    grad_z = np.einsum("bt,btd->bd", g, wv)
+    grad_z = np.einsum("bt,btd->bd", g, wv, out=ws.head[:b])
     np.einsum("bt,bd->btd", g, zc, out=wv)
     zc[:] = grad_z
     return loss, rows, vecs
 
 
-def _negsamp_step(params, ctx, batch, negs, weights=None):
+def _negsamp_step(params, ctx, batch, negs, ws, weights=None):
     """negative_sampling_loss and its gradients; context and noise
     vectors are the rows of ``params`` from ``ctx`` on, which is 0 when
     z plays both roles."""
     b, k = negs.shape
     # rows: centers, then contexts, then noise draws
-    rows = np.concatenate([batch[:, 0], batch[:, 1] + ctx, negs.ravel() + ctx])
-    vecs = params.take(rows, axis=0)
+    rows = ws.rows[:b * (2 + k)]
+    rows[:b] = batch[:, 0]
+    np.add(batch[:, 1], ctx, out=rows[b:2 * b])
+    np.add(negs, ctx, out=rows[2 * b:].reshape(b, k))
+    vecs = params.take(rows, axis=0, out=ws.vecs[:len(rows)], mode="clip")
     zi, zj, zn = vecs[:b], vecs[b:2 * b], vecs[2 * b:].reshape(b, k, -1)
+    # each pair's positive term, then its k noise terms
+    x, slope, tail = ws.terms[:, :b * (1 + k)]
+    np.einsum("bd,bd->b", zi, zj, out=x[:b])
+    neg = np.einsum("bkd,bd->bk", zn, zi, out=x[b:].reshape(b, k))
+    np.negative(neg, out=neg)
+    _log_sigmoid_slope(x, slope, tail, ws.flag[:len(x)])
     # d loss / d (zi . zj) is -pos_slope, d loss / d (zi . zn) is gn
-    pos, pos_slope = _log_sigmoid_slope(np.einsum("bd,bd->b", zi, zj))
-    neg, gn = _log_sigmoid_slope(-np.einsum("bkd,bd->bk", zn, zi))
+    pos, pos_slope, gn = x[:b], slope[:b], slope[b:].reshape(b, k)
     if weights is not None:
-        w = np.asarray(weights)
-        pos, pos_slope = pos * w, pos_slope * w
-        neg, gn = neg * w[:, None], gn * w[:, None]
+        pos *= weights
+        pos_slope *= weights
+        neg *= weights[:, None]
+        gn *= weights[:, None]
     loss = -(float(pos.sum()) + float(neg.sum()))
-    gp = -pos_slope[:, None]
+    gp = np.negative(pos_slope, out=pos_slope)[:, None]
     # the gathered rows become their gradients, each after its last read
-    grad_i = np.einsum("bk,bkd->bd", gn, zn)
-    grad_i += gp * zj
+    grad_i = np.einsum("bk,bkd->bd", gn, zn, out=ws.head[:b])
+    grad_i += np.multiply(gp, zj, out=zj)
     np.multiply(gp, zi, out=zj)
     np.einsum("bk,bd->bkd", gn, zi, out=zn)
     zi[:] = grad_i
     return loss, rows, vecs
 
 
-def _softmax_step(z, batch):
+def _softmax_step(z, batch, ws):
     """softmax_cross_entropy_loss and its gradients.
 
     The normalization runs over every node, so every row gets a context
-    gradient; the logit gradient is p - e_ctx, formed in place.
+    gradient; the logit gradient is p - e_ctx, formed in place. Only
+    the per-pair maxima and sums allocate.
     """
-    b = np.arange(len(batch))
-    zc = z.take(batch[:, 0], axis=0)
-    logits = zc @ z.T
+    b, n = len(batch), len(z)
+    rows = ws.rows[:b + n]
+    rows[:b] = batch[:, 0]
+    rows[b:] = ws.count[:n]
+    zc = z.take(batch[:, 0], axis=0, out=ws.head[:b], mode="clip")
+    logits, p = ws.terms[:, :b * n].reshape(2, b, n)
+    np.matmul(zc, z.T, out=logits)
     logits -= logits.max(axis=1, keepdims=True)
-    p = np.exp(logits)
+    np.exp(logits, out=p)
     total = p.sum(axis=1, keepdims=True)
-    loss = -float((logits[b, batch[:, 1]] - np.log(total[:, 0])).sum())
+    at = ws.count[:b], batch[:, 1]
+    loss = -float((logits[at] - np.log(total[:, 0])).sum())
     p /= total
-    p[b, batch[:, 1]] -= 1.0
-    return (loss, np.concatenate([batch[:, 0], np.arange(len(z))]),
-            np.concatenate([p @ z, p.T @ zc]))
+    p[at] -= 1.0
+    grad = ws.vecs[:b + n]
+    np.matmul(p, z, out=grad[:b])
+    np.matmul(p.T, zc, out=grad[b:])
+    return loss, rows, grad
+
+
+def _check_nodes(pairs, n, where):
+    """Refuse pairs that name a node outside [0, n): the gathers clip."""
+    if pairs.min() < 0 or pairs.max() >= n:
+        raise ValidationError(
+            f"pair node index out of range [0, {n}) in {where}")
 
 
 def _skipgram(g, pairs, config, loss_kind, context_table=False,
@@ -457,20 +557,29 @@ def _skipgram(g, pairs, config, loss_kind, context_table=False,
     stream is drawn one slice of NOISE_BATCHES batches at a time; both
     streams are counter based, so neither depends on the block or slice
     size, and an epoch holds O(block) indices however many pairs there
-    are. ``seed_tag`` keys the streams; ``where`` names the run in its
-    errors.
+    are. A pair array, or else each decoded block, is checked to hold
+    node indices in [0, n) before any of it is gathered. The run
+    allocates one ``_Workspace``, so a batch's step, update and decode
+    allocate nothing that grows with the batch but ``bincount``'s
+    accumulator. ``seed_tag`` keys the streams; ``where`` names the run
+    in its errors.
     """
     where = where or f"{loss_kind} skip-gram"
     if len(pairs) == 0:
         raise ValidationError(f"no training pairs extracted for {where}")
     dim = dim or config.dim
     n = g.node_count
+    decoded = isinstance(pairs, WalkPairs)
+    if not decoded:
+        _check_nodes(pairs, n, where)
     params = _init_table(g, dim, config.seed, init)
     tree = noise_table = None
     ctx = 0  # the first row of the context vectors
+    per_pair = config.negatives
     if loss_kind == "hsoftmax":
         tree = HierarchicalSoftmaxTree(g.degrees(weighted=True))
         params = np.concatenate([params, np.zeros((tree.n_internal, dim))])
+        per_pair = tree.depth
     if loss_kind == "negsamp":
         if context_table:
             rng = derived_rng(config.seed, "ctx_init", seed_tag)
@@ -478,15 +587,19 @@ def _skipgram(g, pairs, config, loss_kind, context_table=False,
                 [params, rng.uniform(-0.5, 0.5, size=(n, dim)) / dim])
             ctx = n
             counts = g.degrees(weighted=True)
-        elif isinstance(pairs, np.ndarray):
+        elif not decoded:
             counts = np.bincount(pairs[:, 1], minlength=n).astype(np.float64)
         else:
             counts = pairs.context_counts()
         noise_table = AliasTable(unigram_noise(counts))
-    offsets = np.arange(params.size).reshape(-1, dim)
     batches = int(np.ceil(len(pairs) / config.batch_size))
     span = DECODE_BATCHES * config.batch_size
     noise_span = NOISE_BATCHES * config.batch_size
+    ws = _Workspace.sized(params.shape, loss_kind,
+                          min(config.batch_size, len(pairs)), per_pair,
+                          min(span, len(pairs)))
+    batch_weights = (None if pair_weights is None
+                     else np.empty(config.batch_size))
 
     def epoch(e):
         blocks = derived_rng(config.seed, "shuffle", seed_tag, e
@@ -496,28 +609,38 @@ def _skipgram(g, pairs, config, loss_kind, context_table=False,
         for b, lo in enumerate(range(0, len(pairs), config.batch_size)):
             if lo % span == 0:
                 order = next(blocks)
-                block = pairs.take(order, axis=0)
+                m = len(order)
+                block = ws.block[:m]
+                if decoded:
+                    pairs.take(order, out=block, scratch=ws.decode[:, :m])
+                    _check_nodes(block, n, where)
+                else:
+                    pairs.take(order, axis=0, out=block, mode="clip")
             if loss_kind == "negsamp" and lo % noise_span == 0:
                 noise = noise_table.sample(noise_rng, size=(
                     min(noise_span, len(pairs) - lo), config.negatives))
             rows = slice(lo % span, lo % span + config.batch_size)
             batch = block[rows]
             if loss_kind == "hsoftmax":
-                loss, *update = _hsoftmax_step(params, batch, tree)
+                loss, *update = _hsoftmax_step(params, batch, tree, ws)
             elif loss_kind == "softmax":
-                loss, *update = _softmax_step(params, batch)
+                loss, *update = _softmax_step(params, batch, ws)
             else:
-                bw = (None if pair_weights is None
-                      else pair_weights.take(order[rows]))
+                bw = None if pair_weights is None else pair_weights.take(
+                    order[rows], out=batch_weights[:len(batch)])
                 at = lo % noise_span
                 loss, *update = _negsamp_step(
-                    params, ctx, batch, noise[at:at + config.batch_size], bw)
+                    params, ctx, batch, noise[at:at + config.batch_size],
+                    ws, bw)
             # the losses sum over the batch, so the step is scaled down
             # to keep per-pair update sizes in the word2vec lr regime
             annealed = config.lr + (config.lr_min - config.lr) * (
                 (e * batches + b) / max(1, config.epochs * batches - 1))
-            _sparse_sgd(params, *update, annealed / len(batch),
-                        f"{where}, epoch {e}, batch {b}", offsets)
+            try:
+                _sparse_sgd(params, *update, annealed / len(batch), where, ws)
+            except NumericError as err:
+                # the batch's label is built only for the error
+                raise NumericError(f"{err}, epoch {e}, batch {b}") from None
             epoch_loss += loss
         return epoch_loss / len(pairs)
 
@@ -579,8 +702,17 @@ class _Method(NamedTuple):
 
 
 _SKIPGRAM_LOSSES = ("negsamp", "hsoftmax", "softmax")
-# the ShallowConfig fields that only a trained method reads
+# the ShallowConfig fields that only a trained method reads, and those
+# of them that a Gram block's full-batch Adam reads
 _TRAINING = ("epochs", "lr", "lr_min", "batch_size")
+_GRAM_TRAINING = ("epochs", "lr")
+# the ShallowConfig fields that shape a row's blocks (see _blocks) or
+# its skip-gram steps, and the sources that read each
+_SAMPLING = {"walk_length": ("walks", "node2vec", "offsets"),
+             "walks_per_node": ("walks", "node2vec", "offsets"),
+             "window": ("walks", "node2vec"), "p": ("node2vec",),
+             "q": ("node2vec",), "negatives": (), "power_max": ("powers",),
+             "offsets": ("offsets",)}
 _TABLE = {
     "laplacian_eigenmaps": _Method("adjacency", "eigenmaps"),
     "graph_factorization": _Method("adjacency", "gram"),
@@ -603,10 +735,21 @@ METHODS = tuple(_TABLE)
 
 
 def unread_settings(method):
-    """The training fields of ShallowConfig that ``method`` ignores: all
-    of them for an exact solve, none for a trained or unknown method."""
+    """The ShallowConfig fields that ``method``'s row never reads.
+
+    An exact solve reads no training field, a Gram block only ``epochs``
+    and ``lr``; neither reads a sampling field that its source does not
+    (``negatives`` belongs to skip-gram steps alone). A skip-gram row,
+    whose fields depend on the loss it takes, and an unknown method
+    name none.
+    """
     row = _TABLE.get(method)
-    return _TRAINING if row and row.step == "eigenmaps" else ()
+    if row is None or row.step == "skipgram":
+        return ()
+    trained = () if row.step == "eigenmaps" else _GRAM_TRAINING
+    return (tuple(f for f in _TRAINING if f not in trained)
+            + tuple(f for f, sources in _SAMPLING.items()
+                    if row.source not in sources))
 
 
 def _block_dims(dim, count):
@@ -678,7 +821,9 @@ def train_shallow(g, method, config=None):
     if config.loss not in (None,) + row.losses:
         raise ContractError(f"{method} does not take the {config.loss!r} "
                             f"loss; it takes {row.losses}")
-    unread = unread_settings(method)
+    # an exact solve refuses its training fields; the CLI refuses every
+    # unread field it has a flag for
+    unread = _TRAINING if row.step == "eigenmaps" else ()
     given = [f"{name}={getattr(config, name)!r}" for name in unread
              if getattr(config, name) != getattr(ShallowConfig(), name)]
     if given:

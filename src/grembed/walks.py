@@ -311,25 +311,58 @@ class WalkPairs:
     def __len__(self):
         return self.count
 
-    def take(self, idx, axis=0):
+    def take(self, idx, axis=0, out=None, scratch=None):
         """Rows idx, each in [0, P), of the (P, 2) pair array, as its
-        ``take(idx, axis=0)`` gives them."""
-        block = window_search(self.starts, self.first.take(idx >> BUCKET_BITS),
-                              idx, self.steps, "right") - 1
-        walk, k = np.divmod(block, self.offsets.size)
-        i, hops = idx - self.starts.take(block), self.hops.take(block)
-        back = i >= hops
-        at = walk * self.matrix.shape[1] + i - back * hops
-        step = self.offsets.take(k)
-        shift = back * step  # a reversed pair's center is the later node
-        return self.matrix.take(np.stack([at + shift, at + step - shift], 1))
+        ``take(idx, axis=0)`` gives them, written into ``out`` if given.
+
+        The decode runs in place: ``scratch``, if given, is a
+        (2, len(idx)) int64 array, and until the pairs are written the
+        memory of ``out`` holds two more of its index vectors. Given
+        both, a call allocates nothing that grows with idx.
+        """
+        m = len(idx)
+        if m and (idx.min() < 0 or idx.max() >= self.count):
+            raise IndexError(f"pair index out of range [0, {self.count})")
+        out = np.empty((m, 2), dtype=np.int64) if out is None else out
+        a, b = np.empty((2, m), dtype=np.int64) if scratch is None else scratch
+        c, d = out.reshape(2, m)
+        # a: the last block that starts at or before idx, by the halvings
+        # of window_search(starts, first[idx >> BUCKET_BITS], idx, steps,
+        # "right") - 1
+        self.first.take(np.right_shift(idx, BUCKET_BITS, out=b), out=a,
+                        mode="clip")
+        for s in reversed(range(self.steps)):
+            self.starts.take(np.add(a, (1 << s) - 1, out=b), out=c,
+                             mode="clip")
+            np.less_equal(c, idx, out=c)
+            c <<= s
+            a += c
+        a -= 1
+        self.hops.take(a, out=c, mode="clip")
+        np.subtract(idx, self.starts.take(a, out=d, mode="clip"), out=d)
+        # i < 2 * hops: c is 1 for a reversed pair, d is i - c * hops
+        np.divmod(d, c, out=(c, d))
+        # the offsets run up from offsets[0], so offset k is k + offsets[0]
+        np.divmod(a, self.offsets.size, out=(a, b))
+        b += self.offsets[0]
+        a *= self.matrix.shape[1]
+        d += a  # the forward pair's first position in the matrix
+        np.multiply(c, b, out=a)  # a reversed pair's center is the later node
+        np.add(d, b, out=c)
+        c -= a
+        d += a
+        self.matrix.take(d, out=a, mode="clip")
+        self.matrix.take(c, out=b, mode="clip")
+        out[:, 0] = a
+        out[:, 1] = b
+        return out
 
     def stored(self):
         """Every pair as one (P, 2) array, CHUNK_SLOTS decoded at a time."""
         out = np.empty((self.count, 2), dtype=np.int64)
         for lo in range(0, self.count, CHUNK_SLOTS):
-            out[lo:lo + CHUNK_SLOTS] = self.take(
-                np.arange(lo, min(lo + CHUNK_SLOTS, self.count)))
+            self.take(np.arange(lo, min(lo + CHUNK_SLOTS, self.count)),
+                      out=out[lo:lo + CHUNK_SLOTS])
         return out
 
     def context_counts(self):

@@ -589,6 +589,52 @@ def masked_hsoftmax_step(params, batch, tree):
             np.concatenate([grad_z, grad_w]))
 
 
+def fresh_log_sigmoid_slope(x):
+    """shallow._log_sigmoid_slope with each step a fresh array."""
+    e = np.exp(-np.abs(x))
+    tail = np.log1p(e)
+    return np.minimum(x, 0) - tail, np.where(x >= 0, e, 1.0) / (1.0 + e)
+
+
+def fresh_negsamp_step(params, ctx, batch, negs, weights=None):
+    """shallow._negsamp_step by fancy indexing into fresh arrays.
+
+    The same arithmetic, each term formed as a new array: the positive
+    and noise log sigmoids taken apart, each gradient block apart.
+    """
+    b, k = negs.shape
+    rows = np.concatenate([batch[:, 0], batch[:, 1] + ctx, negs.ravel() + ctx])
+    vecs = params[rows]
+    zi, zj, zn = vecs[:b], vecs[b:2 * b], vecs[2 * b:].reshape(b, k, -1)
+    pos, pos_slope = fresh_log_sigmoid_slope(np.einsum("bd,bd->b", zi, zj))
+    neg, gn = fresh_log_sigmoid_slope(-np.einsum("bkd,bd->bk", zn, zi))
+    if weights is not None:
+        w = np.asarray(weights)
+        pos, pos_slope = pos * w, pos_slope * w
+        neg, gn = neg * w[:, None], gn * w[:, None]
+    loss = -(float(pos.sum()) + float(neg.sum()))
+    gp = -pos_slope[:, None]
+    grad_i = np.einsum("bk,bkd->bd", gn, zn) + gp * zj
+    grad = np.concatenate([grad_i, gp * zi,
+                           np.einsum("bk,bd->bkd", gn, zi).reshape(b * k, -1)])
+    return loss, rows, grad
+
+
+def fresh_softmax_step(z, batch):
+    """shallow._softmax_step by fancy indexing into fresh arrays."""
+    b = np.arange(len(batch))
+    zc = z[batch[:, 0]]
+    logits = zc @ z.T
+    logits = logits - logits.max(axis=1, keepdims=True)
+    p = np.exp(logits)
+    total = p.sum(axis=1, keepdims=True)
+    loss = -float((logits[b, batch[:, 1]] - np.log(total[:, 0])).sum())
+    p = p / total
+    p[b, batch[:, 1]] -= 1.0
+    return (loss, np.concatenate([batch[:, 0], np.arange(len(z))]),
+            np.concatenate([p @ z, p.T @ zc]))
+
+
 def recursive_tree_paths(weights):
     """HierarchicalSoftmaxTree's path_nodes, path_signs and path_mask
     from the recursive build.

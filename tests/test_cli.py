@@ -135,6 +135,66 @@ def test_embed_laplacian_eigenmaps_refuses_epochs(data_dir, tmp_path,
     assert stdout == "" and not out.exists()
 
 
+@pytest.mark.parametrize("command, method, flag, value, reads_no", [
+    ("embed", "graph_factorization", "window", "3", "reads no --window"),
+    ("embed", "hope", "walk-length", "4", "reads no --walk-length"),
+    ("embed", "grarep", "offsets", "1,2", "reads no --offsets"),
+    ("embed", "graph_factorization", "negatives", "2",
+     "reads no --negatives"),
+    ("embed", "laplacian_eigenmaps", "power-max", "2",
+     "is solved exactly and reads no --power-max"),
+    ("eval-links", "hope", "p", "0.5", "reads no --p"),
+    ("eval-links", "graph_factorization", "walks-per-node", "2",
+     "reads no --walks-per-node"),
+    ("eval-links", "laplacian_eigenmaps", "q", "2",
+     "is solved exactly and reads no --q")])
+def test_sampling_flag_a_spectral_or_gram_row_ignores_exits_2(
+        data_dir, tmp_path, capsys, command, method, flag, value, reads_no):
+    # the walk and skip-gram flags shape only the rows that sample; a
+    # spectral or Gram row refuses them by name, from a flag or the
+    # config file, and writes nothing
+    out = tmp_path / "z.tsv"
+    argv = [command, "--method", method, "--input",
+            str(data_dir / "karate.edges"), "--dim", "4"]
+    if command == "embed":
+        argv += ["--out", str(out)]
+    code, stdout, err = run_cli(capsys, *argv, f"--{flag}", value)
+    assert code == 2
+    assert err == f"error: {method} {reads_no}\n"
+    assert stdout == "" and not out.exists()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({flag: value}))
+    code, stdout, err = run_cli(capsys, *argv, "--config", str(cfg))
+    assert code == 2
+    assert err == f"error: {method} {reads_no}\n"
+
+
+def test_a_row_takes_the_sampling_flags_its_source_reads(data_dir, tmp_path,
+                                                          capsys):
+    # grarep reads --power-max and node2vec every walk flag; the library
+    # itself refuses only laplacian_eigenmaps' training fields
+    code, _, _ = run_cli(capsys, "embed", "--method", "grarep",
+                         "--input", str(data_dir / "karate.edges"),
+                         "--dim", "4", "--epochs", "2", "--power-max", "2",
+                         "--out", str(tmp_path / "g.tsv"))
+    assert code == 0
+    code, _, _ = run_cli(capsys, "embed", "--method", "node2vec",
+                         "--input", str(data_dir / "karate.edges"),
+                         "--dim", "4", "--epochs", "1", "--p", "0.5",
+                         "--q", "2", "--walk-length", "4",
+                         "--walks-per-node", "1", "--window", "2",
+                         "--negatives", "2", "--out", str(tmp_path / "n.tsv"))
+    assert code == 0
+    g = karate_club()[0]
+    table = shallow.train_shallow(g, "graph_factorization", shallow.ShallowConfig(
+        dim=4, epochs=2, window=3, p=0.5, negatives=2))
+    assert table.vectors.shape == (g.node_count, 4)
+    assert shallow.unread_settings("deepwalk") == ()
+    assert shallow.unread_settings("grarep") == (
+        "lr_min", "batch_size", "walk_length", "walks_per_node", "window",
+        "p", "q", "negatives", "offsets")
+
+
 def test_no_subcommand_exits_2(capsys):
     code, _, _ = run_cli(capsys)
     assert code == 2

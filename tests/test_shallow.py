@@ -32,7 +32,9 @@ from grembed.shallow import (
     _negsamp_step,
     _skipgram,
     _skipgram_train,
+    _softmax_step,
     _sparse_sgd,
+    _Workspace,
     train_shallow,
     unigram_noise,
     weighted_distance_loss,
@@ -727,9 +729,10 @@ def test_negsamp_epoch_peak_stays_under_twelve_noise_slices():
     assert peak < 12 * slice_bytes
 
 
-def offset_table(width, d):
-    """The flat-offset table a trainer hands _sparse_sgd."""
-    return np.arange(width * d).reshape(width, d)
+def workspace(width, d, rows=64):
+    """A _Workspace for a (width, d) table and updates of up to ``rows``
+    rows, as a trainer hands _sparse_sgd."""
+    return _Workspace((width, d), 1, rows, (0, 0))
 
 
 @settings(max_examples=150, deadline=None)
@@ -743,7 +746,7 @@ def test_sparse_sgd_matches_unique_oracle_bitwise(d, shapes, slack, seed):
     # update is shorter than its table (possibly empty), as long, or
     # longer, so both the distinct-row write and the whole-table write run.
     rng = np.random.default_rng(seed)
-    offsets = offset_table(max(n for n, _, _ in shapes) + slack, d)
+    ws = workspace(max(n for n, _, _ in shapes) + slack, d)
     for n, side, extra in shapes:
         m = {-1: extra % n, 0: n, 1: n + 1 + extra}[side]
         rows = rng.integers(0, n, size=m)
@@ -751,7 +754,7 @@ def test_sparse_sgd_matches_unique_oracle_bitwise(d, shapes, slack, seed):
         grad = rng.normal(size=(m, d)) * 10.0 ** rng.integers(-8, 9, (m, 1))
         ours = rng.normal(size=(n, d))
         ref = ours.copy()
-        _sparse_sgd(ours, rows, grad, 0.3, "x", offsets)
+        _sparse_sgd(ours, rows, grad, 0.3, "x", ws)
         oracles.unique_sparse_sgd(ref, rows, grad, 0.3, "x")
         assert np.array_equal(ours.view(np.int64), ref.view(np.int64))
 
@@ -765,7 +768,7 @@ def test_sparse_sgd_rejects_an_offset_table_that_does_not_fit(width, d, error):
     before = table.copy()
     with pytest.raises(error):
         _sparse_sgd(table, np.arange(5), rnd(43, 5, 3), 0.1, "x",
-                    offset_table(width, d))
+                    workspace(width, d))
     assert np.array_equal(table.view(np.int64), before.view(np.int64))
 
 
@@ -788,7 +791,7 @@ def test_sparse_sgd_nonfinite_last_table_writes_no_table(bad):
         with pytest.raises(NumericError,
                            match=r"^non-finite gradient in test step$"):
             _sparse_sgd(table, rows, grad, 0.1, "test step",
-                        offset_table(18, 3))
+                        workspace(18, 3))
         assert np.array_equal(table.view(np.int64), before.view(np.int64))
 
 
@@ -818,7 +821,8 @@ def test_hsoftmax_step_equals_the_masked_formula_bitwise():
     assert (tree.path_mask == 0).any()
     params = np.concatenate([spread(44, n, d), spread(45, n - 1, d)])
     batch = np.random.default_rng(46).integers(0, n, size=(200, 2))
-    assert_same_step(_hsoftmax_step(params, batch, tree),
+    ws = _Workspace.sized(params.shape, "hsoftmax", len(batch), tree.depth)
+    assert_same_step(_hsoftmax_step(params, batch, tree, ws),
                      oracles.masked_hsoftmax_step(params, batch, tree))
 
 
@@ -833,15 +837,99 @@ def test_negsamp_step_without_weights_equals_unit_weights_bitwise(context):
     ctx = n if context else 0
     batch = rng.integers(0, n, size=(b, 2))
     negs = rng.integers(0, n, size=(b, k))
-    assert_same_step(_negsamp_step(params, ctx, batch, negs),
-                     _negsamp_step(params, ctx, batch, negs, np.ones(b)))
+    ws, ws_ones = (_Workspace.sized(params.shape, "negsamp", b, k)
+                   for _ in range(2))
+    assert_same_step(_negsamp_step(params, ctx, batch, negs, ws),
+                     _negsamp_step(params, ctx, batch, negs, ws_ones,
+                                   np.ones(b)))
+
+
+@pytest.mark.parametrize("loss_kind", ["hsoftmax", "negsamp", "negsamp-ctx",
+                                       "softmax"])
+def test_steps_in_one_workspace_equal_the_fresh_formulas_bitwise(loss_kind):
+    # 60 pairs in batches of 7 through one workspace sized for 7: eight
+    # full batches, then a ragged one of 4, each step equal to its oracle
+    n, d, k, size = 11, 5, 3, 7
+    rng = np.random.default_rng(51)
+    pairs = rng.integers(0, n, size=(60, 2))
+    noise = rng.integers(0, n, size=(60, k))
+    weights = rng.uniform(0.5, 2.0, size=60)
+    tree = HierarchicalSoftmaxTree(np.arange(n, dtype=float))
+    rows = {"hsoftmax": 2 * n - 1, "negsamp-ctx": 2 * n}.get(loss_kind, n)
+    params = spread(52, rows, d)
+    kind, per_pair = loss_kind.split("-")[0], {"hsoftmax": tree.depth}
+    ws = _Workspace.sized(params.shape, kind, size, per_pair.get(kind, k))
+    for lo in range(0, len(pairs), size):
+        batch = pairs[lo:lo + size]
+        if kind == "hsoftmax":
+            got = _hsoftmax_step(params, batch, tree, ws)
+            want = oracles.masked_hsoftmax_step(params, batch, tree)
+        elif kind == "softmax":
+            got = _softmax_step(params, batch, ws)
+            want = oracles.fresh_softmax_step(params, batch)
+        else:
+            ctx, w = (n, weights[lo:lo + size]) if loss_kind != kind \
+                else (0, None)
+            negs = noise[lo:lo + size]
+            got = _negsamp_step(params, ctx, batch, negs, ws, w)
+            want = oracles.fresh_negsamp_step(params, ctx, batch, negs, w)
+        assert_same_step(got, want)
+
+
+def test_warm_epoch_allocates_no_more_than_a_gather_and_its_sums():
+    # an hsoftmax epoch's batches gather, form gradients and index their
+    # updates in the run's workspace, so a warm epoch's peak stays below
+    # one batch's gathered rows plus bincount's whole-table sums (at the
+    # CLI's dim and batch). What peaks is the shuffle's decode block, about
+    # 29 bytes per pair; allocating per batch, the epoch peaked at 6.2
+    # times this bound
+    g = fixtures.karate_club()[0]
+    cfg = small_config(dim=16, epochs=2, batch_size=256)
+    corpus = sample_uniform_walks(
+        g, WalkConfig(length=30, walks_per_node=4, seed=5))
+    _, epoch = _skipgram(g, WalkPairs(corpus, window=5), cfg, "hsoftmax")
+    epoch(0)
+    tracemalloc.start()
+    try:
+        epoch(1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    depth = HierarchicalSoftmaxTree(g.degrees(weighted=True)).depth
+    gather = 8 * cfg.batch_size * (1 + depth) * cfg.dim
+    sums = 8 * (2 * g.node_count - 1) * cfg.dim
+    assert peak < gather + sums
+
+
+@pytest.mark.parametrize("bad", [-1, 34])
+def test_out_of_range_pair_names_the_run_and_trains_nothing(bad):
+    # karate has nodes 0..33: a pair naming -1 or 34 is refused before
+    # any row is gathered, never clamped onto a real node; a pair array
+    # when the run is set up, a decoded block before its first batch
+    g = fixtures.karate_club()[0]
+    message = r"^pair node index out of range \[0, 34\) in run x$"
+    pairs = np.concatenate([g.edge_pairs, [[0, bad]], g.edge_pairs])
+    walks = np.tile(np.arange(6), (4, 1))
+    walks[2, 3] = bad
+    corpus = WalkCorpus(walks, WalkConfig(length=5), g.node_count)
+    init = rnd(53, g.node_count, 4)
+    for loss_kind in ("negsamp", "hsoftmax", "softmax"):
+        with pytest.raises(ValidationError, match=message):
+            _skipgram(g, pairs, small_config(), loss_kind, where="run x")
+        z, epoch = _skipgram(g, WalkPairs(corpus, window=2), small_config(),
+                             loss_kind, init=init, where="run x")
+        with pytest.raises(ValidationError, match=message):
+            epoch(0)
+        assert np.array_equal(z.view(np.int64), init.view(np.int64))
 
 
 def test_log_sigmoid_slope_matches_the_branch_form():
     x = np.concatenate([spread(50, 400), [0.0, -0.0, 1e-300, -1e-300, 36.0,
                                           -36.0, 744.0, -744.0, 800.0,
                                           -800.0, np.inf, -np.inf, np.nan]])
-    logsig, slope = _log_sigmoid_slope(x)
+    logsig, slope = _log_sigmoid_slope(x.copy(), np.empty_like(x),
+                                       np.empty_like(x),
+                                       np.empty(x.shape, dtype=bool))
     want, want_slope = oracles.branch_log_sigmoid_slope(x)
     # the same bits wherever log sigmoid is not 0; where it is (x above
     # about 745) only the sign of that zero may differ

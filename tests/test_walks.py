@@ -549,6 +549,11 @@ def test_pairs_match_loop_oracle_in_order(data):
                            dtype=data.draw(st.sampled_from([np.int32, np.int64])))
             sub = pairs.take(idx, axis=0)
             assert sub.shape == (idx.size, 2) and np.array_equal(sub, expect[idx])
+            # decoded in place into a buffer and a scratch, as training does
+            out = np.full((idx.size, 2), -7, dtype=np.int64)
+            scratch = np.full((2, idx.size), -7, dtype=np.int64)
+            assert pairs.take(idx, out=out, scratch=scratch) is out
+            assert np.array_equal(out, expect[idx])
             assert len(pairs) == len(expect)
             assert np.array_equal(pairs.context_counts(),
                                   np.bincount(expect[:, 1], minlength=10))
