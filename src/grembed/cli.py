@@ -98,13 +98,13 @@ def _given(args, *names):
 def _shallow_config(args, base=None):
     """``base`` with the seed and each ShallowConfig option that the
     subcommand has a flag for and a flag or the config file set. An
-    option set for a ``--method`` that does not read it is refused,
-    whatever its value."""
+    option set for a ``--method`` (``harp``'s ``--base``) that does not
+    read it is refused, whatever its value."""
     from .shallow import ShallowConfig, unread_settings
     base = base or ShallowConfig()
     names = [f.name for f in dataclasses.fields(base) if hasattr(args, f.name)]
     given = _given(args, *names)
-    method = getattr(args, "method", None)
+    method = getattr(args, "method", None) or getattr(args, "base", None)
     ignored = unread_settings(method)
     unread = [f"--{name.replace('_', '-')}" for name in ignored
               if name in given]

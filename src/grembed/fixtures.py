@@ -74,32 +74,30 @@ def barbell_graph(m1=5, m2=3):
     return Graph.from_edges(edges)
 
 
+def _bernoulli_pairs(rng, n, row_p):
+    """(i, j) pairs, i < j: row i draws one uniform per j > i, in order,
+    and keeps the j whose draw is below ``row_p(i)`` (one or per j)."""
+    hits = [i + 1 + np.flatnonzero(rng.random(n - i - 1) < row_p(i))
+            for i in range(n)]
+    return np.c_[np.repeat(np.arange(n), list(map(len, hits))),
+                 np.concatenate([np.empty(0, np.int64), *hits])]
+
+
 def erdos_renyi(n, p, seed=0):
-    rng = _numpy_rng(seed, "erdos_renyi", n)
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < p:
-                edges.append((i, j))
-    if not edges:
-        edges = [(0, 1)]
-    return Graph(range(n), edges)
+    edges = _bernoulli_pairs(_numpy_rng(seed, "erdos_renyi", n), n,
+                             lambda i: p)
+    return Graph(range(n), edges if len(edges) else [(0, 1)])
 
 
 def stochastic_block_model(sizes, p_in, p_out, seed=0):
     """Planted-partition graph; returns (graph, block labels)."""
-    rng = _numpy_rng(seed, "sbm")
     n = int(sum(sizes))
     labels = np.concatenate([np.full(s, b, dtype=np.int64)
                              for b, s in enumerate(sizes)])
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            p = p_in if labels[i] == labels[j] else p_out
-            if rng.random() < p:
-                edges.append((i, j))
-    g = Graph(range(n), edges)
-    return g, labels
+    edges = _bernoulli_pairs(
+        _numpy_rng(seed, "sbm"), n,
+        lambda i: np.where(labels[i + 1:] == labels[i], p_in, p_out))
+    return Graph(range(n), edges), labels
 
 
 def block_attributes(labels, dim_per_block=2, noise=0.3, seed=0):

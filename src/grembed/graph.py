@@ -28,6 +28,14 @@ from .errors import (
 DENSE_NODE_CAP = 5000
 
 
+def dense_guard(n):
+    """Refuse a dense n×n array above ``DENSE_NODE_CAP`` (read per call)."""
+    if n > DENSE_NODE_CAP:
+        raise ResourceLimitError(
+            f"a dense matrix on {n} nodes exceeds DENSE_NODE_CAP = "
+            f"{DENSE_NODE_CAP}")
+
+
 def _order_ids(ids):
     """Numeric order when every id parses as an integer, else lexicographic.
 
@@ -100,8 +108,7 @@ class Graph:
     """
 
     def __init__(self, node_ids, edge_pairs, pair_weights=None, directed=False,
-                 node_attributes=None, node_types=None, edge_pair_types=None,
-                 weighted=None):
+                 node_attributes=None, node_types=None, edge_pair_types=None):
         self.node_ids = [str(i) for i in node_ids]
         self.node_count = len(self.node_ids)
         self._index = {nid: i for i, nid in enumerate(self.node_ids)}
@@ -113,12 +120,10 @@ class Graph:
             raise ValidationError("edge endpoint outside node range")
         if pair_weights is None:
             w = np.ones(len(pairs), dtype=np.float64)
-            self.weighted = bool(weighted)
         else:
             w = np.asarray(pair_weights, dtype=np.float64).reshape(-1)
             if len(w) != len(pairs):
                 raise ValidationError("weights length != edge count")
-            self.weighted = True if weighted is None else bool(weighted)
         if not np.all(np.isfinite(w)):
             raise ValidationError("non-finite edge weight")
         if np.any(w < 0):
@@ -177,7 +182,7 @@ class Graph:
     @classmethod
     def from_edges(cls, edges, weights=None, directed=False, allow_self_loops=False,
                    node_ids=None, node_attributes=None, node_types=None,
-                   edge_types=None, weighted=None):
+                   edge_types=None):
         """Build a graph from (u, v) id pairs.
 
         ``edges`` may also be the ``_Interned`` form the parser builds.
@@ -204,20 +209,18 @@ class Graph:
                 f"self-loop on node {node_ids[bad]!r} (allow_self_loops=False)")
         return cls(node_ids, pairs, weights, directed=directed,
                    node_attributes=node_attributes, node_types=node_types,
-                   edge_pair_types=edge_types, weighted=weighted)
+                   edge_pair_types=edge_types)
 
     def with_attributes(self, node_attributes):
         return Graph(self.node_ids, self.edge_pairs, self.pair_weights,
                      directed=self.directed, node_attributes=node_attributes,
-                     node_types=self.node_types, edge_pair_types=self.pair_types,
-                     weighted=self.weighted)
+                     node_types=self.node_types, edge_pair_types=self.pair_types)
 
     def with_types(self, node_types=None, edge_types=None):
         return Graph(self.node_ids, self.edge_pairs, self.pair_weights,
                      directed=self.directed, node_attributes=self.node_attributes,
                      node_types=node_types if node_types is not None else self.node_types,
-                     edge_pair_types=edge_types if edge_types is not None else self.pair_types,
-                     weighted=self.weighted)
+                     edge_pair_types=edge_types if edge_types is not None else self.pair_types)
 
     # -- queries -------------------------------------------------------
 
@@ -241,6 +244,8 @@ class Graph:
 
     pair_weights = property(lambda self: self._on_edges(self.csr_weights))
     pair_types = property(lambda self: self._on_edges(self.csr_types))
+    # whether any arc weighs other than 1; export_edge_list writes weights
+    weighted = property(lambda self: bool(np.any(self.csr_weights != 1.0)))
 
     def index_of(self, node_id):
         try:
@@ -301,6 +306,9 @@ class Graph:
         return self.node_attributes.T.copy()
 
     def adjacency_matrix(self):
+        """Dense A; every dense matrix of a graph starts here, past
+        ``dense_guard``."""
+        dense_guard(self.node_count)
         a = np.zeros((self.node_count, self.node_count))
         a[self.csr_sources, self.csr_targets] = self.csr_weights
         return a
@@ -311,15 +319,11 @@ class Graph:
             raise ValidationError("laplacian requires an undirected graph")
         return laplacian_of(self.adjacency_matrix())
 
-    def adjacency_power(self, k, cap=DENSE_NODE_CAP):
-        """Dense A^k; guarded by a node-count cap."""
+    def adjacency_power(self, k):
+        """Dense A^k."""
         if k < 1:
             raise ContractError("power k must be >= 1")
-        if self.node_count > cap:
-            raise ResourceLimitError(
-                f"adjacency_power on {self.node_count} nodes exceeds cap {cap}")
-        a = self.adjacency_matrix()
-        return np.linalg.matrix_power(a, int(k))
+        return np.linalg.matrix_power(self.adjacency_matrix(), int(k))
 
     def bfs_distances(self, source):
         """Hop distances from source; -1 where unreachable."""
@@ -358,7 +362,7 @@ class Graph:
         return Graph([self.node_ids[v] for v in nodes], pairs,
                      self.pair_weights[mask], directed=self.directed,
                      node_attributes=attrs, node_types=ntypes,
-                     edge_pair_types=ptypes, weighted=self.weighted)
+                     edge_pair_types=ptypes)
 
     def __repr__(self):
         kind = "directed" if self.directed else "undirected"
@@ -406,7 +410,7 @@ def disjoint_union(graphs):
         member.extend([gi] * g.node_count)
         off += g.node_count
     u = Graph(ids, np.concatenate(pairs), np.concatenate(weights),
-              directed=directed, weighted=any(g.weighted for g in graphs))
+              directed=directed)
     return u, np.array(offsets, dtype=np.int64), np.array(member, dtype=np.int64)
 
 
@@ -485,14 +489,13 @@ def load_edge_list(source, directed=False, allow_self_loops=False):
 def export_edge_list(g, target):
     """Write the canonical edge list (sorted index pairs, external ids).
 
-    The weight column is written when the graph is weighted or a
-    duplicate edge summed to a weight other than 1, each weight as the
-    shortest text that reads back to the same float.
+    The weight column is written when the graph is weighted, that is when
+    some edge weighs other than 1, each weight as the shortest text that
+    reads back to the same float.
     """
-    pair_weights = g.pair_weights
-    weighted = g.weighted or bool(np.any(pair_weights != 1.0))
+    weighted = g.weighted
     with _open_text(target, "w") as fh:
-        for (i, j), pw in zip(g.edge_pairs.tolist(), pair_weights):
+        for (i, j), pw in zip(g.edge_pairs.tolist(), g.pair_weights):
             if weighted:
                 w = np.format_float_positional(pw, trim="-")
                 fh.write(f"{g.node_ids[i]}\t{g.node_ids[j]}\t{w}\n")

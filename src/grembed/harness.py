@@ -251,7 +251,7 @@ def link_prediction_eval(g, embed_fn, holdout_fraction=0.2, seeds=range(10),
         held = holdout_edges(g, holdout_fraction, seed)
         keep = np.setdiff1d(np.arange(g.edge_count), held)
         residual = Graph(g.node_ids, edge_pairs[keep], pair_weights[keep],
-                         directed=g.directed, weighted=g.weighted)
+                         directed=g.directed)
         table = embed_fn(residual, seed)
         z = table.vectors if hasattr(table, "vectors") else np.asarray(table)
 

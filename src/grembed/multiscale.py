@@ -76,7 +76,7 @@ def coarsen(g, level=0):
     ends = node_map[edge_pairs]
     kept = ends[:, 0] != ends[:, 1]
     coarse = Graph(coarse_ids, ends[kept], pair_weights[kept],
-                   directed=g.directed, weighted=True)
+                   directed=g.directed)
     return CoarseningMap(g, coarse, node_map, level=level)
 
 

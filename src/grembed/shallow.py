@@ -703,16 +703,18 @@ class _Method(NamedTuple):
 
 _SKIPGRAM_LOSSES = ("negsamp", "hsoftmax", "softmax")
 # the ShallowConfig fields that only a trained method reads, and those
-# of them that a Gram block's full-batch Adam reads
+# of them that each step reads (a Gram block's full-batch Adam two)
 _TRAINING = ("epochs", "lr", "lr_min", "batch_size")
-_GRAM_TRAINING = ("epochs", "lr")
+_STEP_TRAINING = {"eigenmaps": (), "gram": ("epochs", "lr"),
+                  "skipgram": _TRAINING}
 # the ShallowConfig fields that shape a row's blocks (see _blocks) or
-# its skip-gram steps, and the sources that read each
+# its skip-gram steps, and the sources (for negatives, the loss) that
+# read each
 _SAMPLING = {"walk_length": ("walks", "node2vec", "offsets"),
              "walks_per_node": ("walks", "node2vec", "offsets"),
              "window": ("walks", "node2vec"), "p": ("node2vec",),
-             "q": ("node2vec",), "negatives": (), "power_max": ("powers",),
-             "offsets": ("offsets",)}
+             "q": ("node2vec",), "negatives": ("negsamp",),
+             "power_max": ("powers",), "offsets": ("offsets",)}
 _TABLE = {
     "laplacian_eigenmaps": _Method("adjacency", "eigenmaps"),
     "graph_factorization": _Method("adjacency", "gram"),
@@ -735,21 +737,21 @@ METHODS = tuple(_TABLE)
 
 
 def unread_settings(method):
-    """The ShallowConfig fields that ``method``'s row never reads.
+    """The ShallowConfig fields that ``method``'s row never reads at its
+    default loss, the one the CLI runs.
 
     An exact solve reads no training field, a Gram block only ``epochs``
-    and ``lr``; neither reads a sampling field that its source does not
-    (``negatives`` belongs to skip-gram steps alone). A skip-gram row,
-    whose fields depend on the loss it takes, and an unknown method
-    name none.
+    and ``lr``, a skip-gram row all of them. No row reads a sampling
+    field that its source does not, and only a negative-sampling step
+    reads ``negatives``. An unknown method name gives none.
     """
     row = _TABLE.get(method)
-    if row is None or row.step == "skipgram":
+    if row is None:
         return ()
-    trained = () if row.step == "eigenmaps" else _GRAM_TRAINING
-    return (tuple(f for f in _TRAINING if f not in trained)
+    readers = {row.source, *row.losses[:1]}
+    return (tuple(f for f in _TRAINING if f not in _STEP_TRAINING[row.step])
             + tuple(f for f, sources in _SAMPLING.items()
-                    if row.source not in sources))
+                    if readers.isdisjoint(sources)))
 
 
 def _block_dims(dim, count):

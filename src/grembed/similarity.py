@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, ResourceLimitError
-from .graph import DENSE_NODE_CAP
+from .errors import ContractError
+from .graph import Graph, dense_guard
 from .walks import WalkConfig, extract_pairs, sample_uniform_walks
 
 KINDS = ("adjacency", "adjacency_power", "jaccard", "rw_visit", "rw_pmi")
@@ -58,6 +58,15 @@ def transition_matrix(g):
     return a / safe
 
 
+def _visit_average(p, start, length):
+    """The mean of start @ P^t over t = 1..length."""
+    acc = np.zeros_like(start)
+    for _ in range(int(length)):
+        start = start @ p
+        acc += start
+    return acc / float(length)
+
+
 def walk_visit_distribution(g, v, length):
     """Distribution over the nodes a length-T walk from v passes through.
 
@@ -68,14 +77,8 @@ def walk_visit_distribution(g, v, length):
     v = g._check_node(v)
     if length < 1:
         raise ContractError("walk length must be >= 1")
-    p = transition_matrix(g)
-    row = np.zeros(g.node_count)
-    row[v] = 1.0
-    acc = np.zeros(g.node_count)
-    for _ in range(int(length)):
-        row = row @ p
-        acc += row
-    return acc / float(length)
+    return _visit_average(transition_matrix(g),
+                          np.eye(1, g.node_count, v)[0], length)
 
 
 def jaccard_similarity(g):
@@ -89,44 +92,36 @@ def jaccard_similarity(g):
 
 
 def pmi_similarity(g, spec):
-    """Positive pointwise mutual information of windowed walk co-occurrence."""
+    """Positive pointwise mutual information of windowed walk co-occurrence,
+    counted as the adjacency of the pairs' multigraph (guarded first)."""
+    dense_guard(g.node_count)
     cfg = WalkConfig(length=spec.walk_length, walks_per_node=spec.walks_per_node,
                      seed=spec.seed)
-    corpus = sample_uniform_walks(g, cfg)
-    pairs = extract_pairs(corpus, spec.window)
-    n = g.node_count
-    co = np.zeros((n, n))
-    np.add.at(co, (pairs[:, 0], pairs[:, 1]), 1.0)
+    pairs = extract_pairs(sample_uniform_walks(g, cfg), spec.window)
+    co = Graph(range(g.node_count), pairs, directed=True).adjacency_matrix()
     total = co.sum()
     marg = co.sum(axis=1)
-    out = np.zeros((n, n))
-    nz = co > 0
-    denom = marg[:, None] * marg[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
-        vals = np.log(co * total / denom)
-    out[nz] = np.maximum(0.0, vals[nz])
-    return out
+        vals = np.log(co * total / (marg[:, None] * marg[None, :]))
+    return np.where(co > 0, np.maximum(0.0, vals), 0.0)
 
 
-def build_similarity(g, spec, cap=DENSE_NODE_CAP):
-    """Materialize the dense similarity matrix a SimilaritySpec names."""
-    if g.node_count > cap:
-        raise ResourceLimitError(
-            f"dense similarity on {g.node_count} nodes exceeds cap {cap}")
+def build_similarity(g, spec):
+    """Materialize the dense similarity matrix a SimilaritySpec names.
+
+    Every kind starts at ``g.adjacency_matrix()`` or, for rw_pmi, at
+    its guard, so a graph too large for a dense matrix is refused
+    (ResourceLimitError) before anything is allocated.
+    """
     if spec.kind == "adjacency":
         values = g.adjacency_matrix()
     elif spec.kind == "adjacency_power":
-        values = g.adjacency_power(spec.power, cap=cap)
+        values = g.adjacency_power(spec.power)
     elif spec.kind == "jaccard":
         values = jaccard_similarity(g)
     elif spec.kind == "rw_visit":
-        p = transition_matrix(g)
-        acc = np.zeros_like(p)
-        step = np.eye(g.node_count)
-        for _ in range(spec.walk_length):
-            step = step @ p
-            acc += step
-        values = acc / float(spec.walk_length)
+        values = _visit_average(transition_matrix(g), np.eye(g.node_count),
+                                spec.walk_length)
     elif spec.kind == "rw_pmi":
         values = pmi_similarity(g, spec)
     else:  # unreachable, __post_init__ guards

@@ -20,7 +20,7 @@ from .errors import (
     ResourceLimitError,
     ValidationError,
 )
-from .graph import DENSE_NODE_CAP, Graph, _open_text
+from .graph import Graph, _open_text
 from .shallow import EmbeddingTable, ShallowConfig, _skipgram_train
 from .walks import WalkConfig, WalkCorpus, WalkPairs, _check_hops, _walk
 
@@ -200,7 +200,7 @@ def default_t_grid(t_max=100.0, t_points=50):
     return np.linspace(0.0, t_max, t_points)
 
 
-def graphwave_signature(g, s=0.5, t_grid=None, nodes=None, cap=DENSE_NODE_CAP):
+def graphwave_signature(g, s=0.5, t_grid=None, nodes=None):
     """Per-node heat-kernel wavelets and characteristic-function samples.
 
     psi_v = U diag(e^{-s lambda}) U^T e_v over the combinatorial
@@ -211,9 +211,6 @@ def graphwave_signature(g, s=0.5, t_grid=None, nodes=None, cap=DENSE_NODE_CAP):
     """
     if s < 0:
         raise ContractError("heat-kernel scale s must be >= 0")
-    if g.node_count > cap:
-        raise ResourceLimitError(
-            f"dense eigendecomposition capped at {cap} nodes")
     if t_grid is None:
         t_grid = default_t_grid()
     t_grid = np.asarray(t_grid, dtype=np.float64).reshape(-1)

@@ -180,8 +180,7 @@ def supernode_pool(g, spec, encoder):
             [g.node_attributes, np.zeros((g.node_attributes.shape[0], 1))],
             axis=1)
     aug = Graph(list(g.node_ids) + [super_id], pairs, weights,
-                directed=g.directed, node_attributes=attrs,
-                weighted=g.weighted)
+                directed=g.directed, node_attributes=attrs)
     table = encoder(aug)
     return table.vectors[table.node_ids.index(super_id)]
 
@@ -392,8 +391,7 @@ def parse_multigraph_file(source):
             gid, label = header
             if not edges:
                 raise EdgeListParseError(f"graph {gid!r} has no edges", line_no)
-            g = Graph.from_edges(edges, weights=weights,
-                                 weighted=any(w != 1.0 for w in weights))
+            g = Graph.from_edges(edges, weights=weights)
             specs.append(SubgraphSpec(g, label=label, name=gid))
 
         line_no = 0

@@ -12,6 +12,7 @@ from grembed import autodiff as ad
 from grembed.aggenc import cross_entropy_loss
 from grembed.autodiff import classifier_head, predict_classes
 from grembed.errors import ConfigError, NumericError
+from grembed.fixtures import _numpy_rng
 from grembed.graph import Graph
 from grembed.rng import derived_rng
 from grembed.shallow import (
@@ -98,6 +99,36 @@ def row_unique_graph_arrays(edges, weights=None, directed=False,
             "csr_types": None if ct is None else ct[order]}
 
 
+def loop_erdos_renyi(n, p, seed=0):
+    """``fixtures.erdos_renyi`` with one scalar draw per pair, in a double
+    loop over i < j."""
+    rng = _numpy_rng(seed, "erdos_renyi", n)
+    edges = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < p:
+                edges.append((i, j))
+    if not edges:
+        edges = [(0, 1)]
+    return Graph(range(n), edges)
+
+
+def loop_stochastic_block_model(sizes, p_in, p_out, seed=0):
+    """``fixtures.stochastic_block_model`` with one scalar draw per pair,
+    in a double loop over i < j."""
+    rng = _numpy_rng(seed, "sbm")
+    n = int(sum(sizes))
+    labels = np.concatenate([np.full(s, b, dtype=np.int64)
+                             for b, s in enumerate(sizes)])
+    edges = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            p = p_in if labels[i] == labels[j] else p_out
+            if rng.random() < p:
+                edges.append((i, j))
+    return Graph(range(n), edges), labels
+
+
 def graph_bits(g):
     """Everything a Graph holds, as comparable values; the float arrays
     as their bytes, so equal means bit-identical."""
@@ -144,8 +175,8 @@ def dict_coarsen(g):
             agg[key] = agg.get(key, 0.0) + float(w)
     pairs = [(coarse_ids[a], coarse_ids[b]) for a, b in sorted(agg)]
     weights = [agg[k] for k in sorted(agg)]
-    return Graph.from_edges(pairs, weights=weights, node_ids=coarse_ids,
-                            weighted=True), node_map
+    return Graph.from_edges(pairs, weights=weights,
+                            node_ids=coarse_ids), node_map
 
 
 def string_supernode_graph(g, nodes, super_id):
@@ -165,7 +196,7 @@ def string_supernode_graph(g, nodes, super_id):
             [g.node_attributes, np.zeros((g.node_attributes.shape[0], 1))],
             axis=1)
     return Graph.from_edges(pairs, weights=weights, node_ids=ids,
-                            node_attributes=attrs, weighted=g.weighted)
+                            node_attributes=attrs)
 
 
 def add_at_entry_coefficients(n, aggregator, sym_norm, src, dst, w):

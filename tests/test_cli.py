@@ -169,6 +169,31 @@ def test_sampling_flag_a_spectral_or_gram_row_ignores_exits_2(
     assert err == f"error: {method} {reads_no}\n"
 
 
+@pytest.mark.parametrize("command, method, flag, value", [
+    ("embed", "deepwalk", "p", "0.5"), ("embed", "deepwalk", "q", "2"),
+    ("embed", "deepwalk", "offsets", "3"),
+    ("embed", "deepwalk", "power-max", "2"),
+    ("embed", "deepwalk", "negatives", "2"),
+    ("embed", "walklets", "window", "3"),
+    ("eval-links", "line1", "walk-length", "4"),
+    ("harp", "deepwalk", "negatives", "2"), ("harp", "line2", "p", "0.5")])
+def test_flag_a_skipgram_row_never_reads_exits_2(
+        data_dir, tmp_path, capsys, command, method, flag, value):
+    # a skip-gram row at its default loss (deepwalk's is hsoftmax, which
+    # draws no negatives) refuses the sampling flags it never reads;
+    # harp's row is its --base
+    out = tmp_path / "z.tsv"
+    argv = [command, "--base" if command == "harp" else "--method", method,
+            "--input", str(data_dir / "karate.edges"), "--dim", "4",
+            f"--{flag}", value]
+    if command != "eval-links":
+        argv += ["--out", str(out)]
+    code, stdout, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err == f"error: {method} reads no --{flag}\n"
+    assert stdout == "" and not out.exists()
+
+
 def test_a_row_takes_the_sampling_flags_its_source_reads(data_dir, tmp_path,
                                                           capsys):
     # grarep reads --power-max and node2vec every walk flag; the library
@@ -189,7 +214,8 @@ def test_a_row_takes_the_sampling_flags_its_source_reads(data_dir, tmp_path,
     table = shallow.train_shallow(g, "graph_factorization", shallow.ShallowConfig(
         dim=4, epochs=2, window=3, p=0.5, negatives=2))
     assert table.vectors.shape == (g.node_count, 4)
-    assert shallow.unread_settings("deepwalk") == ()
+    assert shallow.unread_settings("deepwalk") == (
+        "p", "q", "negatives", "power_max", "offsets")
     assert shallow.unread_settings("grarep") == (
         "lr_min", "batch_size", "walk_length", "walks_per_node", "window",
         "p", "q", "negatives", "offsets")
@@ -289,7 +315,10 @@ def test_shallow_option_precedence_flag_then_file_then_library(data):
     command = data.draw(st.sampled_from(sorted(_SHALLOW_BASES)))
     base = _SHALLOW_BASES[command]
     sub = cli.build_parser()[1][command]
-    names = _shallow_options(sub, base)
+    # --method and harp's --base default to deepwalk, which refuses the
+    # flags it never reads; ohmnet has no method
+    unread = () if command == "ohmnet" else shallow.unread_settings("deepwalk")
+    names = [n for n in _shallow_options(sub, base) if n not in unread]
     draw_values = st.sets(st.sampled_from(names)).map(sorted).flatmap(
         lambda chosen: st.fixed_dictionaries(
             {n: _OPTION_VALUES[n] for n in chosen}))
@@ -659,6 +688,23 @@ def test_roles_struc2vec_exits_3_above_the_node_cap(data_dir, tmp_path,
         "--mode", "struc2vec", "--out", str(out))
     assert code == 3 and stdout == "" and not out.exists()
     assert err == "error: struc2vec distances on 34 nodes exceed cap 20\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("roles", "--mode", "graphwave"),
+    ("embed", "--method", "laplacian_eigenmaps")])
+def test_dense_row_exits_3_above_the_dense_node_cap(tmp_path, capsys, argv):
+    from grembed import graph
+    from grembed.fixtures import path_graph
+    n = graph.DENSE_NODE_CAP + 1
+    edges = tmp_path / "path.edges"
+    export_edge_list(path_graph(n), edges)
+    out = tmp_path / "z.tsv"
+    code, stdout, err = run_cli(capsys, *argv, "--input", str(edges),
+                                "--out", str(out))
+    assert code == 3 and stdout == "" and not out.exists()
+    assert err == (f"error: a dense matrix on {n} nodes exceeds "
+                   f"DENSE_NODE_CAP = {graph.DENSE_NODE_CAP}\n")
 
 
 def test_roles_struc2vec_exits_2_on_a_ring_node_of_out_degree_0(

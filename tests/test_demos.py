@@ -1,8 +1,4 @@
-"""Every demo script runs to completion against the source tree.
-
-``demos/cli_tour.sh`` is left out: it calls an installed ``grembed``
-command.
-"""
+"""Every demo script runs to completion against the source tree."""
 
 import os
 import subprocess
@@ -25,3 +21,13 @@ def test_demo_runs(script):
     done = subprocess.run([sys.executable, str(script)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
+
+
+def test_cli_tour_runs():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
+               GREMBED=f"{sys.executable} -m grembed.cli")
+    done = subprocess.run(["sh", str(ROOT / "demos" / "cli_tour.sh")],
+                          cwd=ROOT, env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert "two runs, byte-identical output" in done.stdout

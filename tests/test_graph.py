@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from grembed import fixtures
+from grembed import fixtures, graph
 from grembed.errors import (
     ContractError,
     EdgeListParseError,
@@ -24,6 +24,16 @@ from grembed.graph import (
     load_labels,
     window_search,
 )
+from grembed.similarity import (
+    KINDS,
+    SimilaritySpec,
+    build_similarity,
+    jaccard_similarity,
+    pmi_similarity,
+    transition_matrix,
+    walk_visit_distribution,
+)
+from grembed.structural import graphwave_signature
 from grembed.subgraph import parse_multigraph_file
 
 import oracles
@@ -142,6 +152,19 @@ def test_export_round_trip():
     g2 = load_edge_list(io.StringIO(text))
     assert edge_list_string(g2) == text
     assert g2.node_count == g.node_count
+
+
+def test_weighted_means_some_weight_is_not_one():
+    # a 3-column file whose weights are all 1 is the unweighted graph,
+    # and exports as 2 columns
+    ones = load_edge_list(io.StringIO("0 1 1.0\n1 2 1\n"))
+    assert not ones.weighted
+    assert edge_list_string(ones) == "0\t1\n1\t2\n"
+    assert (oracles.graph_bits(load_edge_list(io.StringIO(
+        edge_list_string(ones)))) == oracles.graph_bits(ones))
+    assert Graph.from_edges([(0, 1), (1, 2)], weights=[1.0, 0.5]).weighted
+    # duplicates sum to weight 2
+    assert Graph.from_edges([(0, 1), (1, 0)]).weighted
 
 
 @st.composite
@@ -381,12 +404,79 @@ def test_adjacency_power_matches_triple_loop():
         g.adjacency_power(2), [[1, 0, 1], [0, 2, 0], [1, 0, 1]])
 
 
-def test_adjacency_power_guards():
+def test_adjacency_power_guards(monkeypatch):
     g = fixtures.triangle()
     with pytest.raises(ContractError):
         g.adjacency_power(0)
+    monkeypatch.setattr(graph, "DENSE_NODE_CAP", 2)
     with pytest.raises(ResourceLimitError):
-        g.adjacency_power(2, cap=2)
+        g.adjacency_power(2)
+
+
+# every public builder of a dense n×n matrix from a graph
+_DENSE_BUILDERS = {
+    "adjacency_matrix": Graph.adjacency_matrix,
+    "laplacian": Graph.laplacian,
+    "adjacency_power": lambda g: g.adjacency_power(2),
+    "transition_matrix": transition_matrix,
+    "jaccard_similarity": jaccard_similarity,
+    "walk_visit_distribution": lambda g: walk_visit_distribution(g, 0, 3),
+    "pmi_similarity": lambda g: pmi_similarity(
+        g, SimilaritySpec(kind="rw_pmi")),
+    **{f"build_similarity-{kind}": lambda g, kind=kind: build_similarity(
+        g, SimilaritySpec(kind=kind)) for kind in KINDS},
+    "graphwave_signature": graphwave_signature,
+}
+
+
+@pytest.fixture(scope="module")
+def over_cap_path():
+    return fixtures.path_graph(graph.DENSE_NODE_CAP + 1)
+
+
+@pytest.mark.parametrize("name", _DENSE_BUILDERS)
+def test_dense_builder_refuses_above_cap_before_allocating(over_cap_path,
+                                                           name):
+    n, cap = graph.DENSE_NODE_CAP + 1, graph.DENSE_NODE_CAP
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError,
+                           match=f"on {n} nodes exceeds DENSE_NODE_CAP = {cap}"):
+            _DENSE_BUILDERS[name](over_cap_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_dense_builders_read_a_monkeypatched_cap(monkeypatch):
+    g = fixtures.triangle()
+    monkeypatch.setattr(graph, "DENSE_NODE_CAP", 2)
+    for build in _DENSE_BUILDERS.values():
+        with pytest.raises(ResourceLimitError, match="on 3 nodes"):
+            build(g)
+    monkeypatch.setattr(graph, "DENSE_NODE_CAP", 3)
+    for build in _DENSE_BUILDERS.values():
+        build(g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(1, 12), min_size=1, max_size=4),
+       st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+       st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+       st.integers(0, 2 ** 32))
+@example([1, 3, 1], 1.0, 0.0, 2)
+def test_random_fixtures_match_the_scalar_double_loop(sizes, p_in, p_out,
+                                                      seed):
+    g, labels = fixtures.stochastic_block_model(sizes, p_in, p_out, seed)
+    want, want_labels = oracles.loop_stochastic_block_model(
+        sizes, p_in, p_out, seed)
+    assert oracles.graph_bits(g) == oracles.graph_bits(want)
+    assert labels.tobytes() == want_labels.tobytes()
+    n = sum(sizes)
+    if n > 1:
+        assert (oracles.graph_bits(fixtures.erdos_renyi(n, p_in, seed))
+                == oracles.graph_bits(oracles.loop_erdos_renyi(n, p_in, seed)))
 
 
 def test_hop_rings_match_floyd_warshall():
@@ -466,8 +556,7 @@ def test_induced_subgraph_matches_rebuild_from_ids(g, data):
     want = Graph.from_edges(
         [(g.node_ids[a], g.node_ids[b]) for a, b in g.edge_pairs[mask]],
         weights=g.pair_weights[mask], directed=g.directed,
-        allow_self_loops=True, node_ids=[g.node_ids[v] for v in keep],
-        weighted=g.weighted)
+        allow_self_loops=True, node_ids=[g.node_ids[v] for v in keep])
     assert (oracles.graph_bits(g.induced_subgraph(nodes))
             == oracles.graph_bits(want))
 

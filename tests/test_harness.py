@@ -316,7 +316,7 @@ def test_link_residual_matches_rebuild_from_ids():
                             holdout_edges(g, 0.2, seed))
         ref = Graph.from_edges(
             [(g.node_ids[a], g.node_ids[b]) for a, b in g.edge_pairs[keep]],
-            weights=g.pair_weights[keep], node_ids=g.node_ids, weighted=True)
+            weights=g.pair_weights[keep], node_ids=g.node_ids)
         for name in ("edge_pairs", "pair_weights", "csr_offsets",
                      "csr_targets", "csr_weights", "csr_sources"):
             np.testing.assert_array_equal(getattr(residual, name),

@@ -68,7 +68,7 @@ def test_coarsen_weight_conservation():
 
 def test_coarsen_prefers_heavy_edges():
     g = Graph.from_edges([("a", "b"), ("b", "c"), ("c", "d")],
-                         weights=[1.0, 9.0, 1.0], weighted=True)
+                         weights=[1.0, 9.0, 1.0])
     cm = coarsen(g)
     # the heavy middle edge must be matched first
     assert cm.node_map[g.node_ids.index("b")] == cm.node_map[

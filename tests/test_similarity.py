@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from grembed import fixtures
+from grembed import fixtures, graph
 from grembed.errors import ContractError, ResourceLimitError
 from grembed.similarity import (
     SimilarityMatrix,
@@ -129,7 +129,8 @@ def test_rw_pmi_deterministic():
     np.testing.assert_array_equal(a, b)
 
 
-def test_dense_cap_guard():
+def test_dense_cap_guard(monkeypatch):
     g = fixtures.karate_club()[0]
+    monkeypatch.setattr(graph, "DENSE_NODE_CAP", 10)
     with pytest.raises(ResourceLimitError):
-        build_similarity(g, SimilaritySpec(kind="adjacency"), cap=10)
+        build_similarity(g, SimilaritySpec(kind="adjacency"))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
-from grembed import structural
+from grembed import graph, structural
 from grembed.errors import ContractError, ResourceLimitError, ValidationError
 from grembed.fixtures import (
     barbell_graph,
@@ -443,10 +443,11 @@ def test_refinement_on_barbell_matches_position_classes():
     assert np.array_equal(same_truth, same_got)
 
 
-def test_node_cap_enforced():
+def test_node_cap_enforced(monkeypatch):
     g = cycle_graph(10)
+    monkeypatch.setattr(graph, "DENSE_NODE_CAP", 5)
     with pytest.raises(ResourceLimitError):
-        graphwave_signature(g, cap=5)
+        graphwave_signature(g)
 
 
 def test_export_signatures_format(tmp_path):

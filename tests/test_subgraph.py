@@ -157,8 +157,7 @@ def test_coarsen_maxpool_invariant_to_cluster_order():
         for (a, b), w in zip(cm.coarse.edge_pairs, cm.coarse.pair_weights):
             pairs.append((f"c{perm[int(a)]}", f"c{perm[int(b)]}"))
             weights.append(float(w))
-        coarse = Graph.from_edges(pairs, weights=weights, node_ids=ids,
-                                  weighted=True)
+        coarse = Graph.from_edges(pairs, weights=weights, node_ids=ids)
         return CoarseningMap(graph, coarse, new_map)
 
     a = coarsen_maxpool(g, z, levels=1)
