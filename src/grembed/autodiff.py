@@ -450,13 +450,13 @@ def softmax_rows(a):
     return _record(out, (a,), back)
 
 
-def l2_normalize_rows(a, eps=0.0):
+def l2_normalize_rows(a):
     """Scale each row to unit length; all-zero rows stay zero."""
     a = _wrap(a)
     norms = np.linalg.norm(a.data, axis=1, keepdims=True)
-    safe = np.where(norms > eps, norms, 1.0)
+    safe = np.where(norms > 0, norms, 1.0)
     y = a.data / safe
-    zero = (norms <= eps).reshape(-1)
+    zero = (norms == 0).reshape(-1)
     y[zero] = 0.0
     out = Tensor(y)
 

@@ -25,12 +25,12 @@ from the library. A walk length counts steps wherever it is taken
 (``--walk-length``, including ``roles --mode struc2vec``, and ``walk
 --length``): a walk of length T holds T + 1 node ids.
 
-``_FLAGS`` declares each flag once and ``_SUBCOMMANDS`` lists the flags
-each subcommand reads, so a subcommand has no flag that its routine
-ignores. ``embed`` and ``eval-links`` take every ``ShallowConfig`` flag;
-``harp`` takes all but ``--power-max`` and ``--offsets``, which none of
-its bases reads; ``ohmnet``, whose layers train deepwalk pairs with
-negative sampling, also drops ``--p`` and ``--q``.
+``_FLAGS`` declares each flag once, ``_SUBCOMMANDS`` the flags each
+subcommand reads whatever it runs, and ``_CHOICES`` the options that
+each ``--method``, ``--kind``, ``--mode`` or ``--base`` reads. A choice
+refuses an option that only other choices read, however it was set
+(``error: uniform reads no --p``); a lookup-table row also refuses
+those that ``shallow.unread_settings`` names.
 """
 
 import argparse
@@ -53,8 +53,6 @@ from .graph import load_edge_list, load_labels
 from .report import EvalReport
 from .table import load_embedding
 from .walks import WalkConfig
-
-WALK_KINDS = ("uniform", "node2vec", "metapath")
 
 
 def _ints(value):
@@ -95,24 +93,47 @@ def _given(args, *names):
             for name, v in values.items() if v is not None}
 
 
+def _options(args, unread=(), how=""):
+    """The options that the subcommand's choice reads (``_CHOICES``, less
+    ``unread``) and a flag or the config file set, by dest. One that it
+    does not read but another choice does is refused if set, whatever
+    its value; ``how`` qualifies the choice in the message."""
+    dest, rows = _CHOICES[args.command_name]
+    choice = dest and getattr(args, dest)
+    if choice not in rows and "*" not in rows:
+        raise ConfigError(f"{dest} {choice!r} is not one of {tuple(rows)}")
+    reads = [f for f in rows.get(choice, rows.get("*")) if f not in unread]
+    refused = [f"--{f}" for f in dict.fromkeys(sum(rows.values(), ()))
+               if f not in reads
+               and getattr(args, f.replace("-", "_")) is not None]
+    if refused:
+        raise ConfigError(f"{choice}{how} reads no {', '.join(refused)}")
+    return _given(args, *(f.replace("-", "_") for f in reads))
+
+
 def _shallow_config(args, base=None):
-    """``base`` with the seed and each ShallowConfig option that the
-    subcommand has a flag for and a flag or the config file set. An
-    option set for a ``--method`` (``harp``'s ``--base``) that does not
-    read it is refused, whatever its value."""
+    """``base`` with the seed and the options that ``_options`` gives,
+    where the lookup-table row that ``--method`` or ``--base`` names
+    also refuses those that ``shallow.unread_settings`` names."""
     from .shallow import ShallowConfig, unread_settings
-    base = base or ShallowConfig()
-    names = [f.name for f in dataclasses.fields(base) if hasattr(args, f.name)]
-    given = _given(args, *names)
     method = getattr(args, "method", None) or getattr(args, "base", None)
-    ignored = unread_settings(method)
-    unread = [f"--{name.replace('_', '-')}" for name in ignored
-              if name in given]
-    if unread:
-        # a method that reads no epochs trains nothing
-        how = " is solved exactly and" if "epochs" in ignored else ""
-        raise ConfigError(f"{method}{how} reads no {', '.join(unread)}")
-    return dataclasses.replace(base, **given)
+    unread = [name.replace("_", "-") for name in unread_settings(method)]
+    # a method that reads no epochs trains nothing
+    how = " is solved exactly and" if "epochs" in unread else ""
+    return dataclasses.replace(base or ShallowConfig(), seed=args.seed,
+                               **_options(args, unread, how))
+
+
+def _metapath(value, names):
+    """``--metapath``'s type names, as the types file writes them, as
+    the indices that ``load_labels`` numbered ``names`` by."""
+    parts = value.split(",") if isinstance(value, str) else value
+    path = [str(p).strip() for p in parts if str(p).strip()]
+    unknown = [p for p in path if p not in names]
+    if unknown:
+        raise ConfigError(f"--metapath names types {unknown} that the "
+                          "types file does not have")
+    return tuple(names.index(p) for p in path)
 
 
 def _input_graph(args):
@@ -148,8 +169,7 @@ def _cmd_embed(args):
         table = shallow.train_shallow(g, method, cfg)
     elif method in ("sdne", "dngr"):
         from . import autoenc
-        cfg = autoenc.AutoencoderConfig(
-            seed=args.seed, **_given(args, "dim", "hidden", "epochs", "lr"))
+        cfg = autoenc.AutoencoderConfig(seed=args.seed, **_options(args))
         table, _ = autoenc.train_autoencoder(g, method, cfg)
     else:
         raise ConfigError(
@@ -165,24 +185,17 @@ def _cmd_embed(args):
 
 
 def _cmd_walk(args):
+    options = _options(args)
+    options.pop("types", None)  # a file path, not a WalkConfig field
     g = _input_graph(args)
     kind = args.kind
-    metapath = None
     if kind == "metapath":
-        types_path = _need(args, "types")
-        node_types, _ = load_labels(_open_input(types_path), g)
+        node_types, names = load_labels(_open_input(_need(args, "types")), g)
         g = g.with_types(node_types=node_types)
-        metapath = _ints(_need(args, "metapath"))
-    cfg = WalkConfig(metapath=metapath, seed=args.seed,
-                     **_given(args, "length", "walks_per_node", "p", "q"))
-    if kind == "uniform":
-        corpus = walks.sample_uniform_walks(g, cfg)
-    elif kind == "node2vec":
-        corpus = walks.sample_node2vec_walks(g, cfg)
-    elif kind == "metapath":
-        corpus = walks.sample_metapath_walks(g, cfg)
-    else:
-        raise ConfigError(f"unknown walk kind {kind!r}")
+        options["metapath"] = _metapath(_need(args, "metapath"), names)
+    cfg = WalkConfig(seed=args.seed, **options)
+    # sample_uniform_walks, sample_node2vec_walks or sample_metapath_walks
+    corpus = getattr(walks, f"sample_{kind}_walks")(g, cfg)
     corpus.dump(_need(args, "out"))
     return EvalReport(
         task="walk",
@@ -197,38 +210,34 @@ def _cmd_walk(args):
 
 def _cmd_roles(args):
     from . import structural
+    options = _options(args)
     g = _input_graph(args)
     out = _need(args, "out")
-    if args.mode == "graphwave":
-        grid_kw = _given(args, "t_max", "t_points")
-        scale_kw = {} if args.scale is None else {"s": args.scale}
-        grid = structural.default_t_grid(**grid_kw)
-        sigs = structural.graphwave_signature(g, t_grid=grid, **scale_kw)
-        structural.export_signatures(out, sigs, list(g.node_ids),
-                                     include_psi=args.include_psi)
-        width = sigs[0].char_samples.size
-        if args.include_psi:
-            width += sigs[0].psi.size
-        used = {**_keyword_defaults(structural.default_t_grid), **grid_kw,
-                **_keyword_defaults(structural.graphwave_signature),
-                **scale_kw}
-        return EvalReport(
-            task="roles",
-            metrics={"node_count": g.node_count, "signature_dim": width},
-            config={"mode": "graphwave", "scale": used["s"],
-                    "t_points": used["t_points"], "t_max": used["t_max"],
-                    "input": args.input, "out": out})
     if args.mode == "struc2vec":
-        table = structural.struc2vec_embed(
-            g, seed=args.seed, **_given(args, "k_max", "dim", "walk_length",
-                                        "walks_per_node", "window", "epochs"))
+        table = structural.struc2vec_embed(g, seed=args.seed, **options)
         table.save(out)
         return EvalReport(
             task="roles",
             metrics={"node_count": g.node_count, "dim": table.dim},
             config={"mode": "struc2vec", "k_max": table.metadata["k_max"],
                     "seed": args.seed, "input": args.input, "out": out})
-    raise ConfigError(f"unknown roles mode {args.mode!r}")
+    include_psi = options.pop("include_psi", False)
+    scale_kw = {"s": options.pop("scale")} if "scale" in options else {}
+    grid = structural.default_t_grid(**options)
+    sigs = structural.graphwave_signature(g, t_grid=grid, **scale_kw)
+    structural.export_signatures(out, sigs, list(g.node_ids),
+                                 include_psi=include_psi)
+    width = sigs[0].char_samples.size
+    if include_psi:
+        width += sigs[0].psi.size
+    used = {**_keyword_defaults(structural.default_t_grid), **options,
+            **_keyword_defaults(structural.graphwave_signature), **scale_kw}
+    return EvalReport(
+        task="roles",
+        metrics={"node_count": g.node_count, "signature_dim": width},
+        config={"mode": "graphwave", "scale": used["s"],
+                "t_points": used["t_points"], "t_max": used["t_max"],
+                "input": args.input, "out": out})
 
 
 def _cmd_subgraph(args):
@@ -266,8 +275,8 @@ def _cmd_eval_nodes(args):
 
 def _cmd_eval_links(args):
     from . import harness, shallow
-    g = _input_graph(args)
     base_cfg = _shallow_config(args)
+    g = _input_graph(args)
     method = args.method
 
     def embed_fn(residual, seed):
@@ -311,8 +320,8 @@ def _cmd_project(args):
 
 def _cmd_harp(args):
     from . import multiscale
-    g = _input_graph(args)
     cfg = _shallow_config(args)
+    g = _input_graph(args)
     table = multiscale.harp_train(g, args.base, args.levels, cfg)
     table.save(_need(args, "out"))
     return EvalReport(
@@ -383,13 +392,13 @@ _FLAGS = {
     "walk-length": _INT, "walks-per-node": _INT, "window": _INT,
     "p": _FLOAT, "q": _FLOAT, "negatives": _INT, "power-max": _INT,
     "offsets": {},
-    "kind": {"default": "uniform", "choices": WALK_KINDS},
-    "length": _INT,
+    "kind": {"default": "uniform"}, "length": _INT,
     "types": {"help": "id<TAB>type file for metapath walks"},
-    "metapath": {"help": "comma-separated type indices"},
-    "mode": {"default": "graphwave", "choices": ("graphwave", "struc2vec")},
+    "metapath": {"help": "comma-separated type names, as in --types"},
+    "mode": {"default": "graphwave"},
     "scale": _FLOAT, "t-points": _INT, "t-max": _FLOAT,
-    "include-psi": _SWITCH, "k-max": _INT,
+    # unset reads None, so that struc2vec can refuse it however it is set
+    "include-psi": {**_SWITCH, "default": None}, "k-max": _INT,
     "dataset": {}, "rounds": _INT, "edge-dim": _INT, "out-dim": _INT,
     "target-acc": _FLOAT,
     "embedding": {}, "labels": {}, "train-fraction": _FLOAT,
@@ -409,19 +418,18 @@ _COMMON = ("config", "seed", "report")
 _SKIPGRAM = ("dim", "epochs", "lr", "batch-size", "walk-length",
              "walks-per-node", "window")
 _SHALLOW = (*_SKIPGRAM, "p", "q", "negatives", "power-max", "offsets")
+_AUTOENC = ("dim", "hidden", "epochs", "lr")
+_WALK = ("length", "walks-per-node")
 
-# each subcommand: its routine, its help line and the flags it reads,
-# in --help order (the common flags follow)
+# each subcommand: its routine, its help line and the flags it reads
+# whatever its choice, in --help order (its _CHOICES, _COMMON follow)
 _SUBCOMMANDS = {
     "embed": (_cmd_embed, "train node embeddings",
-              ("input", "out", "directed", "hidden", "method", *_SHALLOW)),
+              ("input", "out", "directed", "method")),
     "walk": (_cmd_walk, "sample random walks",
-             ("input", "out", "directed", "kind", "length", "walks-per-node",
-              "p", "q", "types", "metapath")),
+             ("input", "out", "directed", "kind")),
     "roles": (_cmd_roles, "structural role signatures",
-              ("input", "out", "directed", "mode", "scale", "t-points",
-               "t-max", "include-psi", "k-max", "dim", "walk-length",
-               "walks-per-node", "window", "epochs")),
+              ("input", "out", "directed", "mode")),
     "subgraph": (_cmd_subgraph, "whole-graph classification",
                  ("dataset", "out", "rounds", "edge-dim", "out-dim",
                   "epochs", "lr", "target-acc")),
@@ -429,18 +437,31 @@ _SUBCOMMANDS = {
                    ("embedding", "labels", "train-fraction", "eval-seeds",
                     "epochs", "lr")),
     "eval-links": (_cmd_eval_links, "link prediction quality",
-                   ("input", "directed", "holdout", "eval-seeds", "method",
-                    *_SHALLOW)),
+                   ("input", "directed", "holdout", "eval-seeds", "method")),
     "eval-cluster": (_cmd_eval_cluster, "clustering quality",
                      ("embedding", "labels", "k", "restarts")),
     "project": (_cmd_project, "2-d PCA projection",
                 ("embedding", "out", "dims")),
     "harp": (_cmd_harp, "coarsen-then-train embeddings",
-             ("input", "out", "directed", "base", "levels", *_SKIPGRAM,
-              "p", "q", "negatives")),
+             ("input", "out", "directed", "base", "levels")),
     "ohmnet": (_cmd_ohmnet, "multilayer tied embeddings",
-               ("layer", "hierarchy", "lam", "unsquared", "out-prefix",
-                *_SKIPGRAM, "negatives")),
+               ("layer", "hierarchy", "lam", "unsquared", "out-prefix")),
+}
+
+# each subcommand that _options reads: the flag that names its choice,
+# then the options that each choice reads ("*": any choice not listed,
+# which its routine checks); ohmnet has no choice, so one row
+_CHOICES = {
+    "embed": ("method", {"sdne": _AUTOENC, "dngr": _AUTOENC, "*": _SHALLOW}),
+    "eval-links": ("method", {"*": _SHALLOW}),
+    "harp": ("base", {"*": (*_SKIPGRAM, "p", "q", "negatives")}),
+    "ohmnet": (None, {"*": (*_SKIPGRAM, "negatives")}),
+    "walk": ("kind", {"uniform": _WALK, "node2vec": (*_WALK, "p", "q"),
+                      "metapath": (*_WALK, "types", "metapath")}),
+    "roles": ("mode", {
+        "graphwave": ("scale", "t-points", "t-max", "include-psi"),
+        "struc2vec": ("k-max", "dim", "walk-length", "walks-per-node",
+                      "window", "epochs")}),
 }
 
 
@@ -451,8 +472,12 @@ def build_parser():
     subs = parser.add_subparsers(dest="command_name", required=True)
     for name, (_, help_text, flags) in _SUBCOMMANDS.items():
         sp = subs.add_parser(name, help=help_text)
-        for flag in flags + _COMMON:
-            sp.add_argument("--" + flag, **_FLAGS[flag])
+        dest, rows = _CHOICES.get(name, (None, {}))
+        for flag in (*flags, *dict.fromkeys(sum(rows.values(), ())),
+                     *_COMMON):
+            listed = flag == dest and "*" not in rows
+            sp.add_argument("--" + flag, **_FLAGS[flag],
+                            **({"choices": tuple(rows)} if listed else {}))
     return parser, subs.choices
 
 

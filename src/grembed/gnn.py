@@ -57,22 +57,9 @@ class Mlp:
         return x
 
 
-def spectral_norm(w, iters=100):
-    """Largest singular value by power iteration (deterministic start)."""
-    w = np.asarray(w, dtype=np.float64)
-    v = np.ones(w.shape[1]) / np.sqrt(w.shape[1])
-    for _ in range(iters):
-        u = w @ v
-        nu = np.linalg.norm(u)
-        if nu == 0:
-            return 0.0
-        u /= nu
-        v = w.T @ u
-        nv = np.linalg.norm(v)
-        if nv == 0:
-            return 0.0
-        v /= nv
-    return float(np.linalg.norm(w @ v))
+def spectral_norm(w):
+    """Largest singular value of a matrix (exact, from its SVD)."""
+    return float(np.linalg.norm(np.asarray(w, dtype=np.float64), 2))
 
 
 def _pad_attributes(g, x, dim):
@@ -331,7 +318,9 @@ def ggnn_forward(g, dim=8, rounds=3, seed=42, x=None, params=None):
 # ---------------------------------------------------------------------
 
 
-_MPNN_PARTS = ("message", "update")
+# each part of an MpnnConfig and the classes a checkpoint may name for it
+_MPNN_PARTS = {"message": (LinearMessage, TypedLinearMessage, MlpMessage),
+               "update": (GruUpdate, MlpUpdate)}
 
 
 def save_mpnn_checkpoint(target, config):
@@ -343,18 +332,30 @@ def save_mpnn_checkpoint(target, config):
     save_checkpoint(target, "msgpass", cfg, named)
 
 
+def _rebuild(cls, dim, saved, seed):
+    """A ``cls`` of width ``dim`` shaped like its ``saved`` tensors: an
+    MLP's hidden widths are the columns of its weights but the last, and
+    a typed message has one map per edge type."""
+    if cls in (MlpMessage, MlpUpdate):
+        return cls(dim, hidden=[w.shape[1] for w in saved[:-2:2]], seed=seed)
+    if cls is TypedLinearMessage:
+        return cls(dim, len(saved), seed=seed)
+    return cls(dim, seed=seed)
+
+
 def load_mpnn_checkpoint(source):
     _kind, cfg, arrays = load_checkpoint(source, expect_kind="msgpass")
-    msg_cls = {"LinearMessage": LinearMessage, "MlpMessage": MlpMessage}
-    upd_cls = {"GruUpdate": GruUpdate, "MlpUpdate": MlpUpdate}
-    if cfg["message"] not in msg_cls or cfg["update"] not in upd_cls:
-        raise ContractError("checkpoint names an unknown message/update kind")
+    parts = {}
+    for part, known in _MPNN_PARTS.items():
+        cls = {c.__name__: c for c in known}.get(cfg[part])
+        if cls is None:
+            raise ContractError(
+                "checkpoint names an unknown message/update kind")
+        saved = [arrays[f"{part}.{i}"] for i in range(len(arrays))
+                 if f"{part}.{i}" in arrays]
+        parts[part] = _rebuild(cls, int(cfg["dim"]), saved, cfg["seed"])
     config = MpnnConfig(dim=int(cfg["dim"]), rounds=int(cfg["rounds"]),
-                        message=msg_cls[cfg["message"]](int(cfg["dim"]),
-                                                        seed=cfg["seed"]),
-                        update=upd_cls[cfg["update"]](int(cfg["dim"]),
-                                                      seed=cfg["seed"]),
-                        seed=cfg["seed"])
+                        seed=cfg["seed"], **parts)
     for part in _MPNN_PARTS:
         for i, t in enumerate(getattr(config, part).tensors()):
             arr = arrays.get(f"{part}.{i}")

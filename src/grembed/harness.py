@@ -277,7 +277,7 @@ def link_prediction_eval(g, embed_fn, holdout_fraction=0.2, seeds=range(10),
 # ---------------------------------------------------------------------
 
 
-def kmeans(x, k, seed=42, restarts=10, max_iters=100):
+def kmeans(x, k, seed=42, restarts=10):
     """Seeded k-means++ with restarts; returns (labels, inertia)."""
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
@@ -290,7 +290,7 @@ def kmeans(x, k, seed=42, restarts=10, max_iters=100):
         rng = derived_rng(seed, "kmeans", r)
         centers = _kmeanspp_init(x, k, rng)
         labels = np.zeros(n, dtype=np.int64)
-        for it in range(max_iters):
+        for it in range(100):  # Lloyd rounds per restart at most
             d = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(-1)
             new_labels = d.argmin(axis=1)
             if it > 0 and np.array_equal(new_labels, labels):

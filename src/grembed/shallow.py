@@ -21,7 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ContractError, NumericError, ValidationError
-from .graph import eigh_columns, laplacian_of
+from .graph import dense_guard, eigh_columns, laplacian_of
 from .rng import derived_rng
 from .similarity import SimilaritySpec, build_similarity
 from .table import EmbeddingTable
@@ -36,6 +36,7 @@ from .walks import extract_pairs  # noqa: F401 (perfbench's tracer wraps it)
 
 DECODE_BATCHES = 32  # batches whose pairs _skipgram decodes at once
 NOISE_BATCHES = 16  # batches whose noise draws _skipgram takes at once
+LR_MIN = 1e-4  # the lr that _skipgram's linear annealing ends at
 
 
 # ---------------------------------------------------------------------
@@ -72,8 +73,9 @@ def decode_pair(table, i, j, kind="inner", edge_type=None, bilinear_maps=None):
 
 
 def decode_all(table, kind="inner"):
-    """Dense pairwise score matrix under a decoder."""
+    """Dense pairwise score matrix under a decoder (``graph.dense_guard``)."""
     z = table.vectors if isinstance(table, EmbeddingTable) else np.asarray(table)
+    dense_guard(len(z))
     if kind == "inner":
         return z @ z.T
     if kind == "sigmoid_inner":
@@ -90,8 +92,9 @@ def decode_all(table, kind="inner"):
 
 
 def gram_residual(z, s):
-    """Frobenius objective || Z Z^T - S ||_F^2."""
+    """Frobenius objective || Z Z^T - S ||_F^2 (``graph.dense_guard``)."""
     z = z.vectors if isinstance(z, EmbeddingTable) else np.asarray(z)
+    dense_guard(len(z))
     diff = z @ z.T - np.asarray(s)
     return float((diff * diff).sum())
 
@@ -278,7 +281,6 @@ class ShallowConfig:
     dim: int = 16
     epochs: int = 5
     lr: float = 0.025
-    lr_min: float = 1e-4
     batch_size: int = 256
     walk_length: int = 10
     walks_per_node: int = 10
@@ -289,7 +291,6 @@ class ShallowConfig:
     power_max: int = 4
     offsets: tuple = (1, 2)
     loss: str = None
-    similarity: SimilaritySpec = None
     seed: int = 42
     initial: np.ndarray = field(default=None, repr=False, compare=False)
 
@@ -634,7 +635,7 @@ def _skipgram(g, pairs, config, loss_kind, context_table=False,
                     ws, bw)
             # the losses sum over the batch, so the step is scaled down
             # to keep per-pair update sizes in the word2vec lr regime
-            annealed = config.lr + (config.lr_min - config.lr) * (
+            annealed = config.lr + (LR_MIN - config.lr) * (
                 (e * batches + b) / max(1, config.epochs * batches - 1))
             try:
                 _sparse_sgd(params, *update, annealed / len(batch), where, ws)
@@ -704,7 +705,7 @@ class _Method(NamedTuple):
 _SKIPGRAM_LOSSES = ("negsamp", "hsoftmax", "softmax")
 # the ShallowConfig fields that only a trained method reads, and those
 # of them that each step reads (a Gram block's full-batch Adam two)
-_TRAINING = ("epochs", "lr", "lr_min", "batch_size")
+_TRAINING = ("epochs", "lr", "batch_size")
 _STEP_TRAINING = {"eigenmaps": (), "gram": ("epochs", "lr"),
                   "skipgram": _TRAINING}
 # the ShallowConfig fields that shape a row's blocks (see _blocks) or
@@ -766,10 +767,10 @@ def _blocks(g, method, config, facts):
 
     Sources: window pairs over uniform ("walks") or node2vec walks,
     pairs at one walk offset per block, both arcs of each edge, one
-    adjacency power per block, or a similarity kind that
-    ``config.similarity`` overrides. Dense targets are built one block
-    at a time. ``tag`` keys a skip-gram block's streams or names a Gram
-    block in errors; what shaped the blocks goes into ``facts``.
+    adjacency power per block, or the row's similarity kind. Dense
+    targets are built one block at a time. ``tag`` keys a skip-gram
+    block's streams or names a Gram block in errors; what shaped the
+    blocks goes into ``facts``.
     """
     source = _TABLE[method].source
     if source == "edges":
@@ -796,9 +797,9 @@ def _blocks(g, method, config, facts):
             facts["pair_count"] = int(len(pairs))
             yield "", pairs, None
     else:
-        spec = config.similarity or SimilaritySpec(kind=source)
-        facts["similarity_kind"] = spec.kind
-        yield method, build_similarity(g, spec).values, None
+        facts["similarity_kind"] = source
+        target = build_similarity(g, SimilaritySpec(kind=source)).values
+        yield method, target, None
 
 
 def train_shallow(g, method, config=None):
@@ -807,8 +808,8 @@ def train_shallow(g, method, config=None):
     Metadata carries the loss history and the hyperparameters that
     shaped the run. A warm start ``config.initial`` is one (n, dim)
     array, sliced per column block. ``laplacian_eigenmaps`` trains
-    nothing, so it refuses a warm start and any ``epochs``, ``lr``,
-    ``lr_min`` or ``batch_size`` but the defaults.
+    nothing, so it refuses a warm start and any ``epochs``, ``lr`` or
+    ``batch_size`` but the defaults.
     """
     config = config or ShallowConfig()
     if method not in _TABLE:

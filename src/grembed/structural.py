@@ -249,20 +249,18 @@ def export_signatures(target, signatures, node_ids, include_psi=False):
             fh.write("\t".join(row) + "\n")
 
 
-def degree_refinement_classes(g, rounds=None):
+def degree_refinement_classes(g):
     """Structural classes by iterated neighbor-class refinement.
 
     Starts from degrees and repeatedly splits classes on the sorted
-    multiset of neighbor classes until stable; automorphically
-    equivalent nodes always share a class. Returns int labels
-    numbered by first appearance.
+    multiset of neighbor classes until stable (at most n rounds);
+    automorphically equivalent nodes always share a class. Returns int
+    labels numbered by first appearance.
     """
     n = g.node_count
-    if rounds is None:
-        rounds = n
     colors = g.degrees().astype(np.int64)
     colors = _canonical(colors)
-    for _ in range(rounds):
+    for _ in range(n):
         keys = []
         for v in range(n):
             nbr = tuple(sorted(colors[u] for u in g.neighbors(v)))

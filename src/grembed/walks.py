@@ -138,7 +138,7 @@ class WalkCorpus:
                 fh.write("\n")
 
 
-def load_corpus(source, g, config=None):
+def load_corpus(source, g):
     walks = []
     with _open_text(source) as fh:
         for line in fh:
@@ -149,7 +149,7 @@ def load_corpus(source, g, config=None):
     width = max(map(len, walks), default=0)
     matrix = np.array([w + [-1] * (width - len(w)) for w in walks],
                       dtype=np.int64).reshape(len(walks), width)
-    cfg = config or WalkConfig(length=width - 1 if walks else 2)
+    cfg = WalkConfig(length=width - 1 if walks else 2)
     return WalkCorpus(matrix, cfg, g.node_count, node_ids=list(g.node_ids))
 
 

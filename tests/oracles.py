@@ -16,6 +16,7 @@ from grembed.fixtures import _numpy_rng
 from grembed.graph import Graph
 from grembed.rng import derived_rng
 from grembed.shallow import (
+    LR_MIN,
     HierarchicalSoftmaxTree,
     _init_table,
     hierarchical_softmax_loss,
@@ -548,7 +549,7 @@ def tape_skipgram_train(g, pairs, config, loss_kind, context_table=False,
         for lo in range(0, len(pairs), config.batch_size):
             rows = order[lo:lo + config.batch_size]
             batch = pairs[rows]
-            annealed = config.lr + (config.lr_min - config.lr) * (
+            annealed = config.lr + (LR_MIN - config.lr) * (
                 batch_no / max(1, total_batches - 1))
             opt.lr = annealed / len(batch)
             opt.zero_grad()

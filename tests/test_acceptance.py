@@ -641,6 +641,9 @@ def _cli_fixture_files(root):
     with open(root / "karate.labels", "w") as fh:
         for i, nid in enumerate(g.node_ids):
             fh.write(f"{nid}\t{labels[i]}\n")
+    with open(root / "karate.types", "w") as fh:
+        for nid, deg in zip(g.node_ids, g.degrees()):
+            fh.write(f"{nid}\t{'hub' if deg >= 5 else 'leaf'}\n")
     with open(root / "toy.graphs", "w") as fh:
         for i, (sg, lab) in enumerate(cycles_and_paths(10, 5, 7, seed=0)):
             fh.write(f"#graph g{i} {lab}\n")
@@ -668,10 +671,19 @@ def criterion_12_commands(root):
                              "--input", f"{t}/karate.edges", "--dim", "4",
                              "--seed", "7", "--out", f"{t}/ze.tsv"],
                             ["ze.tsv"]),
+        "embed-sdne": (["embed", "--method", "sdne", "--input",
+                        f"{t}/karate.edges", "--dim", "4", "--hidden", "8",
+                        "--epochs", "5", "--seed", "7", "--out",
+                        f"{t}/zs.tsv"], ["zs.tsv"]),
         "walk": (["walk", "--input", f"{t}/karate.edges", "--kind",
                   "node2vec", "--q", "0.5", "--length", "6",
                   "--walks-per-node", "2", "--seed", "3", "--out",
                   f"{t}/walks.txt"], ["walks.txt"]),
+        "walk-metapath": (["walk", "--input", f"{t}/karate.edges", "--kind",
+                           "metapath", "--types", f"{t}/karate.types",
+                           "--metapath", "leaf,hub", "--length", "4",
+                           "--walks-per-node", "2", "--seed", "3", "--out",
+                           f"{t}/walks_mp.txt"], ["walks_mp.txt"]),
         "roles": (["roles", "--input", f"{t}/karate.edges", "--mode",
                    "graphwave", "--t-points", "8", "--out",
                    f"{t}/sigs.tsv"], ["sigs.tsv"]),

@@ -217,8 +217,104 @@ def test_a_row_takes_the_sampling_flags_its_source_reads(data_dir, tmp_path,
     assert shallow.unread_settings("deepwalk") == (
         "p", "q", "negatives", "power_max", "offsets")
     assert shallow.unread_settings("grarep") == (
-        "lr_min", "batch_size", "walk_length", "walks_per_node", "window",
-        "p", "q", "negatives", "offsets")
+        "batch_size", "walk_length", "walks_per_node", "window", "p", "q",
+        "negatives", "offsets")
+
+
+# the options each choice reads, written out here: (subcommand, choice)
+# -> flags; every other option flag of the subcommand is refused
+_SKIPGRAM_READS = ("dim", "epochs", "lr", "batch-size", "walk-length",
+                   "walks-per-node", "window")
+_ROW_READS = {
+    "laplacian_eigenmaps": ("dim",),
+    "graph_factorization": ("dim", "epochs", "lr"),
+    "grarep": ("dim", "epochs", "lr", "power-max"),
+    "hope": ("dim", "epochs", "lr"),
+    "deepwalk": _SKIPGRAM_READS,
+    "node2vec": (*_SKIPGRAM_READS, "p", "q", "negatives"),
+    "walklets": ("dim", "epochs", "lr", "batch-size", "walk-length",
+                 "walks-per-node", "negatives", "offsets"),
+    "line1": ("dim", "epochs", "lr", "batch-size", "negatives"),
+    "line2": ("dim", "epochs", "lr", "batch-size", "negatives"),
+}
+_CHOICE_READS = {
+    **{("embed", row): reads for row, reads in _ROW_READS.items()},
+    ("embed", "sdne"): ("dim", "hidden", "epochs", "lr"),
+    ("embed", "dngr"): ("dim", "hidden", "epochs", "lr"),
+    **{("eval-links", row): reads for row, reads in _ROW_READS.items()},
+    **{("harp", row): _ROW_READS[row]
+       for row in ("deepwalk", "node2vec", "line1", "line2")},
+    ("walk", "uniform"): ("length", "walks-per-node"),
+    ("walk", "node2vec"): ("length", "walks-per-node", "p", "q"),
+    ("walk", "metapath"): ("length", "walks-per-node", "types", "metapath"),
+    ("roles", "graphwave"): ("scale", "t-points", "t-max", "include-psi"),
+    ("roles", "struc2vec"): ("k-max", "dim", "walk-length",
+                             "walks-per-node", "window", "epochs"),
+}
+_CHOICE_FLAG = {"embed": "method", "eval-links": "method", "harp": "base",
+                "walk": "kind", "roles": "mode"}
+# the flags every choice of a subcommand reads
+_SHARED_FLAGS = {"help", "input", "out", "directed", "levels", "holdout",
+                 "eval-seeds", "config", "seed", "report",
+                 *_CHOICE_FLAG.values()}
+# a small value each option can run with (True: a switch); --types is
+# the labels file, whose types are "0" and "1"
+_FLAG_VALUES = {
+    "dim": "2", "epochs": "1", "lr": "0.5", "batch-size": "64",
+    "walk-length": "4", "walks-per-node": "1", "window": "2", "p": "0.5",
+    "q": "2", "negatives": "2", "power-max": "2", "offsets": "1,2",
+    "hidden": "3", "length": "3", "types": "karate.labels",
+    "metapath": "1,0", "scale": "1.0", "t-points": "4", "t-max": "10",
+    "include-psi": True, "k-max": "1"}
+
+
+def _choice_argv(data_dir, tmp_path, command, choice):
+    argv = [command, f"--{_CHOICE_FLAG[command]}", choice,
+            "--input", str(data_dir / "karate.edges")]
+    return argv + ([] if command == "eval-links"
+                   else ["--out", str(tmp_path / "out.txt")])
+
+
+def _flag_argv(data_dir, flag):
+    value = _FLAG_VALUES[flag]
+    if flag == "types":
+        value = str(data_dir / value)
+    return [f"--{flag}"] if value is True else [f"--{flag}", value]
+
+
+def _unread_flags():
+    subs = cli.build_parser()[1]
+    for (command, choice), reads in _CHOICE_READS.items():
+        flags = {o[2:] for a in subs[command]._actions
+                 for o in a.option_strings if o.startswith("--")}
+        for flag in sorted(flags - _SHARED_FLAGS - set(reads)):
+            yield command, choice, flag
+
+
+@pytest.mark.parametrize("command, choice, flag", list(_unread_flags()))
+def test_a_choice_refuses_each_flag_it_does_not_read(
+        data_dir, tmp_path, capsys, command, choice, flag):
+    # from a flag or a config key, whatever its value; nothing is written
+    argv = _choice_argv(data_dir, tmp_path, command, choice)
+    how = " is solved exactly and" if choice == "laplacian_eigenmaps" else ""
+    refused = (2, "", f"error: {choice}{how} reads no --{flag}\n")
+    assert run_cli(capsys, *argv, *_flag_argv(data_dir, flag)) == refused
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({flag: _FLAG_VALUES[flag]}))
+    assert run_cli(capsys, *argv, "--config", str(cfg)) == refused
+    assert list(tmp_path.glob("out*")) == []
+
+
+@pytest.mark.parametrize("command, choice", list(_CHOICE_READS))
+def test_a_choice_takes_every_flag_it_reads(data_dir, tmp_path, capsys,
+                                           command, choice):
+    argv = _choice_argv(data_dir, tmp_path, command, choice)
+    if command == "eval-links":
+        argv += ["--eval-seeds", "1"]
+    for flag in _CHOICE_READS[command, choice]:
+        argv += _flag_argv(data_dir, flag)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 0, err
 
 
 def test_no_subcommand_exits_2(capsys):
@@ -627,6 +723,32 @@ def test_walk_metapath_needs_types(data_dir, tmp_path, capsys):
         "--kind", "metapath", "--out", str(tmp_path / "w.txt"))
     assert code == 2
     assert "types" in err
+
+
+def test_walk_metapath_names_types_as_the_types_file_writes_them(
+        tmp_path, capsys):
+    # on a path whose node i has type "i", "10" and "11" sort before "2"
+    with open(tmp_path / "path.edges", "w") as fh:
+        fh.writelines(f"{i}\t{i + 1}\n" for i in range(11))
+    with open(tmp_path / "path.types", "w") as fh:
+        fh.writelines(f"{i}\t{i}\n" for i in range(12))
+    out = tmp_path / "w.txt"
+    argv = ["walk", "--input", str(tmp_path / "path.edges"), "--kind",
+            "metapath", "--types", str(tmp_path / "path.types"), "--length",
+            "2", "--walks-per-node", "1", "--out", str(out)]
+    code, _, err = run_cli(capsys, *argv, "--metapath", "2,3")
+    assert code == 0, err
+    assert out.read_text() == "2 3 2\n"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"metapath": [10, 11]}))
+    code, _, err = run_cli(capsys, *argv, "--config", str(cfg))
+    assert code == 0, err
+    assert out.read_text() == "10 11 10\n"
+    out.unlink()
+    code, stdout, err = run_cli(capsys, *argv, "--metapath", "2,12,x")
+    assert code == 2
+    assert "['12', 'x']" in err
+    assert stdout == "" and not out.exists()
 
 
 def test_roles_graphwave_writes_signatures(data_dir, tmp_path, capsys):

@@ -32,6 +32,13 @@ def test_spectral_norm_matches_svd():
         assert spectral_norm(w) == pytest.approx(np.linalg.svd(w)[1][0], rel=1e-8)
 
 
+def test_spectral_norm_of_a_matrix_whose_rows_sum_to_zero():
+    # such a matrix sends the all-ones vector to zero, the start a power
+    # iteration from it cannot leave
+    assert spectral_norm([[1.0, -1.0]]) == pytest.approx(np.sqrt(2.0))
+    assert spectral_norm([[1.0, -1.0], [-1.0, 1.0]]) == pytest.approx(2.0)
+
+
 def test_mlp_shapes_and_gradient():
     mlp = Mlp((3, 5, 2), seed=1)
     x = ad.constant(np.random.default_rng(3).normal(size=(4, 3)))
@@ -80,6 +87,19 @@ def test_fixed_point_rescales_to_contraction():
     max_deg = g.degrees().max()
     lip = np.prod([spectral_norm(w.data) for w, _b in mlp.layers])
     assert lip * max_deg <= 0.5 + 1e-9
+
+
+def test_fixed_point_rescales_a_layer_whose_rows_sum_to_zero():
+    g = star_graph(9)
+    mlp = Mlp((2 + 2, 3, 2), seed=3)
+    # powers of two, so that no rounding leaves the start a residue
+    mlp.layers[-1][0].data = np.array([[16.0, -16.0], [32.0, -32.0],
+                                       [-16.0, 16.0]])
+    _table, info = gnn_fixed_point(g, hidden_dim=2, mlp=mlp, tol=1e-7,
+                                   contraction_scale=0.5, seed=3)
+    assert info["rescale_factor"] < 1.0
+    lip = np.prod([np.linalg.svd(w.data)[1][0] for w, _b in mlp.layers])
+    assert lip * g.degrees().max() <= 0.5 + 1e-9
 
 
 def test_fixed_point_nonconvergent_raises():
@@ -195,6 +215,27 @@ def test_checkpoint_roundtrip_restores_outputs(tmp_path):
     restored = load_mpnn_checkpoint(path)
     after = mpnn_forward(g, restored).vectors
     assert np.array_equal(before, after)
+
+
+def test_checkpoint_roundtrip_rebuilds_each_part_class(tmp_path):
+    # widths the classes' defaults do not have: the loader reads an
+    # MLP's hidden widths and the edge type count from the saved shapes
+    g = karate_club()[0]
+    g = g.with_types(edge_types=np.arange(g.edge_count) % 3)
+    for message, update in [
+            (MlpMessage(8, hidden=(5,), seed=2), GruUpdate(8, seed=2)),
+            (TypedLinearMessage(8, 3, seed=2), MlpUpdate(8, hidden=(4,))),
+            (LinearMessage(8, seed=2), MlpUpdate(8, hidden=(6, 3), seed=2)),
+            (MlpMessage(8, hidden=(), seed=2), MlpUpdate(8, hidden=()))]:
+        config = MpnnConfig(dim=8, rounds=2, message=message, update=update,
+                            seed=2)
+        path = tmp_path / "mp.json"
+        save_mpnn_checkpoint(path, config)
+        restored = load_mpnn_checkpoint(path)
+        assert type(restored.message) is type(message)
+        assert type(restored.update) is type(update)
+        assert mpnn_forward(g, restored).vectors.tobytes() == \
+            mpnn_forward(g, config).vectors.tobytes()
 
 
 def test_checkpoint_bytes_are_stable(tmp_path):

@@ -138,6 +138,24 @@ def test_decoder_basic_properties():
         decode_pair(z, 0, 1, "hamming")
 
 
+def test_dense_scores_refuse_a_table_over_the_dense_cap(monkeypatch):
+    # an n-row table's pairwise scores are an n x n matrix, gated like a
+    # graph's dense matrices
+    from grembed import graph
+    from grembed.errors import ResourceLimitError
+    z, s = rnd(1, 6, 2), rnd(2, 6, 6)
+    monkeypatch.setattr(graph, "DENSE_NODE_CAP", 5)
+    for kind in ("inner", "sigmoid_inner", "sq_distance", "softmax_inner"):
+        with pytest.raises(ResourceLimitError,
+                           match="on 6 nodes exceeds DENSE_NODE_CAP = 5"):
+            decode_all(z, kind)
+    with pytest.raises(ResourceLimitError):
+        gram_residual(z, s)
+    monkeypatch.setattr(graph, "DENSE_NODE_CAP", 6)
+    np.testing.assert_allclose(decode_all(z), z @ z.T)
+    assert gram_residual(z, s) == pytest.approx(((z @ z.T - s) ** 2).sum())
+
+
 def test_softmax_inner_pair_matches_matrix():
     z = rnd(5, 4, 3)
     soft = decode_all(z, "softmax_inner")
@@ -522,7 +540,7 @@ def test_laplacian_eigenmaps_refuses_a_warm_start():
 
 
 @pytest.mark.parametrize("setting", [dict(epochs=50), dict(lr=0.5),
-                                     dict(lr_min=0.0), dict(batch_size=64),
+                                     dict(epochs=1), dict(batch_size=64),
                                      dict(epochs=3, lr=1.0)])
 def test_laplacian_eigenmaps_refuses_the_training_settings(setting):
     # an exact solve has no epochs, lr schedule or batches to honour
@@ -530,7 +548,7 @@ def test_laplacian_eigenmaps_refuses_the_training_settings(setting):
     got = ", ".join(f"{k}={v!r}" for k, v in setting.items())
     with pytest.raises(ContractError, match=(
             "^laplacian_eigenmaps is solved exactly and takes no epochs, lr, "
-            f"lr_min, batch_size; got {re.escape(got)}$")):
+            f"batch_size; got {re.escape(got)}$")):
         train_shallow(g, "laplacian_eigenmaps",
                       ShallowConfig(dim=4, **setting))
     t = train_shallow(g, "laplacian_eigenmaps", ShallowConfig(dim=4))
