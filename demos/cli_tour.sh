@@ -37,6 +37,8 @@ echo
 echo "== role signatures =="
 ${GREMBED:-grembed} roles --input "$DATA/karate.edges" --mode graphwave --t-points 10 \
     --out "$WORK/sigs.tsv" | grep signature_dim
+${GREMBED:-grembed} eval-cluster --embedding "$WORK/sigs.tsv" --labels "$DATA/karate.labels" \
+    --seed 0 | grep nmi
 echo
 
 echo "== determinism check =="

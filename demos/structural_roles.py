@@ -7,7 +7,6 @@ from grembed.fixtures import barbell_graph
 from grembed.structural import (
     degree_refinement_classes,
     graphwave_signature,
-    signature_matrix,
     struc2vec_embed,
 )
 
@@ -17,8 +16,7 @@ def main():
     n = g.node_count
 
     # heat-kernel signatures: equivalent nodes get identical rows
-    sigs = graphwave_signature(g)
-    mat = signature_matrix(sigs)
+    mat = graphwave_signature(g).vectors
     classes = degree_refinement_classes(g)
     print("degree-refinement classes vs wavelet signatures")
     for cls in sorted(set(classes)):

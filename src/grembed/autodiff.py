@@ -530,13 +530,17 @@ class Sgd:
             p.grad = None
 
 
-class Adam:
-    """Adam with the usual bias correction (betas 0.9/0.999, eps 1e-8)."""
+# Adam's moment decay rates and denominator guard, the usual ones
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
-    def __init__(self, params, lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8):
+
+class Adam:
+    """Adam with the usual bias correction (``ADAM_BETA1``, ``ADAM_BETA2``,
+    ``ADAM_EPS``)."""
+
+    def __init__(self, params, lr=0.01):
         self.params = list(params)
         self.lr = float(lr)
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
         self._t = 0
@@ -544,7 +548,7 @@ class Adam:
     def step(self, where="optimizer step"):
         _check_grads(self.params, where)
         self._t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         for p, m, v in zip(self.params, self._m, self._v):
             if p.grad is None:
                 continue
@@ -554,7 +558,7 @@ class Adam:
             v += (1 - b2) * p.grad * p.grad
             mhat = m / (1 - b1 ** self._t)
             vhat = v / (1 - b2 ** self._t)
-            p.data -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            p.data -= self.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
     def zero_grad(self):
         for p in self.params:

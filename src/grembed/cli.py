@@ -18,12 +18,12 @@ argparse accepts (``--epochs 3``, ``--epochs=3``, ``--epoch 3``); the
 variable, then 42. An option set by neither flag nor file is not passed
 on, so the library routine's own default applies (``ShallowConfig``,
 ``AutoencoderConfig``, ``WalkConfig``, ``struc2vec_embed``,
-``multiscale.OHMNET_CONFIG``, ``subgraph.classify_subgraphs`` and the
-``harness`` evaluations, and ``structural.default_t_grid`` and
-``graphwave_signature`` for ``roles``); reports read the values back
-from the library. A walk length counts steps wherever it is taken
-(``--walk-length``, including ``roles --mode struc2vec``, and ``walk
---length``): a walk of length T holds T + 1 node ids.
+``graphwave_signature``, ``multiscale.OHMNET_CONFIG``,
+``subgraph.classify_subgraphs`` and the ``harness`` evaluations);
+reports read the values back from the library. A walk length counts
+steps wherever it is taken (``--walk-length``, including ``roles --mode
+struc2vec``, and ``walk --length``): a walk of length T holds T + 1
+node ids.
 
 ``_FLAGS`` declares each flag once, ``_SUBCOMMANDS`` the flags each
 subcommand reads whatever it runs, and ``_CHOICES`` the options that
@@ -35,7 +35,6 @@ those that ``shallow.unread_settings`` names.
 
 import argparse
 import dataclasses
-import inspect
 import json
 import os
 import sys
@@ -141,13 +140,6 @@ def _input_graph(args):
                           directed=args.directed)
 
 
-def _keyword_defaults(fn):
-    """The keyword defaults of a library routine, by parameter name."""
-    return {name: p.default
-            for name, p in inspect.signature(fn).parameters.items()
-            if p.default is not p.empty}
-
-
 def _eval_seeds(args):
     """The ``seeds`` keyword for an ``--eval-seeds`` count, if one was set."""
     if args.eval_seeds is None:
@@ -162,19 +154,21 @@ def _eval_seeds(args):
 
 def _cmd_embed(args):
     from . import shallow
-    g = _input_graph(args)
     method = args.method
     if method in shallow.METHODS:
         cfg = _shallow_config(args)
-        table = shallow.train_shallow(g, method, cfg)
+        train = shallow.train_shallow
     elif method in ("sdne", "dngr"):
         from . import autoenc
         cfg = autoenc.AutoencoderConfig(seed=args.seed, **_options(args))
-        table, _ = autoenc.train_autoencoder(g, method, cfg)
+        # train_autoencoder returns (table, params)
+        train = lambda *a: autoenc.train_autoencoder(*a)[0]
     else:
         raise ConfigError(
             f"unknown method {method!r}; "
             f"choose one of {shallow.METHODS + ('sdne', 'dngr')}")
+    g = _input_graph(args)
+    table = train(g, method, cfg)
     table.save(_need(args, "out"))
     return EvalReport(
         task="embed",
@@ -215,29 +209,19 @@ def _cmd_roles(args):
     out = _need(args, "out")
     if args.mode == "struc2vec":
         table = structural.struc2vec_embed(g, seed=args.seed, **options)
-        table.save(out)
-        return EvalReport(
-            task="roles",
-            metrics={"node_count": g.node_count, "dim": table.dim},
-            config={"mode": "struc2vec", "k_max": table.metadata["k_max"],
-                    "seed": args.seed, "input": args.input, "out": out})
-    include_psi = options.pop("include_psi", False)
-    scale_kw = {"s": options.pop("scale")} if "scale" in options else {}
-    grid = structural.default_t_grid(**options)
-    sigs = structural.graphwave_signature(g, t_grid=grid, **scale_kw)
-    structural.export_signatures(out, sigs, list(g.node_ids),
-                                 include_psi=include_psi)
-    width = sigs[0].char_samples.size
-    if include_psi:
-        width += sigs[0].psi.size
-    used = {**_keyword_defaults(structural.default_t_grid), **options,
-            **_keyword_defaults(structural.graphwave_signature), **scale_kw}
+        dim_key = "dim"
+        config = {"k_max": table.metadata["k_max"], "seed": args.seed}
+    else:
+        if "scale" in options:
+            options["s"] = options.pop("scale")
+        table = structural.graphwave_signature(g, **options)
+        dim_key, config = "signature_dim", table.metadata
+    table.save(out)
     return EvalReport(
         task="roles",
-        metrics={"node_count": g.node_count, "signature_dim": width},
-        config={"mode": "graphwave", "scale": used["s"],
-                "t_points": used["t_points"], "t_max": used["t_max"],
-                "input": args.input, "out": out})
+        metrics={"node_count": g.node_count, dim_key: table.dim},
+        config={"mode": args.mode, **config, "input": args.input,
+                "out": out})
 
 
 def _cmd_subgraph(args):

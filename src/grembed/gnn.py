@@ -156,9 +156,7 @@ class LinearMessage:
         if w is not None:
             self.w = w if isinstance(w, ad.Tensor) else ad.parameter(w)
         else:
-            rng = derived_rng(seed, "linmsg", dim)
-            s = np.sqrt(3.0 / dim)
-            self.w = ad.parameter(rng.uniform(-s, s, size=(dim, dim)))
+            self.w = ad.glorot(derived_rng(seed, "linmsg", dim), dim, dim)
 
     def tensors(self):
         return [self.w]
@@ -172,9 +170,7 @@ class TypedLinearMessage:
 
     def __init__(self, dim, n_types, seed=42):
         rng = derived_rng(seed, "typedmsg", dim, n_types)
-        s = np.sqrt(3.0 / dim)
-        self.maps = [ad.parameter(rng.uniform(-s, s, size=(dim, dim)))
-                     for _ in range(n_types)]
+        self.maps = [ad.glorot(rng, dim, dim) for _ in range(n_types)]
 
     def tensors(self):
         return list(self.maps)
@@ -215,10 +211,9 @@ class GruUpdate:
 
     def __init__(self, dim, seed=42):
         rng = derived_rng(seed, "gru", dim)
-        s = np.sqrt(3.0 / dim)
 
         def mat():
-            return ad.parameter(rng.uniform(-s, s, size=(dim, dim)))
+            return ad.glorot(rng, dim, dim)
 
         self.wz, self.uz = mat(), mat()
         self.bz = ad.parameter(np.ones((1, dim)))

@@ -10,8 +10,6 @@ playing identical structural parts get identical signatures wherever
 they sit in the graph.
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import (
@@ -20,7 +18,7 @@ from .errors import (
     ResourceLimitError,
     ValidationError,
 )
-from .graph import Graph, _open_text
+from .graph import Graph
 from .shallow import EmbeddingTable, ShallowConfig, _skipgram_train
 from .walks import WalkConfig, WalkCorpus, WalkPairs, _check_hops, _walk
 
@@ -184,69 +182,45 @@ def struc2vec_embed(g, k_max=3, dim=16, walk_length=20, walks_per_node=8,
 # ---------------------------------------------------------------------
 
 
-@dataclass
-class WaveletSignature:
-    """Heat diffusion pattern of one node plus its summary samples."""
-
-    node: int
-    psi: np.ndarray
-    char_samples: np.ndarray = field(default=None)
-
-
-def default_t_grid(t_max=100.0, t_points=50):
-    """``t_points`` evenly spaced sample times from 0 to ``t_max``."""
-    if t_points < 1:
-        raise ContractError(f"t_points must be >= 1, got {t_points}")
-    return np.linspace(0.0, t_max, t_points)
-
-
-def graphwave_signature(g, s=0.5, t_grid=None, nodes=None):
-    """Per-node heat-kernel wavelets and characteristic-function samples.
-
+def heat_wavelets(g, s=0.5):
+    """Heat-kernel wavelets, (n, n); row v is
     psi_v = U diag(e^{-s lambda}) U^T e_v over the combinatorial
-    Laplacian L = D - A. The signature samples
-    phi_v(t) = mean_j exp(i t psi_v[j]) on the t grid, stored as
-    interleaved (real, imag) pairs; coordinates of psi are column
-    order, so only the samples are permutation-invariant.
-    """
+    Laplacian L = D - A."""
     if s < 0:
         raise ContractError("heat-kernel scale s must be >= 0")
-    if t_grid is None:
-        t_grid = default_t_grid()
-    t_grid = np.asarray(t_grid, dtype=np.float64).reshape(-1)
     lap = g.laplacian()
     try:
         lam, u = np.linalg.eigh(lap)
     except np.linalg.LinAlgError as e:
         raise NumericError(f"laplacian eigendecomposition failed: {e}")
-    heat = (u * np.exp(-s * lam)) @ u.T
-    if nodes is None:
-        nodes = range(g.node_count)
-    out = []
-    for v in nodes:
-        psi = heat[:, v]
-        phase = np.exp(1j * np.outer(t_grid, psi)).mean(axis=1)
-        samples = np.empty(2 * t_grid.size)
-        samples[0::2] = phase.real
-        samples[1::2] = phase.imag
-        out.append(WaveletSignature(int(v), psi.copy(), samples))
-    return out
+    # the product is symmetric only up to rounding; row v is its column v
+    return ((u * np.exp(-s * lam)) @ u.T).T
 
 
-def signature_matrix(signatures):
-    """Stack char_samples rows, (n, 2 * n_t)."""
-    return np.array([sig.char_samples for sig in signatures])
+def graphwave_signature(g, s=0.5, t_max=100.0, t_points=50,
+                        include_psi=False):
+    """GraphWave role signatures as an ``EmbeddingTable``.
 
-
-def export_signatures(target, signatures, node_ids, include_psi=False):
-    """TSV rows: node_id then the samples (psi appended on request)."""
-    with _open_text(target, "w") as fh:
-        for sig in signatures:
-            row = [str(node_ids[sig.node])]
-            row.extend("%.17g" % x for x in sig.char_samples)
-            if include_psi:
-                row.extend("%.17g" % x for x in sig.psi)
-            fh.write("\t".join(row) + "\n")
+    Row v samples phi_v(t) = mean_j exp(i t psi_v[j]) of the
+    ``heat_wavelets`` row psi_v at ``t_points`` evenly spaced times from
+    0 to ``t_max``, as interleaved (real, imag) pairs; with
+    ``include_psi``, psi_v follows. Coordinates of psi are column order,
+    so only the samples are permutation-invariant.
+    """
+    if t_points < 1:
+        raise ContractError(f"t_points must be >= 1, got {t_points}")
+    psi = heat_wavelets(g, s)
+    t_grid = np.linspace(0.0, t_max, t_points)
+    n, width = g.node_count, 2 * t_points
+    out = np.empty((n, width + (n if include_psi else 0)))
+    for v, row in enumerate(psi):
+        phase = np.exp(1j * np.outer(t_grid, row)).mean(axis=1)
+        out[v, 0:width:2] = phase.real
+        out[v, 1:width:2] = phase.imag
+    if include_psi:
+        out[:, width:] = psi
+    meta = {"scale": s, "t_max": t_max, "t_points": t_points}
+    return EmbeddingTable(out, list(g.node_ids), "graphwave", meta)
 
 
 def degree_refinement_classes(g):

@@ -487,6 +487,27 @@ def heat_kernel_dense(laplacian, s):
     return u @ np.diag(np.exp(-s * lam)) @ u.T
 
 
+def per_node_graphwave(g, s, t_grid):
+    """GraphWave one node at a time: (samples, psi) as stacked rows.
+
+    Node v's psi is column v of the heat kernel, copied out; its samples
+    are the characteristic function of psi on ``t_grid`` as interleaved
+    (real, imag) pairs.
+    """
+    lam, u = np.linalg.eigh(g.laplacian())
+    heat = (u * np.exp(-s * lam)) @ u.T
+    samples, psis = [], []
+    for v in range(g.node_count):
+        psi = heat[:, v]
+        phase = np.exp(1j * np.outer(t_grid, psi)).mean(axis=1)
+        row = np.empty(2 * t_grid.size)
+        row[0::2] = phase.real
+        row[1::2] = phase.imag
+        samples.append(row)
+        psis.append(psi.copy())
+    return np.array(samples), np.array(psis)
+
+
 def nmi_from_counts(a, b):
     """Arithmetic-mean-normalized mutual information of two labelings."""
     a, b = np.asarray(a), np.asarray(b)

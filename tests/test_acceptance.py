@@ -53,7 +53,6 @@ from grembed.similarity import SimilaritySpec, build_similarity, walk_visit_dist
 from grembed.structural import (
     degree_refinement_classes,
     graphwave_signature,
-    signature_matrix,
     struc2vec_embed,
 )
 from grembed.subgraph import (
@@ -413,8 +412,7 @@ def test_criterion_05_role_discovery():
     g = barbell_graph(5, 3)
     n = g.node_count
 
-    sigs = graphwave_signature(g)
-    mat = signature_matrix(sigs)
+    mat = graphwave_signature(g).vectors
     classes = degree_refinement_classes(g)
 
     # automorphically equivalent nodes carry identical signatures

@@ -135,6 +135,26 @@ def test_embed_laplacian_eigenmaps_refuses_epochs(data_dir, tmp_path,
     assert stdout == "" and not out.exists()
 
 
+@pytest.mark.parametrize("method, flag, reads_no", [
+    ("sdne", "walk-length", "reads no --walk-length"),
+    ("dngr", "window", "reads no --window"),
+    ("deepwalk", "hidden", "reads no --hidden"),
+    ("laplacian_eigenmaps", "epochs", "is solved exactly and reads no --epochs")])
+def test_embed_refuses_an_unread_flag_before_reading_the_input(
+        tmp_path, capsys, method, flag, reads_no):
+    # the input is no edge list, so a refusal can only come before it
+    # is parsed
+    bad = tmp_path / "notes.txt"
+    bad.write_text("not an edge list\nthis line has far too many fields\n")
+    out = tmp_path / "z.tsv"
+    code, stdout, err = run_cli(
+        capsys, "embed", "--method", method, f"--{flag}", "3",
+        "--input", str(bad), "--out", str(out))
+    assert code == 2
+    assert err == f"error: {method} {reads_no}\n"
+    assert stdout == "" and not out.exists()
+
+
 @pytest.mark.parametrize("command, method, flag, value, reads_no", [
     ("embed", "graph_factorization", "window", "3", "reads no --window"),
     ("embed", "hope", "walk-length", "4", "reads no --walk-length"),
@@ -758,8 +778,9 @@ def test_roles_graphwave_writes_signatures(data_dir, tmp_path, capsys):
         "--mode", "graphwave", "--t-points", "10", "--out", str(out))
     assert code == 0
     lines = out.read_text().strip().splitlines()
-    assert len(lines) == 34  # one row per node, no header
-    assert all(len(line.split("\t")) == 21 for line in lines)
+    assert lines[0] == "node_id\t20"  # the embedding table header
+    assert len(lines) == 1 + 34
+    assert all(len(line.split("\t")[1].split()) == 20 for line in lines[1:])
     assert report_dict(stdout)["signature_dim"] == "20"
 
 
@@ -771,15 +792,35 @@ def test_roles_without_options_runs_library_defaults(data_dir, tmp_path,
     assert code == 0
     g = load_edge_list(str(data_dir / "karate.edges"))
     ref = tmp_path / "ref.tsv"
-    structural.export_signatures(str(ref), structural.graphwave_signature(g),
-                                 list(g.node_ids))
+    structural.graphwave_signature(g).save(str(ref))
     assert out.read_bytes() == ref.read_bytes()
     rep = report_dict(stdout)
-    grid = inspect.signature(structural.default_t_grid).parameters
-    scale = inspect.signature(structural.graphwave_signature).parameters["s"]
-    assert rep["config.scale"] == str(scale.default)
-    assert rep["config.t_points"] == str(grid["t_points"].default)
-    assert rep["config.t_max"] == str(grid["t_max"].default)
+    params = inspect.signature(structural.graphwave_signature).parameters
+    assert rep["config.scale"] == str(params["s"].default)
+    assert rep["config.t_points"] == str(params["t_points"].default)
+    assert rep["config.t_max"] == str(params["t_max"].default)
+
+
+def test_roles_graphwave_output_feeds_every_embedding_reader(
+        data_dir, tmp_path, capsys):
+    sigs = tmp_path / "sigs.tsv"
+    code, _, _ = run_cli(
+        capsys, "roles", "--input", str(data_dir / "karate.edges"),
+        "--mode", "graphwave", "--t-points", "10", "--include-psi",
+        "--out", str(sigs))
+    assert code == 0
+    g = load_edge_list(str(data_dir / "karate.edges"))
+    table = load_embedding(str(sigs))
+    assert table.node_ids == g.node_ids
+    want = structural.graphwave_signature(g, t_points=10, include_psi=True)
+    np.testing.assert_array_equal(table.vectors, want.vectors)
+    labels = str(data_dir / "karate.labels")
+    for argv in (["eval-cluster", "--labels", labels],
+                 ["eval-nodes", "--labels", labels],
+                 ["project", "--out", str(tmp_path / "proj.tsv")]):
+        code, stdout, err = run_cli(capsys, *argv, "--embedding", str(sigs))
+        assert code == 0, err
+        assert report_dict(stdout)["task"]
 
 
 @pytest.mark.parametrize("points", ["0", "-1"])

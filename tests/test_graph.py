@@ -33,7 +33,7 @@ from grembed.similarity import (
     transition_matrix,
     walk_visit_distribution,
 )
-from grembed.structural import graphwave_signature
+from grembed.structural import graphwave_signature, heat_wavelets
 from grembed.subgraph import parse_multigraph_file
 
 import oracles
@@ -426,6 +426,7 @@ _DENSE_BUILDERS = {
     **{f"build_similarity-{kind}": lambda g, kind=kind: build_similarity(
         g, SimilaritySpec(kind=kind)) for kind in KINDS},
     "graphwave_signature": graphwave_signature,
+    "heat_wavelets": heat_wavelets,
 }
 
 

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -11,21 +13,20 @@ from grembed.fixtures import (
     karate_club,
     path_graph,
     star_graph,
+    stochastic_block_model,
 )
 from grembed.graph import Graph
 from grembed.structural import (
-    WaveletSignature,
     _layered_graph,
-    default_t_grid,
     degree_refinement_classes,
     degree_sequences,
     dtw_distance,
-    export_signatures,
     graphwave_signature,
-    signature_matrix,
+    heat_wavelets,
     struc2vec_distances,
     struc2vec_embed,
 )
+from grembed.table import load_embedding
 from grembed.walks import WalkConfig, _walk
 
 RATIO = lambda a, b: max(a, b) / min(a, b) - 1.0
@@ -352,40 +353,38 @@ def test_dtw_kernel_reads_each_pairs_own_cell_bitwise():
 
 def test_graphwave_zero_scale_gives_indicators():
     g = cycle_graph(6)
-    sigs = graphwave_signature(g, s=0.0)
-    for sig in sigs:
+    for v, psi in enumerate(heat_wavelets(g, s=0.0)):
         expect = np.zeros(6)
-        expect[sig.node] = 1.0
-        assert np.allclose(sig.psi, expect, atol=1e-9)
+        expect[v] = 1.0
+        assert np.allclose(psi, expect, atol=1e-9)
 
 
 def test_graphwave_mass_conserved():
     g = erdos_renyi(15, 0.3, seed=1)
     for s in (0.1, 0.5, 3.0):
-        for sig in graphwave_signature(g, s=s):
-            assert sig.psi.sum() == pytest.approx(1.0, abs=1e-9)
+        for psi in heat_wavelets(g, s=s):
+            assert psi.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_graphwave_matches_dense_heat_kernel_oracle():
     g = erdos_renyi(12, 0.3, seed=2)
     heat = oracles.heat_kernel_dense(g.laplacian(), 0.5)
-    sigs = graphwave_signature(g, s=0.5)
-    for sig in sigs:
-        assert np.allclose(sig.psi, heat[:, sig.node], atol=1e-9)
+    for v, psi in enumerate(heat_wavelets(g, s=0.5)):
+        assert np.allclose(psi, heat[:, v], atol=1e-9)
 
 
 def test_char_samples_start_at_one_zero():
     g = cycle_graph(5)
-    sigs = graphwave_signature(g, s=0.5)
-    for sig in sigs:
-        assert sig.char_samples[0] == pytest.approx(1.0, abs=1e-12)
-        assert sig.char_samples[1] == pytest.approx(0.0, abs=1e-12)
-        assert sig.char_samples.size == 2 * default_t_grid().size
+    points = inspect.signature(graphwave_signature).parameters["t_points"]
+    for samples in graphwave_signature(g, s=0.5).vectors:
+        assert samples[0] == pytest.approx(1.0, abs=1e-12)
+        assert samples[1] == pytest.approx(0.0, abs=1e-12)
+        assert samples.size == 2 * points.default
 
 
 def test_automorphic_nodes_identical_samples_on_barbell():
     g, labels = barbell_classes()
-    m = signature_matrix(graphwave_signature(g, s=0.5))
+    m = graphwave_signature(g, s=0.5).vectors
     for cls in np.unique(labels):
         members = np.nonzero(labels == cls)[0]
         base = m[members[0]]
@@ -395,12 +394,12 @@ def test_automorphic_nodes_identical_samples_on_barbell():
 
 def test_psi_of_equivalent_nodes_are_permutations():
     g, labels = barbell_classes()
-    sigs = graphwave_signature(g, s=0.5)
+    psi = heat_wavelets(g, s=0.5)
     for cls in np.unique(labels):
         members = np.nonzero(labels == cls)[0]
-        base = np.sort(sigs[members[0]].psi)
+        base = np.sort(psi[members[0]])
         for v in members[1:]:
-            assert np.allclose(np.sort(sigs[v].psi), base, atol=1e-8)
+            assert np.allclose(np.sort(psi[v]), base, atol=1e-8)
 
 
 def test_signature_multiset_isomorphism_invariant():
@@ -409,8 +408,8 @@ def test_signature_multiset_isomorphism_invariant():
     relabeled = [(str(perm[int(a)] + 100), str(perm[int(b)] + 100))
                  for a, b in g.edge_pairs]
     h = Graph.from_edges(relabeled)
-    ma = signature_matrix(graphwave_signature(g, s=0.5))
-    mb = signature_matrix(graphwave_signature(h, s=0.5))
+    ma = graphwave_signature(g, s=0.5).vectors
+    mb = graphwave_signature(h, s=0.5).vectors
     order_a = np.lexsort(ma.T[::-1])
     order_b = np.lexsort(mb.T[::-1])
     assert np.allclose(ma[order_a], mb[order_b], atol=1e-8)
@@ -419,7 +418,7 @@ def test_signature_multiset_isomorphism_invariant():
 def test_clustering_samples_recovers_refinement_classes():
     g, _ = barbell_classes()
     oracle = degree_refinement_classes(g)
-    m = signature_matrix(graphwave_signature(g, s=0.5))
+    m = graphwave_signature(g, s=0.5).vectors
     # group rows that agree within tolerance and compare partitions
     n = len(m)
     group = -np.ones(n, dtype=int)
@@ -450,16 +449,38 @@ def test_node_cap_enforced(monkeypatch):
         graphwave_signature(g)
 
 
-def test_export_signatures_format(tmp_path):
+def test_graphwave_table_rows_then_psi_columns(tmp_path):
     g = cycle_graph(4)
-    sigs = graphwave_signature(g, s=0.5, t_grid=[0.0, 1.0])
+    table = graphwave_signature(g, s=0.5, t_max=1.0, t_points=2)
+    assert table.vectors.shape == (4, 4)
+    assert table.node_ids == g.node_ids
+    assert table.metadata == {"scale": 0.5, "t_max": 1.0, "t_points": 2}
+    with_psi = graphwave_signature(g, s=0.5, t_max=1.0, t_points=2,
+                                   include_psi=True)
+    assert with_psi.vectors.shape == (4, 4 + 4)
+    np.testing.assert_array_equal(with_psi.vectors[:, :4], table.vectors)
+    np.testing.assert_array_equal(with_psi.vectors[:, 4:],
+                                  heat_wavelets(g, s=0.5))
     out = tmp_path / "sig.tsv"
-    export_signatures(out, sigs, list(g.node_ids))
-    lines = out.read_text().strip().split("\n")
-    assert len(lines) == 4
-    first = lines[0].split("\t")
-    assert first[0] == g.node_ids[0]
-    assert len(first) == 1 + 4
-    export_signatures(out, sigs, list(g.node_ids), include_psi=True)
-    first = out.read_text().strip().split("\n")[0].split("\t")
-    assert len(first) == 1 + 4 + 4
+    with_psi.save(out)
+    back = load_embedding(out)
+    assert back.node_ids == g.node_ids
+    np.testing.assert_array_equal(back.vectors, with_psi.vectors)
+
+
+@pytest.mark.parametrize("s", [0.0, 0.5, 3.0])
+@pytest.mark.parametrize("name", ["karate", "barbell", "er", "sbm"])
+def test_graphwave_matches_the_per_node_loop_bitwise(name, s):
+    g = {"karate": lambda: karate_club()[0],
+         "barbell": lambda: barbell_graph(5, 3),
+         "er": lambda: erdos_renyi(60, 0.1, seed=1),
+         "sbm": lambda: stochastic_block_model((50,) * 4, 0.3, 0.02,
+                                               seed=3)[0]}[name]()
+    samples, psi = oracles.per_node_graphwave(g, s, np.linspace(0, 100, 50))
+    got = graphwave_signature(g, s=s, include_psi=True).vectors
+    np.testing.assert_array_equal(got[:, :100].view(np.int64),
+                                  samples.view(np.int64))
+    np.testing.assert_array_equal(got[:, 100:].view(np.int64),
+                                  psi.view(np.int64))
+    np.testing.assert_array_equal(heat_wavelets(g, s).view(np.int64),
+                                  psi.view(np.int64))
