@@ -20,7 +20,7 @@ def residual(z, s):
 print("graph          closed-form      sgd     ratio")
 for i in range(6):
     g = erdos_renyi(9 + i, 0.35, seed=50 + i)
-    s = build_similarity(g, SimilaritySpec(kind="adjacency")).values
+    s = build_similarity(g, SimilaritySpec(kind="adjacency"))
     rc = residual(closed_form_factorization(s, 3).vectors, s)
     table = train_shallow(g, "graph_factorization",
                           ShallowConfig(dim=3, epochs=400, lr=0.05, seed=i))

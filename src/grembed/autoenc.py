@@ -110,7 +110,7 @@ def train_autoencoder(g, method="sdne", config=None):
     else:
         raise ContractError(f"unknown autoencoder method {method!r}")
 
-    s = build_similarity(g, spec).values
+    s = build_similarity(g, spec)
     n = g.node_count
     if config.dim >= n:
         raise ContractError(f"dim {config.dim} must be < node count {n}")

@@ -474,14 +474,33 @@ def _load_config_file(path, sub):
             raise ConfigError(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(cfg, dict):
         raise ConfigError("config file must hold a JSON object")
-    dests = {a.dest for a in sub._actions}
+    actions = {a.dest: a for a in sub._actions}
     options = {}
     for key, value in cfg.items():
         dest = key.replace("-", "_")
-        if dest not in dests:
+        if dest not in actions:
             raise ConfigError(f"unknown config key {key!r}")
-        options[dest] = value
+        options[dest] = _config_value(key, value, actions[dest])
     return options
+
+
+# the JSON values other than a string that a switch and an int or a
+# float flag take from the config file, and how to name them
+_CONFIG_TYPES = {bool: ((bool,), "true or false"), int: ((int,), "an integer"),
+                 float: ((int, float), "a number")}
+
+
+def _config_value(key, value, action):
+    """A config file's ``value`` as its flag would give it."""
+    switch = action.nargs == 0
+    if not switch and (action.type not in _CONFIG_TYPES
+                       or isinstance(value, str)):
+        return value  # argparse converts a string as it would the flag's
+    types, what = _CONFIG_TYPES[bool if switch else action.type]
+    # true and false are JSON integers too, but only a switch takes them
+    if isinstance(value, types) and isinstance(value, bool) == switch:
+        return action.type(value) if action.type else value
+    raise ConfigError(f"config key {key!r} must be {what}, got {value!r}")
 
 
 def parse_args(argv):

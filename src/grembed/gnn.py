@@ -152,11 +152,8 @@ def gnn_fixed_point(g, x=None, hidden_dim=8, mlp=None, mlp_hidden=(16,),
 class LinearMessage:
     """Sender state through one weight matrix."""
 
-    def __init__(self, dim, seed=42, w=None):
-        if w is not None:
-            self.w = w if isinstance(w, ad.Tensor) else ad.parameter(w)
-        else:
-            self.w = ad.glorot(derived_rng(seed, "linmsg", dim), dim, dim)
+    def __init__(self, dim, seed=42):
+        self.w = ad.glorot(derived_rng(seed, "linmsg", dim), dim, dim)
 
     def tensors(self):
         return [self.w]
@@ -300,9 +297,7 @@ def ggnn_forward(g, dim=8, rounds=3, seed=42, x=None, params=None):
     This is exactly mpnn_forward with those two choices plugged in, so
     the outputs agree bitwise.
     """
-    config = params or MpnnConfig(dim=dim, rounds=rounds,
-                                  message=LinearMessage(dim, seed=seed),
-                                  update=GruUpdate(dim, seed=seed), seed=seed)
+    config = params or MpnnConfig(dim=dim, rounds=rounds, seed=seed)
     table = mpnn_forward(g, config, x=x)
     table.method = "ggnn"
     return table

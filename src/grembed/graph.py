@@ -518,6 +518,7 @@ def load_attributes(source, g):
             raise EdgeListParseError("attribute header needs id plus features", 1)
         m = ncols - 1
         out = np.full((m, g.node_count), np.nan)
+        first = {}  # node index -> the line it is on
         for lineno, raw in enumerate(fh, start=2):
             line = raw.strip()
             if not line:
@@ -531,6 +532,10 @@ def load_attributes(source, g):
             except KeyError:
                 raise EdgeListParseError(
                     f"unknown node id {toks[0]!r}", lineno)
+            if first.setdefault(v, lineno) != lineno:
+                raise EdgeListParseError(
+                    f"duplicate node id {toks[0]!r} (first on line {first[v]})",
+                    lineno)
             try:
                 vals = [float(t) for t in toks[1:]]
             except ValueError:

@@ -83,26 +83,20 @@ def predict_logistic(x, theta, bias):
 def stratified_split(labels, train_fraction, seed):
     """Boolean train mask keeping class proportions within one node.
 
-    Retries with derived seeds when a class would vanish from the
-    train side; raises after 10 attempts.
+    Raises when a class would leave its train side empty or full, which
+    only the class sizes decide, so there is nothing to redraw.
     """
     labels = np.asarray(labels)
-    classes = np.unique(labels)
-    for attempt in range(10):
-        rng = derived_rng(seed, "split", attempt)
-        mask = np.zeros(labels.size, dtype=bool)
-        ok = True
-        for c in classes:
-            members = np.nonzero(labels == c)[0]
-            take = int(round(train_fraction * members.size))
-            if take == 0 or take == members.size:
-                ok = False
-                break
-            mask[rng.choice(members, size=take, replace=False)] = True
-        if ok:
-            return mask
-    raise ValidationError(
-        f"cannot build a stratified split at fraction {train_fraction}")
+    members = [np.nonzero(labels == c)[0] for c in np.unique(labels)]
+    takes = [int(round(train_fraction * m.size)) for m in members]
+    if any(t == 0 or t == m.size for t, m in zip(takes, members)):
+        raise ValidationError(
+            f"cannot build a stratified split at fraction {train_fraction}")
+    rng = derived_rng(seed, "split", 0)
+    mask = np.zeros(labels.size, dtype=bool)
+    for m, t in zip(members, takes):
+        mask[rng.choice(m, size=t, replace=False)] = True
+    return mask
 
 
 def macro_f1(y_true, y_pred):

@@ -37,7 +37,6 @@ class CoarseningMap:
     fine: Graph
     coarse: Graph
     node_map: np.ndarray  # fine index -> coarse index
-    level: int = 0
 
     def prolong(self, coarse_vectors):
         """Copy each supernode's row down to all of its fine nodes."""
@@ -47,7 +46,7 @@ class CoarseningMap:
         return coarse_vectors[self.node_map]
 
 
-def coarsen(g, level=0):
+def coarsen(g):
     """Merge a maximal matching chosen greedily by descending weight.
 
     A self-loop matches nothing, so a node never pairs with itself.
@@ -77,15 +76,15 @@ def coarsen(g, level=0):
     kept = ends[:, 0] != ends[:, 1]
     coarse = Graph(coarse_ids, ends[kept], pair_weights[kept],
                    directed=g.directed)
-    return CoarseningMap(g, coarse, node_map, level=level)
+    return CoarseningMap(g, coarse, node_map)
 
 
 def coarsen_chain(g, levels):
     """Repeated coarsening; stops early once nothing matches."""
     maps = []
     cur = g
-    for lvl in range(levels):
-        cm = coarsen(cur, level=lvl)
+    for _ in range(levels):
+        cm = coarsen(cur)
         maps.append(cm)
         if cm.coarse.node_count == cur.node_count:
             break
@@ -297,8 +296,7 @@ def load_hierarchy(source, layer_files):
     in layer_files.
     """
     with _open_text(source) as fh:
-        parent = {}
-        order = []
+        parent, first = {}, {}  # layer -> the line it is on
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -308,14 +306,16 @@ def load_hierarchy(source, layer_files):
                 raise ValidationError(f"line {lineno}: hierarchy line needs "
                                       f"2 tab-separated fields: {line!r}")
             layer, par = bits
-            order.append(layer)
+            if first.setdefault(layer, lineno) != lineno:
+                raise ValidationError(f"line {lineno}: layer {layer!r} named "
+                                      f"twice (first on line {first[layer]})")
             parent[layer] = None if par == "-" else par
     for name in layer_files:
         if name not in parent:
             raise ValidationError(
                 f"hierarchy file does not name layer {name!r}")
     layers = {}
-    for name in order:
+    for name in parent:
         if name not in layer_files:
             raise ValidationError(f"no edge list supplied for layer {name!r}")
         layers[name] = load_edge_list(layer_files[name])

@@ -242,7 +242,7 @@ def closed_form_factorization(s, d):
     them is the exact optimum, not an approximation). Eigenvector signs
     are fixed so each column's largest-magnitude entry is positive.
     """
-    values = s.values if hasattr(s, "values") else np.asarray(s, dtype=np.float64)
+    values = np.asarray(s, dtype=np.float64)
     if values.ndim != 2 or values.shape[0] != values.shape[1]:
         raise ContractError("similarity matrix must be square")
     if not np.allclose(values, values.T, atol=1e-8):
@@ -780,7 +780,7 @@ def _blocks(g, method, config, facts):
     elif source == "powers":
         for k in range(1, config.power_max + 1):
             spec = SimilaritySpec(kind="adjacency_power", power=k)
-            yield f"grarep power {k}", build_similarity(g, spec).values, None
+            yield f"grarep power {k}", build_similarity(g, spec), None
     elif source in ("walks", "node2vec", "offsets"):
         cfg = WalkConfig(length=config.walk_length, seed=config.seed,
                          walks_per_node=config.walks_per_node)
@@ -798,7 +798,7 @@ def _blocks(g, method, config, facts):
             yield "", pairs, None
     else:
         facts["similarity_kind"] = source
-        target = build_similarity(g, SimilaritySpec(kind=source)).values
+        target = build_similarity(g, SimilaritySpec(kind=source))
         yield method, target, None
 
 

@@ -40,16 +40,6 @@ class SimilaritySpec:
             raise ContractError("walks_per_node must be >= 1")
 
 
-@dataclass(frozen=True)
-class SimilarityMatrix:
-    values: np.ndarray
-    spec: SimilaritySpec
-
-    @property
-    def shape(self):
-        return self.values.shape
-
-
 def transition_matrix(g):
     """Row-stochastic step matrix; isolated nodes keep an all-zero row."""
     a = g.adjacency_matrix()
@@ -107,23 +97,19 @@ def pmi_similarity(g, spec):
 
 
 def build_similarity(g, spec):
-    """Materialize the dense similarity matrix a SimilaritySpec names.
+    """The dense similarity matrix a SimilaritySpec names, as an array.
 
     Every kind starts at ``g.adjacency_matrix()`` or, for rw_pmi, at
     its guard, so a graph too large for a dense matrix is refused
     (ResourceLimitError) before anything is allocated.
     """
     if spec.kind == "adjacency":
-        values = g.adjacency_matrix()
-    elif spec.kind == "adjacency_power":
-        values = g.adjacency_power(spec.power)
-    elif spec.kind == "jaccard":
-        values = jaccard_similarity(g)
-    elif spec.kind == "rw_visit":
-        values = _visit_average(transition_matrix(g), np.eye(g.node_count),
-                                spec.walk_length)
-    elif spec.kind == "rw_pmi":
-        values = pmi_similarity(g, spec)
-    else:  # unreachable, __post_init__ guards
-        raise ContractError(spec.kind)
-    return SimilarityMatrix(values, spec)
+        return g.adjacency_matrix()
+    if spec.kind == "adjacency_power":
+        return g.adjacency_power(spec.power)
+    if spec.kind == "jaccard":
+        return jaccard_similarity(g)
+    if spec.kind == "rw_visit":
+        return _visit_average(transition_matrix(g), np.eye(g.node_count),
+                              spec.walk_length)
+    return pmi_similarity(g, spec)  # __post_init__ admits only KINDS

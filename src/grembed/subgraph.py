@@ -51,26 +51,6 @@ class SubgraphSpec:
         return self.graph.induced_subgraph(self.nodes)
 
 
-@dataclass
-class PoolingKind:
-    kind: str = "sum"
-    bins: int = 8
-    m: int = 4
-    levels: int = 1
-
-    def __post_init__(self):
-        kinds = ("sum", "fuzzy_histogram", "ordered_concat",
-                 "coarsen_maxpool", "supernode")
-        if self.kind not in kinds:
-            raise ContractError(f"pooling kind must be one of {kinds}")
-        if self.bins < 2:
-            raise ContractError("bins must be >= 2")
-        if self.m < 1:
-            raise ContractError("m must be >= 1")
-        if self.levels < 1:
-            raise ContractError("levels must be >= 1")
-
-
 def _rows(z):
     if isinstance(z, EmbeddingTable):
         return z.vectors
@@ -183,24 +163,6 @@ def supernode_pool(g, spec, encoder):
                 directed=g.directed, node_attributes=attrs)
     table = encoder(aug)
     return table.vectors[table.node_ids.index(super_id)]
-
-
-def pool_subgraph(g, z, spec, pooling, encoder=None):
-    """Dispatch a PoolingKind to the matching pooling function."""
-    if pooling.kind == "sum":
-        return sum_pool(z, spec)
-    if pooling.kind == "fuzzy_histogram":
-        return fuzzy_histogram_pool(z, spec, bins=pooling.bins)
-    if pooling.kind == "ordered_concat":
-        return ordered_concat_pool(g, z, spec, m=pooling.m)
-    if pooling.kind == "coarsen_maxpool":
-        sub = spec.induced()
-        rows = _rows(z)[spec.nodes]
-        return coarsen_maxpool(sub, rows, levels=pooling.levels,
-                               encoder=encoder)
-    if encoder is None:
-        raise ContractError("supernode pooling needs an encoder")
-    return supernode_pool(g, spec, encoder)
 
 
 # ---------------------------------------------------------------------
@@ -417,7 +379,3 @@ def parse_multigraph_file(source):
         flush(line_no)
     return specs
 
-
-def dataset_from_pairs(pairs):
-    """[(graph, label)] -> [SubgraphSpec] covering each whole graph."""
-    return [SubgraphSpec(g, label=label) for g, label in pairs]

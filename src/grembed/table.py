@@ -34,14 +34,6 @@ class EmbeddingTable:
     def node_count(self):
         return self.vectors.shape[0]
 
-    @property
-    def matrix(self):
-        """Column-per-node view, (d, n)."""
-        return self.vectors.T
-
-    def vector(self, v):
-        return self.vectors[v]
-
     def lookup(self, node_id):
         return self.vectors[self.node_ids.index(str(node_id))]
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, ValidationError
+from .errors import ContractError, EdgeListParseError, ValidationError
 from .graph import _open_text, window_search
 from .rng import hashed_uniforms, walk_states
 
@@ -141,11 +141,14 @@ class WalkCorpus:
 def load_corpus(source, g):
     walks = []
     with _open_text(source) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            walks.append([g.index_of(t) for t in line.split()])
+            try:
+                walks.append([g.index_of(t) for t in line.split()])
+            except KeyError as exc:
+                raise EdgeListParseError(exc.args[0], lineno)
     width = max(map(len, walks), default=0)
     matrix = np.array([w + [-1] * (width - len(w)) for w in walks],
                       dtype=np.int64).reshape(len(walks), width)
@@ -386,7 +389,3 @@ def extract_pairs(corpus, window):
     """(center, context) pairs within the sliding window, both directions."""
     return WalkPairs(corpus, window=window).stored()
 
-
-def extract_offset_pairs(corpus, offset):
-    """Pairs at signed hop offset exactly +-offset (skip-length sampling)."""
-    return WalkPairs(corpus, offset=offset).stored()

@@ -476,7 +476,7 @@ def test_criterion_06_factorization_optimality():
         g = erdos_renyi(n, 0.35, seed=100 + i)
         while g.edge_count < 2:
             g = erdos_renyi(n, 0.45, seed=1000 + i)
-        s = build_similarity(g, SimilaritySpec(kind="adjacency")).values
+        s = build_similarity(g, SimilaritySpec(kind="adjacency"))
         rc = residual(closed_form_factorization(s, 3).vectors, s)
         table = train_shallow(
             g, "graph_factorization",
@@ -651,6 +651,7 @@ def _cli_fixture_files(root):
     a, b = two_layer_graphs(n=10, seed=1)
     export_edge_list(a, str(root / "la.edges"))
     export_edge_list(b, str(root / "lb.edges"))
+    (root / "walklets.json").write_text('{"offsets": [1, 3]}\n')
 
 
 def criterion_12_commands(root):
@@ -669,6 +670,11 @@ def criterion_12_commands(root):
                              "--input", f"{t}/karate.edges", "--dim", "4",
                              "--seed", "7", "--out", f"{t}/ze.tsv"],
                             ["ze.tsv"]),
+        "embed-walklets-config": (["embed", "--method", "walklets",
+                                   "--input", f"{t}/karate.edges", "--dim",
+                                   "8", "--seed", "7", "--epochs", "1",
+                                   "--config", f"{t}/walklets.json",
+                                   "--out", f"{t}/zw.tsv"], ["zw.tsv"]),
         "embed-sdne": (["embed", "--method", "sdne", "--input",
                         f"{t}/karate.edges", "--dim", "4", "--hidden", "8",
                         "--epochs", "5", "--seed", "7", "--out",
@@ -698,6 +704,10 @@ def criterion_12_commands(root):
         "eval-links": (["eval-links", "--input", f"{t}/karate.edges",
                         "--method", "line1", "--epochs", "1",
                         "--eval-seeds", "2", "--seed", "0"], []),
+        "eval-links-holdout": (["eval-links", "--input",
+                                f"{t}/karate.edges", "--method", "line1",
+                                "--epochs", "1", "--eval-seeds", "2",
+                                "--holdout", "0.3", "--seed", "0"], []),
         "eval-links-node2vec": (["eval-links", "--input",
                                  f"{t}/karate.edges", "--method", "node2vec",
                                  "--epochs", "1", "--eval-seeds", "2",

@@ -541,6 +541,54 @@ def test_config_file_string_value_is_converted(data_dir, tmp_path, capsys):
     assert "--dim" in err
 
 
+@pytest.mark.parametrize("command,key,value,what", [
+    ("embed", "dim", 4.5, "an integer"),
+    ("embed", "dim", True, "an integer"),
+    ("embed", "lr", [0.1], "a number"),
+    ("roles", "t_points", 7.5, "an integer"),
+    ("walk", "directed", "no", "true or false"),
+    ("walk", "directed", 1, "true or false"),
+])
+def test_config_file_value_of_another_type_exits_2(data_dir, tmp_path, capsys,
+                                                   command, key, value, what):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    out = tmp_path / "out"
+    code, _, err = run_cli(
+        capsys, command, "--input", str(data_dir / "karate.edges"),
+        "--out", str(out), "--config", str(cfg))
+    assert code == 2
+    assert f"config key {key!r} must be {what}, got {value!r}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,options,flags", [
+    ("embed", {"dim": 4, "epochs": 1, "lr": 1},
+     ["--dim", "4", "--epochs", "1", "--lr", "1"]),
+    ("embed", {"method": "walklets", "dim": 4, "epochs": 1,
+               "offsets": [1, 3]},
+     ["--method", "walklets", "--dim", "4", "--epochs", "1",
+      "--offsets", "1,3"]),
+    ("walk", {"directed": True}, ["--directed"]),
+    ("walk", {"directed": False}, []),
+])
+def test_config_file_json_values_act_as_their_flags(data_dir, tmp_path, capsys,
+                                                    command, options, flags):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(options))
+    runs = []
+    for name, extra in (("file", ["--config", str(cfg)]), ("flags", flags)):
+        out = tmp_path / name
+        code, stdout, err = run_cli(
+            capsys, command, "--input", str(data_dir / "karate.edges"),
+            "--out", str(out), *extra)
+        assert code == 0, err
+        rep = report_dict(stdout)
+        rep.pop("config.out")
+        runs.append((out.read_bytes(), rep))
+    assert runs[0] == runs[1]
+
+
 def test_embed_without_options_runs_library_defaults(data_dir, tmp_path,
                                                     capsys, monkeypatch):
     monkeypatch.delenv("GREMBED_SEED", raising=False)
@@ -630,6 +678,16 @@ def test_eval_links_without_options_runs_library_defaults(data_dir, capsys):
     assert rep["config.holdout"] == rep["config.holdout_fraction"] == holdout
     assert rep["per_seed.seed"] == ",".join(
         str(s) for s in params["seeds"].default)
+
+
+def test_eval_links_reports_the_holdout_it_was_given(data_dir, capsys):
+    code, stdout, err = run_cli(
+        capsys, "eval-links", "--input", str(data_dir / "karate.edges"),
+        "--method", "line1", "--epochs", "1", "--eval-seeds", "1",
+        "--holdout", "0.3")
+    assert code == 0, err
+    rep = report_dict(stdout)
+    assert rep["config.holdout"] == rep["config.holdout_fraction"] == "0.3"
 
 
 def test_project_without_options_runs_library_defaults(spectral_z, tmp_path,
@@ -935,6 +993,7 @@ def test_eval_nodes_rejects_duplicate_label_with_line(data_dir, tmp_path,
 
 @pytest.mark.parametrize("fault, message", [
     ("value", "could not convert string to float: 'x'"),
+    ("width", "expected 4 values, got 3"),
     ("duplicate", "duplicate node id")])
 def test_eval_nodes_rejects_bad_embedding_line(data_dir, tmp_path, capsys,
                                                fault, message):
@@ -944,9 +1003,12 @@ def test_eval_nodes_rejects_bad_embedding_line(data_dir, tmp_path, capsys,
                          "--dim", "4", "--seed", "0", "--out", str(z))
     assert code == 0
     lines = z.read_text().splitlines()
-    # line 3 of the file: a value that is not a number, or a copy of line 2
+    # line 3 of the file: a value that is not a number, one value short,
+    # or a copy of line 2
     if fault == "value":
         lines[2] = lines[2].split("\t")[0] + "\t0 x 0 0"
+    elif fault == "width":
+        lines[2] = lines[2].rsplit(" ", 1)[0]
     else:
         lines.insert(2, lines[1])
     z.write_text("\n".join(lines) + "\n")

@@ -574,6 +574,14 @@ def test_attribute_parsing():
         load_attributes(io.StringIO("id,f1\n0,1.0\n1,2.0\n"), g)
 
 
+def test_attribute_parsing_refuses_a_repeated_id_with_both_lines():
+    g = fixtures.triangle()
+    text = "id,f1,f2\n0,1,2\n1,3,4\n0,9,2\n2,5,6\n"
+    with pytest.raises(EdgeListParseError, match=r"line 4: duplicate node "
+                       r"id '0' \(first on line 2\)"):
+        load_attributes(io.StringIO(text), g)
+
+
 def test_label_parsing():
     g = fixtures.triangle()
     labels, names = load_labels(io.StringIO("0\ta\n1\tb\n2\ta\n"), g)

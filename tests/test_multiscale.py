@@ -312,3 +312,13 @@ def test_load_hierarchy(tmp_path):
     assert h.parent["child"] == "root"
     with pytest.raises(ValidationError):
         load_hierarchy(hpath, {"root": e1})
+
+
+def test_load_hierarchy_refuses_a_layer_named_twice(tmp_path):
+    hpath = tmp_path / "h.tsv"
+    hpath.write_text("L1\t-\nL2\tL1\nL2\t-\n")
+    edges = tmp_path / "l.edges"
+    edges.write_text("a b\n")
+    with pytest.raises(ValidationError, match=r"line 3: layer 'L2' named "
+                       r"twice \(first on line 2\)"):
+        load_hierarchy(hpath, {"L1": edges, "L2": edges})

@@ -59,8 +59,7 @@ def rnd(seed, *shape):
 def test_table_shape_and_lookup():
     t = EmbeddingTable(rnd(0, 4, 3), ["a", "b", "c", "d"])
     assert t.dim == 3 and t.node_count == 4
-    assert t.matrix.shape == (3, 4)
-    np.testing.assert_array_equal(t.lookup("c"), t.vector(2))
+    np.testing.assert_array_equal(t.lookup("c"), t.vectors[2])
 
 
 def test_table_save_load_round_trip():
@@ -136,6 +135,15 @@ def test_decoder_basic_properties():
     np.testing.assert_allclose(decode_all(z, "inner"), z @ z.T)
     with pytest.raises(ContractError):
         decode_pair(z, 0, 1, "hamming")
+
+
+@pytest.mark.parametrize("kind", ["inner", "sigmoid_inner", "sq_distance",
+                                  "softmax_inner"])
+def test_decode_all_entries_match_decode_pair(kind):
+    z = rnd(5, 6, 3)
+    want = [[decode_pair(z, i, j, kind) for j in range(6)] for i in range(6)]
+    np.testing.assert_allclose(decode_all(z, kind), want, rtol=1e-12,
+                               atol=1e-12)
 
 
 def test_dense_scores_refuse_a_table_over_the_dense_cap(monkeypatch):

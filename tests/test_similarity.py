@@ -4,7 +4,6 @@ import pytest
 from grembed import fixtures, graph
 from grembed.errors import ContractError, ResourceLimitError
 from grembed.similarity import (
-    SimilarityMatrix,
     SimilaritySpec,
     build_similarity,
     jaccard_similarity,
@@ -77,8 +76,8 @@ def test_adjacency_kind_returns_weighted_adjacency():
 
     g = Graph.from_edges([(0, 1), (1, 2)], weights=[2.0, 5.0])
     sim = build_similarity(g, SimilaritySpec(kind="adjacency"))
-    assert isinstance(sim, SimilarityMatrix)
-    np.testing.assert_allclose(sim.values, g.adjacency_matrix())
+    assert isinstance(sim, np.ndarray)
+    np.testing.assert_allclose(sim, g.adjacency_matrix())
 
 
 def test_adjacency_power_kind_matches_oracle():
@@ -86,7 +85,7 @@ def test_adjacency_power_kind_matches_oracle():
     spec = SimilaritySpec(kind="adjacency_power", power=3)
     sim = build_similarity(g, spec)
     np.testing.assert_allclose(
-        sim.values, oracles.matrix_power_loop(g.adjacency_matrix(), 3))
+        sim, oracles.matrix_power_loop(g.adjacency_matrix(), 3))
 
 
 def test_jaccard_matches_brute_force():
@@ -103,7 +102,7 @@ def test_rw_visit_kind_rows_are_visit_laws():
     spec = SimilaritySpec(kind="rw_visit", walk_length=4)
     sim = build_similarity(g, spec)
     for v in range(6):
-        np.testing.assert_allclose(sim.values[v],
+        np.testing.assert_allclose(sim[v],
                                    walk_visit_distribution(g, v, 4))
 
 
@@ -115,17 +114,17 @@ def test_rw_pmi_matches_brute_force_on_same_corpus():
     cfg = WalkConfig(length=5, walks_per_node=3, seed=99)
     corpus = sample_uniform_walks(g, cfg)
     expect = oracles.pmi_matrix(corpus.walks, 2, g.node_count)
-    np.testing.assert_allclose(sim.values, expect, atol=1e-10)
-    np.testing.assert_allclose(sim.values, sim.values.T, atol=1e-10)
-    assert sim.values.min() >= 0
+    np.testing.assert_allclose(sim, expect, atol=1e-10)
+    np.testing.assert_allclose(sim, sim.T, atol=1e-10)
+    assert sim.min() >= 0
 
 
 def test_rw_pmi_deterministic():
     g = fixtures.cycle_graph(8)
     spec = SimilaritySpec(kind="rw_pmi", walk_length=4, walks_per_node=5,
                           window=2, seed=7)
-    a = build_similarity(g, spec).values
-    b = build_similarity(g, spec).values
+    a = build_similarity(g, spec)
+    b = build_similarity(g, spec)
     np.testing.assert_array_equal(a, b)
 
 

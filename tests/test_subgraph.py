@@ -14,17 +14,14 @@ from grembed.fixtures import (
 from grembed.graph import Graph
 from grembed.subgraph import (
     EdgeMessageParams,
-    PoolingKind,
     SubgraphSpec,
     classify_subgraphs,
     coarsen_maxpool,
-    dataset_from_pairs,
     edge_message_encode,
     edge_message_tensors,
     fuzzy_histogram_pool,
     ordered_concat_pool,
     parse_multigraph_file,
-    pool_subgraph,
     sum_pool,
     supernode_pool,
 )
@@ -43,10 +40,18 @@ def test_spec_validation():
         SubgraphSpec(g, [])
     with pytest.raises(ValidationError):
         SubgraphSpec(g, [7])
-    with pytest.raises(ContractError):
-        PoolingKind("median")
-    with pytest.raises(ContractError):
-        PoolingKind("fuzzy_histogram", bins=1)
+
+
+def test_pooling_functions_refuse_bad_sizes():
+    g = cycle_graph(4)
+    z = np.ones((4, 2))
+    spec = SubgraphSpec(g, [0, 1])
+    with pytest.raises(ContractError, match="bins"):
+        fuzzy_histogram_pool(z, spec, bins=1)
+    with pytest.raises(ContractError, match="m must"):
+        ordered_concat_pool(g, z, spec, m=0)
+    with pytest.raises(ContractError, match="levels"):
+        coarsen_maxpool(g, z, levels=0)
 
 
 def test_sum_pool_basics():
@@ -325,7 +330,8 @@ def test_edge_message_gradients_match_finite_differences():
 
 
 def test_classify_cycles_vs_paths():
-    specs = dataset_from_pairs(cycles_and_paths(60, 5, 8, seed=3))
+    specs = [SubgraphSpec(g, label=y)
+             for g, y in cycles_and_paths(60, 5, 8, seed=3)]
     model, acc = classify_subgraphs(specs, rounds=2, epochs=200, seed=0,
                                     target_acc=0.95)
     assert acc >= 0.95
@@ -339,7 +345,8 @@ def test_classify_cycles_vs_paths():
                           (None, 10, "relu"), (None, 0, "tanh")])
 def test_classifier_training_matches_two_forward_loop(target_acc, epochs,
                                                       activation):
-    specs = dataset_from_pairs(cycles_and_paths(30, 5, 8, seed=11))
+    specs = [SubgraphSpec(g, label=y)
+             for g, y in cycles_and_paths(30, 5, 8, seed=11)]
     kw = dict(rounds=2, edge_dim=4, out_dim=5, epochs=epochs, lr=0.05,
               seed=3, activation=activation, target_acc=target_acc)
     model, acc = classify_subgraphs(specs, **kw)
@@ -361,7 +368,8 @@ def test_classify_rejects_single_class():
 
 
 def test_classifier_same_prediction_for_isomorphic_graphs():
-    specs = dataset_from_pairs(cycles_and_paths(40, 5, 8, seed=5))
+    specs = [SubgraphSpec(g, label=y)
+             for g, y in cycles_and_paths(40, 5, 8, seed=5)]
     model, _acc = classify_subgraphs(specs, rounds=2, epochs=60, seed=1)
     g = path_graph(6)
     perm = [3, 5, 0, 1, 4, 2]
@@ -373,7 +381,8 @@ def test_classifier_same_prediction_for_isomorphic_graphs():
 
 
 def test_constant_pooling_gives_majority_rate():
-    specs = dataset_from_pairs(cycles_and_paths(30, 5, 8, seed=7))
+    specs = [SubgraphSpec(g, label=y)
+             for g, y in cycles_and_paths(30, 5, 8, seed=7)]
     y = np.array([s.label for s in specs])
     majority = max(np.mean(y == 1), np.mean(y == 0))
     # zero embeddings make every pooled vector identical; the head can
@@ -382,21 +391,6 @@ def test_constant_pooling_gives_majority_rate():
     pred = (scores.reshape(-1) > 0).astype(int)
     acc = max((pred == y).mean(), 1 - (pred == y).mean())
     assert acc == pytest.approx(majority)
-
-
-def test_pool_subgraph_dispatch():
-    g = cycle_graph(4)
-    z = np.random.default_rng(3).normal(size=(4, 2))
-    spec = SubgraphSpec(g, [0, 1, 2])
-    assert pool_subgraph(g, z, spec, PoolingKind("sum")).shape == (2,)
-    assert pool_subgraph(g, z, spec, PoolingKind("fuzzy_histogram", bins=3)
-                         ).shape == (6,)
-    assert pool_subgraph(g, z, spec, PoolingKind("ordered_concat", m=2)
-                         ).shape == (4,)
-    assert pool_subgraph(g, z, spec, PoolingKind("coarsen_maxpool", levels=1)
-                         ).shape == (2,)
-    with pytest.raises(ContractError):
-        pool_subgraph(g, z, spec, PoolingKind("supernode"))
 
 
 def test_parse_multigraph_file():

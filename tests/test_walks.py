@@ -7,14 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grembed import fixtures, walks
-from grembed.errors import ContractError, ValidationError
+from grembed.errors import ContractError, EdgeListParseError, ValidationError
 from grembed.graph import Graph
 from grembed.rng import derived_rng, hashed_uniforms, walk_states
 from grembed.walks import (
     AliasTable,
     WalkConfig,
     WalkPairs,
-    extract_offset_pairs,
     extract_pairs,
     load_corpus,
     sample_metapath_walks,
@@ -306,12 +305,12 @@ def test_extract_pairs_window_bounds():
 
 def test_extract_offset_pairs_exact_distance():
     corpus = _toy_corpus([[0, 1, 2, 3, 4]], length=4)
-    got = sorted(map(tuple, extract_offset_pairs(corpus, 3).tolist()))
+    got = sorted(map(tuple, WalkPairs(corpus, offset=3).stored().tolist()))
     assert got == sorted([(0, 3), (1, 4), (3, 0), (4, 1)])
     with pytest.raises(ContractError):
-        extract_offset_pairs(corpus, 4)
+        WalkPairs(corpus, offset=4)
     with pytest.raises(ContractError):
-        extract_offset_pairs(corpus, 0)
+        WalkPairs(corpus, offset=0)
 
 
 def test_corpus_dump_and_load_round_trip():
@@ -326,6 +325,13 @@ def test_corpus_dump_and_load_round_trip():
     assert buf2.getvalue() == text  # byte determinism
     loaded = load_corpus(io.StringIO(text), g)
     assert all(np.array_equal(a, b) for a, b in zip(corpus.walks, loaded.walks))
+
+
+
+def test_load_corpus_refuses_an_unknown_id_with_its_line():
+    g = fixtures.triangle()
+    with pytest.raises(EdgeListParseError, match="line 3: unknown node id '7'"):
+        load_corpus(io.StringIO("0 1 2\n# note\n1 7 0\n"), g)
 
 
 @st.composite
@@ -538,7 +544,7 @@ def test_pairs_match_loop_oracle_in_order(data):
         for got, pairs, offsets in (
                 (extract_pairs(corpus, window), WalkPairs(corpus, window=window),
                  range(1, window + 1)),
-                (extract_offset_pairs(corpus, window),
+                (WalkPairs(corpus, offset=window).stored(),
                  WalkPairs(corpus, offset=window), (window,))):
             expect = oracles.hop_pairs_loop(corpus.walks, offsets)
             assert got.shape == expect.shape and np.array_equal(got, expect)
