@@ -365,11 +365,12 @@ def _cmd_ohmnet(args):
 _INT = {"type": int}
 _FLOAT = {"type": float}
 _SWITCH = {"action": "store_true"}
+_PATH = {"type": str}  # a file; a config file must give it as a string
 
 # every flag once, with its argparse keywords; a flag without a default
 # reads None when unset, so the library routine's own default applies
 _FLAGS = {
-    "input": {}, "out": {}, "directed": _SWITCH,
+    "input": _PATH, "out": _PATH, "directed": _SWITCH,
     "hidden": {"help": "autoencoder hidden widths, comma-separated"},
     "method": {"default": "deepwalk"},
     "dim": _INT, "epochs": _INT, "lr": _FLOAT, "batch-size": _INT,
@@ -377,23 +378,24 @@ _FLAGS = {
     "p": _FLOAT, "q": _FLOAT, "negatives": _INT, "power-max": _INT,
     "offsets": {},
     "kind": {"default": "uniform"}, "length": _INT,
-    "types": {"help": "id<TAB>type file for metapath walks"},
+    "types": {**_PATH, "help": "id<TAB>type file for metapath walks"},
     "metapath": {"help": "comma-separated type names, as in --types"},
     "mode": {"default": "graphwave"},
     "scale": _FLOAT, "t-points": _INT, "t-max": _FLOAT,
     # unset reads None, so that struc2vec can refuse it however it is set
     "include-psi": {**_SWITCH, "default": None}, "k-max": _INT,
-    "dataset": {}, "rounds": _INT, "edge-dim": _INT, "out-dim": _INT,
+    "dataset": _PATH, "rounds": _INT, "edge-dim": _INT, "out-dim": _INT,
     "target-acc": _FLOAT,
-    "embedding": {}, "labels": {}, "train-fraction": _FLOAT,
+    "embedding": _PATH, "labels": _PATH, "train-fraction": _FLOAT,
     "eval-seeds": _INT, "holdout": _FLOAT, "k": _INT, "restarts": _INT,
     "dims": _INT,
     "base": {"default": "deepwalk"}, "levels": {"type": int, "default": 2},
     "layer": {"action": "append", "metavar": "NAME=PATH"},
-    "hierarchy": {}, "lam": _FLOAT, "unsquared": _SWITCH, "out-prefix": {},
+    "hierarchy": _PATH, "lam": _FLOAT, "unsquared": _SWITCH,
+    "out-prefix": _PATH,
     "config": {"help": "JSON file of option defaults; flags win"},
     "seed": _INT,
-    "report": {"help": "also write the report lines to this file"},
+    "report": {**_PATH, "help": "also write the report lines to this file"},
 }
 
 _COMMON = ("config", "seed", "report")
@@ -484,10 +486,10 @@ def _load_config_file(path, sub):
     return options
 
 
-# the JSON values other than a string that a switch and an int or a
-# float flag take from the config file, and how to name them
-_CONFIG_TYPES = {bool: ((bool,), "true or false"), int: ((int,), "an integer"),
-                 float: ((int, float), "a number")}
+# the JSON values other than a string that a switch, a path and an int
+# or a float flag take from the config file, and how to name them
+_CONFIG_TYPES = {bool: ((bool,), "true or false"), str: ((), "a string"),
+                 int: ((int,), "an integer"), float: ((int, float), "a number")}
 
 
 def _config_value(key, value, action):

@@ -142,8 +142,9 @@ def _layered_graph(layers, switch_prob):
         for j in np.flatnonzero(move[:, k]):
             pairs.append(np.stack([j * n + src, k * n + dst], axis=1))
             weights.append(move[j, k] * m)
-    return Graph(range(K * n), np.concatenate(pairs), np.concatenate(weights),
-                 directed=True)
+    # the blocks go once joined, so the build holds one copy of its input
+    pairs, weights = np.concatenate(pairs), np.concatenate(weights)
+    return Graph(range(K * n), pairs, weights, directed=True)
 
 
 def struc2vec_embed(g, k_max=3, dim=16, walk_length=20, walks_per_node=8,

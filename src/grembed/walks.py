@@ -133,8 +133,11 @@ class WalkCorpus:
         """One walk per line, space-separated external node ids."""
         with _open_text(target, "w") as fh:
             ids = self.node_ids or [str(i) for i in range(self.node_count)]
-            for walk in self.walks:
-                fh.write(" ".join(map(ids.__getitem__, walk.tolist())))
+            for row in self.matrix:
+                walk = row.tolist()
+                if -1 in walk:
+                    del walk[walk.index(-1):]
+                fh.write(" ".join(map(ids.__getitem__, walk)))
                 fh.write("\n")
 
 
@@ -211,9 +214,12 @@ def _walk(g, config, factor=None, starts=None, top=1.0):
     batch[:, 0] = np.repeat(starts, N)
     total = g.degrees(weighted=True)
     # +inf past the last row keeps every row's search window nondecreasing
-    cum = g.pad_rows(np.concatenate(([0.0], np.cumsum(
-        g.csr_weights / np.where(total > 0, total, 1.0)[g.csr_sources]))),
-        np.inf)
+    cum = g.pad_rows(g.csr_weights.size + 1, np.inf)
+    cum[0] = 0.0
+    arcs = cum[1:g.csr_weights.size + 1]
+    np.divide(g.csr_weights, np.repeat(np.where(total > 0, total, 1.0), deg),
+              out=arcs)
+    np.cumsum(arcs, out=arcs)
     alive = np.arange(ids.size)
     for t in range(1, T + 1):
         if alive.size == 0:

@@ -35,3 +35,14 @@ def test_summary_counts_pairs_won_in_each_metric_direction():
     # inclusive quartiles of the parent's 2.5, 3.0, 4.0, 5.0
     assert out["cli_s"]["parent"] == pytest.approx(
         {"median": 3.5, "q1": 2.875, "q3": 4.25})
+
+
+def test_aa_and_workload_arguments():
+    base = ["--parent", "HEAD", "--tag", "t", "--what", "w", "--seeds", "1-2"]
+    names = [w["name"] for w in benchpair.SPEC["workloads"]]
+    args = benchpair.parse_args(base)
+    assert not args.aa and args.workload == names
+    args = benchpair.parse_args(base + ["--aa", "--workload", names[-1]])
+    assert args.aa and args.workload == [names[-1]]
+    with pytest.raises(SystemExit):
+        benchpair.parse_args(base + ["--workload", "no-such-workload"])

@@ -562,6 +562,22 @@ def test_config_file_value_of_another_type_exits_2(data_dir, tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key,value", [
+    ("input", 0), ("input", 5), ("input", None), ("input", ["a.edges"]),
+    ("out", 1), ("report", False), ("out-prefix", 2.5),
+])
+def test_config_file_path_that_is_not_a_string_exits_2(tmp_path, capsys,
+                                                        key, value):
+    # 0 would read the edges from standard input and 5 from descriptor 5
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    command = "ohmnet" if key == "out-prefix" else "walk"
+    code, stdout, err = run_cli(capsys, command, "--config", str(cfg))
+    assert code == 2 and stdout == ""
+    assert f"config key {key!r} must be a string, got {value!r}" in err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 @pytest.mark.parametrize("command,options,flags", [
     ("embed", {"dim": 4, "epochs": 1, "lr": 1},
      ["--dim", "4", "--epochs", "1", "--lr", "1"]),

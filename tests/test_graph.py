@@ -174,8 +174,11 @@ def _graphs(draw, self_loops=False):
     pairs = draw(st.lists(
         st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
             lambda p: self_loops or p[0] != p[1]), min_size=1, max_size=25))
+    # -0.0 tells a sum from 0.0 apart from one that starts at the first
+    # weight: -0.0 + -0.0 is -0.0, 0.0 + -0.0 + -0.0 is 0.0
     weights = draw(st.none() | st.lists(
-        st.floats(0.0, 1e3), min_size=len(pairs), max_size=len(pairs)))
+        st.floats(0.0, 1e3) | st.just(-0.0), min_size=len(pairs),
+        max_size=len(pairs)))
     prefix = draw(st.sampled_from(["", "n"]))  # numeric or text id order
     edges = [(f"{prefix}{u}", f"{prefix}{v}") for u, v in pairs]
     return Graph.from_edges(edges, weights=weights,
@@ -242,8 +245,11 @@ def _edge_lists(draw):
     pairs = draw(st.permutations(
         pairs + [(v, u) if flip else (u, v) for (u, v), flip in dups]))
     directed = draw(st.booleans())
+    # -0.0 tells a sum from 0.0 apart from one that starts at the first
+    # weight: -0.0 + -0.0 is -0.0, 0.0 + -0.0 + -0.0 is 0.0
     weights = draw(st.none() | st.lists(
-        st.floats(0.0, 1e3), min_size=len(pairs), max_size=len(pairs)))
+        st.floats(0.0, 1e3) | st.just(-0.0), min_size=len(pairs),
+        max_size=len(pairs)))
     kinds = draw(st.none() | st.lists(st.integers(0, 3), min_size=n * n,
                                       max_size=n * n))
     types = None
@@ -313,7 +319,8 @@ def test_pad_rows_keeps_every_row_window_in_range():
     g = fixtures.star_graph(5)
     assert g.search_steps == 3
     values = np.arange(g.csr_targets.size, dtype=np.float64)
-    padded = g.pad_rows(values, np.inf)
+    padded = g.pad_rows(values.size, np.inf)
+    padded[:values.size] = values
     np.testing.assert_array_equal(padded[:values.size], values)
     np.testing.assert_array_equal(padded[values.size:], np.full(8, np.inf))
     lo = g.csr_offsets[:-1]
@@ -386,7 +393,29 @@ def test_directed_graph_holds_each_arc_once():
     m = n * (n - 1)
     assert g.edge_count == len(g.csr_targets) == m
     assert held / m <= 24
-    assert peak / m <= 72
+    assert peak / m <= 44
+
+
+def test_edge_list_load_peaks_near_four_arrays_per_arc(tmp_path):
+    # the weighted 4 x 500 SBM, each edge on one line in CSR order, as a
+    # benchmark input is written; the parse, the in-place id remap and
+    # the build together peak at about 62 bytes per arc, of which the
+    # graph keeps about 26
+    g, _ = fixtures.stochastic_block_model((500,) * 4, 0.03, 0.001, seed=1)
+    w = np.random.default_rng(1).integers(1, 6, size=g.edge_count)
+    path = tmp_path / "sbm.edges"
+    path.write_text("".join(f"{u}\t{v}\t{x}\n" for (u, v), x in
+                            zip(g.edge_pairs.tolist(), w.tolist())))
+    tracemalloc.start()
+    try:
+        loaded = load_edge_list(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    m = len(loaded.csr_targets)
+    assert loaded.node_count == g.node_count and m == len(g.csr_targets)
+    np.testing.assert_array_equal(loaded.pair_weights, w)
+    assert peak / m <= 66
 
 
 def test_numeric_id_ordering():

@@ -2,15 +2,22 @@
 
     python3 tools/benchpair.py --parent HEAD --tag skipgram_step \\
         --what "what the change does" --seeds 7001-7010
+    python3 tools/benchpair.py --parent HEAD --tag aa_n2v_walks --aa \\
+        --workload n2v-walks --what "A/A floor" --seeds 7101-7110
 
-For each workload in ``BENCHMARK.json`` and each seed, the benchmark
-command runs once on an export of the parent revision and once on the
-working tree, alternating which side goes first; then once more per side
-with ``--trace 1`` at seed ``TRACE_SEED``. The parent is exported with
-``git archive`` into a temporary directory, so a run that is cut short
-leaves nothing behind in the repository's ``.git``. Both sides must have
-the same benchmark code (the paths ``BENCHMARK.json`` lists, and the file
-itself), or the comparison would measure the benchmark too.
+For each workload in ``BENCHMARK.json`` (or each that ``--workload``
+names) and each seed, the benchmark command runs once on an export of
+the parent revision and once on the working tree, alternating which side
+goes first; then once more per side with ``--trace 1`` at seed
+``TRACE_SEED``. The parent is exported with ``git archive`` into a
+temporary directory, so a run that is cut short leaves nothing behind in
+the repository's ``.git``. Both sides must have the same benchmark code
+(the paths ``BENCHMARK.json`` lists, and the file itself), or the
+comparison would measure the benchmark too.
+
+With ``--aa`` both sides are exports of the parent, in sibling
+directories, so any gap between them is the harness's own side bias: the
+floor that a claimed gain on the same metric has to clear.
 
 ``BENCH_<tag>.json`` at the root of the working tree is rewritten after
 every run. Per workload and end-to-end metric it holds each side's median
@@ -92,17 +99,39 @@ def summary(runs, units):
     return out
 
 
-def main(argv=None):
+def parse_args(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", required=True, help="git revision")
     parser.add_argument("--tag", required=True, help="names BENCH_<tag>.json")
     parser.add_argument("--what", required=True, help="what the change does")
     parser.add_argument("--seeds", type=seed_range, required=True,
                         help="a seed or an inclusive range, e.g. 7001-7010")
+    parser.add_argument("--workload", action="append",
+                        choices=[w["name"] for w in SPEC["workloads"]],
+                        help="run only this workload (repeatable)")
+    parser.add_argument("--aa", action="store_true",
+                        help="run both sides from exports of --parent")
     args = parser.parse_args(argv)
+    args.workload = args.workload or [w["name"] for w in SPEC["workloads"]]
+    return args
+
+
+def export(rev, tree):
+    """``git archive`` of ``rev``, unpacked into the new directory tree."""
+    archive = subprocess.run(["git", "archive", rev], cwd=ROOT,
+                             capture_output=True, check=True).stdout
+    tree.mkdir()
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(tree, filter="data")
+    return tree
+
+
+def main(argv=None):
+    args = parse_args(argv)
     bench_files = [*SPEC["paths"], "BENCHMARK.json"]
-    if subprocess.run(["git", "diff", "--quiet", args.parent, "--",
-                       *bench_files], cwd=ROOT).returncode:
+    if not args.aa and subprocess.run(
+            ["git", "diff", "--quiet", args.parent, "--", *bench_files],
+            cwd=ROOT).returncode:
         sys.exit(f"the benchmark code ({', '.join(bench_files)}) differs "
                  f"between {args.parent} and the working tree")
     rev = subprocess.run(["git", "rev-parse", "--short", args.parent],
@@ -110,16 +139,19 @@ def main(argv=None):
                          check=True).stdout.strip()
     command = " ".join(SPEC["command"])
     record = {
-        "what": args.what, "parent_commit": rev,
+        "what": args.what, "parent_commit": rev, "aa": args.aa,
         "command": f"{command} --workload W --seed S "
                    f"--seconds {SPEC['run_seconds']} --trace 0",
         "trace_command": f"{command} --workload W --seed {TRACE_SEED} "
                          f"--seconds {TRACE_SECONDS} --trace 1",
         "method": f"{len(args.seeds)} pairs per workload (seeds "
                   f"{args.seeds[0]}-{args.seeds[-1]}), parent and change "
-                  "alternating which runs first; the parent exported with "
-                  "git archive, each side run from its own source tree on "
-                  "the same host",
+                  "alternating which runs first; "
+                  + ("an A/A run: both sides git archive exports of the "
+                     "parent, in sibling directories" if args.aa else
+                     "the parent exported with git archive")
+                  + ", each side run from its own source tree on the same "
+                  "host",
         "env": None, "workloads": {}}
     out = ROOT / f"BENCH_{args.tag}.json"
 
@@ -127,12 +159,10 @@ def main(argv=None):
         out.write_text(json.dumps(record, indent=1) + "\n")
 
     with tempfile.TemporaryDirectory(prefix="benchpair-") as tmp:
-        archive = subprocess.run(["git", "archive", rev], cwd=ROOT,
-                                 capture_output=True, check=True).stdout
-        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            tar.extractall(tmp, filter="data")
-        trees = {"parent": Path(tmp), "change": ROOT}
-        for workload in (w["name"] for w in SPEC["workloads"]):
+        trees = {"parent": export(rev, Path(tmp) / "parent"),
+                 "change": export(rev, Path(tmp) / "change") if args.aa
+                 else ROOT}
+        for workload in args.workload:
             entry = record["workloads"][workload] = {
                 "why": None, "input": None, "end_to_end": {}, "failed": {},
                 "per_layer_traced": {}, "runs": []}
