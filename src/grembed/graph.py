@@ -11,7 +11,6 @@ Dense matrices returned by this module are plain float64 numpy arrays.
 """
 
 import contextlib
-import io
 import math
 from array import array
 from typing import NamedTuple
@@ -251,11 +250,6 @@ class Graph:
                    node_attributes=node_attributes, node_types=node_types,
                    edge_pair_types=edge_types)
 
-    def with_attributes(self, node_attributes):
-        return Graph(self.node_ids, self.edge_pairs, self.pair_weights,
-                     directed=self.directed, node_attributes=node_attributes,
-                     node_types=self.node_types, edge_pair_types=self.pair_types)
-
     def with_types(self, node_types=None, edge_types=None):
         return Graph(self.node_ids, self.edge_pairs, self.pair_weights,
                      directed=self.directed, node_attributes=self.node_attributes,
@@ -381,14 +375,6 @@ class Graph:
             frontier = nbrs[dist[nbrs] == -1]
             dist[frontier] = d
         return dist
-
-    def hop_ring(self, v, k):
-        """Set of nodes at hop distance exactly k from v."""
-        v = self._check_node(v)
-        if k < 0:
-            raise ContractError("hop distance k must be >= 0")
-        dist = self.bfs_distances(v)
-        return set(np.nonzero(dist == k)[0].tolist())
 
     def induced_subgraph(self, nodes):
         """Subgraph on the given node indices, keeping their ids."""
@@ -623,9 +609,3 @@ def load_labels(source, g):
     lut = {s: i for i, s in enumerate(names)}
     labels = np.array([lut[raw[v]] for v in range(len(index))], dtype=np.int64)
     return labels, names
-
-
-def edge_list_string(g):
-    buf = io.StringIO()
-    export_edge_list(g, buf)
-    return buf.getvalue()

@@ -177,13 +177,14 @@ def holdout_edges(g, fraction, seed):
     target = int(round(fraction * g.edge_count))
     if target < 1:
         raise ConfigError(f"holdout fraction {fraction} removes no edges")
-    deg = g.degrees().astype(np.int64).copy()
-    rng = derived_rng(seed, "holdout")
-    order = rng.permutation(g.edge_count)
-    edge_pairs = g.edge_pairs
+    # the loop reads Python ints: memoryviews give them without numpy's
+    # per-index scalars and without listing every edge
+    deg = g.degrees().astype(np.int64).tolist()
+    order = derived_rng(seed, "holdout").permutation(g.edge_count)
+    edge_pairs = memoryview(g.edge_pairs)
     chosen = []
-    for e in order:
-        a, b = int(edge_pairs[e, 0]), int(edge_pairs[e, 1])
+    for e in memoryview(order):
+        a, b = edge_pairs[e, 0], edge_pairs[e, 1]
         if deg[a] <= 1 or deg[b] <= 1:
             continue
         deg[a] -= 1

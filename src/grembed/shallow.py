@@ -39,58 +39,6 @@ NOISE_BATCHES = 16  # batches whose noise draws _skipgram takes at once
 LR_MIN = 1e-4  # the lr that _skipgram's linear annealing ends at
 
 
-# ---------------------------------------------------------------------
-# pairwise decoders
-# ---------------------------------------------------------------------
-
-
-def decode_pair(table, i, j, kind="inner", edge_type=None, bilinear_maps=None):
-    """Pairwise proximity score between nodes i and j under a decoder."""
-    z = table.vectors if isinstance(table, EmbeddingTable) else np.asarray(table)
-    zi, zj = z[i], z[j]
-    if kind == "sq_distance":
-        diff = zi - zj
-        return float(diff @ diff)
-    if kind == "inner":
-        return float(zi @ zj)
-    if kind == "sigmoid_inner":
-        x = float(zi @ zj)
-        return float(1.0 / (1.0 + np.exp(-x))) if x >= 0 else \
-            float(np.exp(x) / (1.0 + np.exp(x)))
-    if kind == "softmax_inner":
-        dots = z @ zi
-        dots -= dots.max()
-        e = np.exp(dots)
-        return float(e[j] / e.sum())
-    if kind == "bilinear":
-        if bilinear_maps is None or edge_type not in bilinear_maps:
-            raise KeyError(f"no bilinear map for edge type {edge_type!r}")
-        a = np.asarray(bilinear_maps[edge_type])
-        if a.shape != (z.shape[1], z.shape[1]):
-            raise ContractError("bilinear map must be (d, d)")
-        return float(zi @ a @ zj)
-    raise ContractError(f"unknown decoder kind {kind!r}")
-
-
-def decode_all(table, kind="inner"):
-    """Dense pairwise score matrix under a decoder (``graph.dense_guard``)."""
-    z = table.vectors if isinstance(table, EmbeddingTable) else np.asarray(table)
-    dense_guard(len(z))
-    if kind == "inner":
-        return z @ z.T
-    if kind == "sigmoid_inner":
-        return ad._sigmoid_np(z @ z.T)
-    if kind == "sq_distance":
-        sq = (z * z).sum(axis=1)
-        return np.maximum(sq[:, None] + sq[None, :] - 2.0 * (z @ z.T), 0.0)
-    if kind == "softmax_inner":
-        dots = z @ z.T
-        dots = dots - dots.max(axis=1, keepdims=True)
-        e = np.exp(dots)
-        return e / e.sum(axis=1, keepdims=True)
-    raise ContractError(f"unknown decoder kind {kind!r}")
-
-
 def gram_residual(z, s):
     """Frobenius objective || Z Z^T - S ||_F^2 (``graph.dense_guard``)."""
     z = z.vectors if isinstance(z, EmbeddingTable) else np.asarray(z)
@@ -117,18 +65,6 @@ def gram_mse_loss(z_t, target):
     gram = ad.matmul(z_t, ad.transpose(z_t))
     diff = ad.sub(gram, np.asarray(target, dtype=np.float64))
     return ad.reduce_sum(ad.mul(diff, diff))
-
-
-def softmax_cross_entropy_loss(z_t, pairs):
-    """- sum log softmax(z_center . Z)[context] (full normalization)."""
-    n = z_t.data.shape[0]
-    centers = ad.take_rows(z_t, pairs[:, 0])
-    logits = ad.matmul(centers, ad.transpose(z_t))
-    probs = ad.softmax_rows(logits)
-    onehot = np.zeros((len(pairs), n))
-    onehot[np.arange(len(pairs)), pairs[:, 1]] = 1.0
-    picked = ad.reduce_sum(ad.mul(probs, onehot), axis=1)
-    return ad.neg(ad.reduce_sum(ad.log(picked)))
 
 
 def negative_sampling_loss(z_t, pairs, negatives, context_t=None,
@@ -201,20 +137,6 @@ class HierarchicalSoftmaxTree:
         dots = np.asarray(w) @ np.asarray(z).reshape(-1)
         sig = ad._sigmoid_np(self.path_signs * dots[self.path_nodes])
         return np.where(self.path_mask > 0, sig, 1.0).prod(axis=1)
-
-
-def hierarchical_softmax_loss(z_t, w_t, pairs, tree):
-    """- sum log P(context | center) under the tree factorization."""
-    b = len(pairs)
-    d = tree.depth
-    pn = tree.path_nodes[pairs[:, 1]].reshape(-1)
-    ps = tree.path_signs[pairs[:, 1]].reshape(-1, 1)
-    pm = tree.path_mask[pairs[:, 1]].reshape(-1, 1)
-    zc = ad.take_rows(z_t, np.repeat(pairs[:, 0], d))
-    wv = ad.take_rows(w_t, pn)
-    signed = ad.mul(ad.dot_rows(zc, wv), ps)
-    logp = ad.mul(ad.log_sigmoid(signed), pm)
-    return ad.neg(ad.reduce_sum(logp))
 
 
 def unigram_noise(counts, power=0.75):
@@ -437,13 +359,16 @@ def _log_sigmoid_slope(x, slope, tail, flag):
 
 # Closed-form steps: each takes a run's parameter array (see _skipgram)
 # and its _Workspace, and returns the summed batch loss of its tape
-# twin above, the rows of that array the batch touched, and the loss's
-# gradient for each of them, as one _sparse_sgd update, in the workspace.
+# twin (``negative_sampling_loss`` above; the two softmax losses are
+# tape oracles in tests/oracles.py), the rows of that array the batch
+# touched, and the loss's gradient for each of them, as one _sparse_sgd
+# update, in the workspace.
 
 
 def _hsoftmax_step(params, batch, tree, ws):
-    """hierarchical_softmax_loss and its gradients; the tree's vectors
-    are the rows of ``params`` from ``tree.n_leaves`` on."""
+    """The hierarchical-softmax loss, -sum log P(context | center) over
+    the tree's paths, and its gradients; the tree's vectors are the rows
+    of ``params`` from ``tree.n_leaves`` on."""
     b, depth = len(batch), tree.depth
     ctx = batch[:, 1]
     rows = ws.rows[:b * (1 + depth)]
@@ -508,7 +433,8 @@ def _negsamp_step(params, ctx, batch, negs, ws, weights=None):
 
 
 def _softmax_step(z, batch, ws):
-    """softmax_cross_entropy_loss and its gradients.
+    """The full-softmax loss, -sum log softmax(z_center . Z)[context],
+    and its gradients.
 
     The normalization runs over every node, so every row gets a context
     gradient; the logit gradient is p - e_ctx, formed in place. Only
@@ -837,6 +763,9 @@ def train_shallow(g, method, config=None):
         raise ContractError(f"walklets offsets repeat {repeated}; each offset "
                             "trains one column block")
     loss = config.loss or (row.losses[0] if row.losses else None)
+    if loss == "softmax":
+        # each pair's logits span every node: 2 x batch x n floats
+        dense_guard(g.node_count)
     blocked = {"offsets": len(config.offsets), "powers": config.power_max}
     dims = _block_dims(config.dim, blocked.get(row.source, 1))
     inits = [None] * len(dims)

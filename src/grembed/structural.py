@@ -53,14 +53,6 @@ def _dtw(a, la, b, lb):
     return table[la, lb, np.arange(len(la))]
 
 
-def dtw_distance(a, b):
-    """``_dtw`` of one pair of nonempty degree sequences."""
-    a, b = (np.asarray(x, dtype=np.float64).reshape(1, -1) for x in (a, b))
-    if a.size == 0 or b.size == 0:
-        raise ContractError("dtw needs nonempty sequences")
-    return float(_dtw(a, [a.size], b, [b.size])[0])
-
-
 def degree_sequences(g, k_max):
     """Sorted degree list of each exact-k-hop ring, k = 1..k_max.
 

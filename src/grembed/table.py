@@ -34,9 +34,6 @@ class EmbeddingTable:
     def node_count(self):
         return self.vectors.shape[0]
 
-    def lookup(self, node_id):
-        return self.vectors[self.node_ids.index(str(node_id))]
-
     def save(self, target):
         with _open_text(target, "w") as fh:
             fh.write(f"node_id\t{self.dim}\n")

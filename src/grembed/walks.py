@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, EdgeListParseError, ValidationError
+from .errors import ContractError, ValidationError
 from .graph import _open_text, window_search
 from .rng import hashed_uniforms, walk_states
 
@@ -68,18 +68,16 @@ class AliasTable:
         self.alias = alias
         self.n = n
 
-    def sample(self, rng, size=None):
-        """Draw indices from one uniform u each: the pick is floor(u * n)
-        and the coin the fractional part of u * n. Without ``size``, one
-        index as an int."""
-        u = np.atleast_1d(rng.random(size=size))
+    def sample(self, rng, size):
+        """Draw an array of ``size`` indices from one uniform u each: the
+        pick is floor(u * n) and the coin the fractional part of u * n."""
+        u = rng.random(size=size)
         u *= self.n
         k = u.astype(np.int64)
         u -= k
         keep = u < self.prob.take(k)
         del u  # one float array fewer held while the picks are made
-        picks = np.where(keep, k, self.alias.take(k))
-        return int(picks[0]) if size is None else picks
+        return np.where(keep, k, self.alias.take(k))
 
 
 @dataclass(frozen=True)
@@ -139,24 +137,6 @@ class WalkCorpus:
                     del walk[walk.index(-1):]
                 fh.write(" ".join(map(ids.__getitem__, walk)))
                 fh.write("\n")
-
-
-def load_corpus(source, g):
-    walks = []
-    with _open_text(source) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                walks.append([g.index_of(t) for t in line.split()])
-            except KeyError as exc:
-                raise EdgeListParseError(exc.args[0], lineno)
-    width = max(map(len, walks), default=0)
-    matrix = np.array([w + [-1] * (width - len(w)) for w in walks],
-                      dtype=np.int64).reshape(len(walks), width)
-    cfg = WalkConfig(length=width - 1 if walks else 2)
-    return WalkCorpus(matrix, cfg, g.node_count, node_ids=list(g.node_ids))
 
 
 def _step(g, cur, prev, u, t, factor):
@@ -230,6 +210,8 @@ def _walk(g, config, factor=None, starts=None, top=1.0):
         nxt = np.full(alive.size, -1, dtype=np.int64)
         todo = np.flatnonzero(cum[hi] > cum[lo])
         for r in range(ROUNDS):
+            if todo.size == 0:
+                break
             s, a, b = states[alive[todo]], lo[todo], hi[todo]
             x = cum[a] + hashed_uniforms(s, c + 2 * r) * (cum[b] - cum[a])
             k = np.clip(window_search(cum, a, x, steps, "right") - 1, a, b - 1)

@@ -6,24 +6,25 @@ pair counting. Tests compare package output against these, never the
 other way round.
 """
 
+import io
+
 import numpy as np
 
 from grembed import autodiff as ad
 from grembed.aggenc import cross_entropy_loss
 from grembed.autodiff import classifier_head, predict_classes
-from grembed.errors import ConfigError, NumericError
+from grembed.errors import ConfigError, ContractError, NumericError
 from grembed.fixtures import _numpy_rng
-from grembed.graph import Graph
+from grembed.graph import Graph, export_edge_list
 from grembed.rng import derived_rng
 from grembed.shallow import (
     LR_MIN,
     HierarchicalSoftmaxTree,
     _init_table,
-    hierarchical_softmax_loss,
     negative_sampling_loss,
-    softmax_cross_entropy_loss,
     unigram_noise,
 )
+from grembed.structural import _dtw
 from grembed.subgraph import (
     EdgeMessageParams,
     SubgraphClassifier,
@@ -138,6 +139,13 @@ def graph_bits(g):
               g.node_types)
     return (g.node_ids, g.directed, g.weighted,
             [None if a is None else (a.shape, a.tobytes()) for a in arrays])
+
+
+def edge_list_string(g):
+    """``export_edge_list`` of g, as a string."""
+    buf = io.StringIO()
+    export_edge_list(g, buf)
+    return buf.getvalue()
 
 
 def dict_coarsen(g):
@@ -481,6 +489,14 @@ def dtw_cost_table(a, b, cost_fn):
     return float(table[la, lb])
 
 
+def dtw_distance(a, b):
+    """``structural._dtw`` of one pair of nonempty degree sequences."""
+    a, b = (np.asarray(x, dtype=np.float64).reshape(1, -1) for x in (a, b))
+    if a.size == 0 or b.size == 0:
+        raise ContractError("dtw needs nonempty sequences")
+    return float(_dtw(a, [a.size], b, [b.size])[0])
+
+
 def heat_kernel_dense(laplacian, s):
     """e^{-s L} via eigendecomposition done longhand."""
     lam, u = np.linalg.eigh(np.asarray(laplacian, dtype=np.float64))
@@ -528,6 +544,34 @@ def nmi_from_counts(a, b):
     if ha == 0.0 or hb == 0.0:
         return 0.0
     return mi / ((ha + hb) / 2.0)
+
+
+def softmax_cross_entropy_loss(z_t, pairs):
+    """- sum log softmax(z_center . Z)[context] (full normalization):
+    the tape twin of ``shallow._softmax_step``."""
+    n = z_t.data.shape[0]
+    centers = ad.take_rows(z_t, pairs[:, 0])
+    logits = ad.matmul(centers, ad.transpose(z_t))
+    probs = ad.softmax_rows(logits)
+    onehot = np.zeros((len(pairs), n))
+    onehot[np.arange(len(pairs)), pairs[:, 1]] = 1.0
+    picked = ad.reduce_sum(ad.mul(probs, onehot), axis=1)
+    return ad.neg(ad.reduce_sum(ad.log(picked)))
+
+
+def hierarchical_softmax_loss(z_t, w_t, pairs, tree):
+    """- sum log P(context | center) under the tree factorization:
+    the tape twin of ``shallow._hsoftmax_step``."""
+    b = len(pairs)
+    d = tree.depth
+    pn = tree.path_nodes[pairs[:, 1]].reshape(-1)
+    ps = tree.path_signs[pairs[:, 1]].reshape(-1, 1)
+    pm = tree.path_mask[pairs[:, 1]].reshape(-1, 1)
+    zc = ad.take_rows(z_t, np.repeat(pairs[:, 0], d))
+    wv = ad.take_rows(w_t, pn)
+    signed = ad.mul(ad.dot_rows(zc, wv), ps)
+    logp = ad.mul(ad.log_sigmoid(signed), pm)
+    return ad.neg(ad.reduce_sum(logp))
 
 
 def tape_skipgram_train(g, pairs, config, loss_kind, context_table=False,

@@ -1,4 +1,5 @@
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -46,3 +47,22 @@ def test_aa_and_workload_arguments():
     assert args.aa and args.workload == [names[-1]]
     with pytest.raises(SystemExit):
         benchpair.parse_args(base + ["--workload", "no-such-workload"])
+
+
+def test_working_tree_export_holds_edits_and_no_ignored_files(tmp_path):
+    repo = tmp_path / "repo"
+    (repo / "src" / "__pycache__").mkdir(parents=True)
+    (repo / ".gitignore").write_text("__pycache__/\n")
+    (repo / "src" / "kept.py").write_text("committed\n")
+    (repo / "gone.md").write_text("deleted from the working tree\n")
+    subprocess.run(["git", "init", "-q"], cwd=repo, check=True)
+    subprocess.run(["git", "add", "-A"], cwd=repo, check=True)
+    (repo / "src" / "kept.py").write_text("edited, not committed\n")
+    (repo / "src" / "new.py").write_text("untracked\n")
+    (repo / "src" / "__pycache__" / "kept.pyc").write_bytes(b"stale")
+    (repo / "gone.md").unlink()
+    tree = benchpair.export_working_tree(tmp_path / "change", repo)
+    files = sorted(str(p.relative_to(tree)) for p in tree.rglob("*")
+                   if p.is_file())
+    assert files == [".gitignore", "src/kept.py", "src/new.py"]
+    assert (tree / "src" / "kept.py").read_text() == "edited, not committed\n"

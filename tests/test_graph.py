@@ -16,7 +16,6 @@ from grembed.errors import (
 from grembed.graph import (
     Graph,
     disjoint_union,
-    edge_list_string,
     eigh_columns,
     laplacian_of,
     load_attributes,
@@ -24,6 +23,7 @@ from grembed.graph import (
     load_labels,
     window_search,
 )
+from grembed.shallow import ShallowConfig, train_shallow
 from grembed.similarity import (
     KINDS,
     SimilaritySpec,
@@ -37,6 +37,7 @@ from grembed.structural import graphwave_signature, heat_wavelets
 from grembed.subgraph import parse_multigraph_file
 
 import oracles
+from oracles import edge_list_string
 
 
 def karate_path():
@@ -456,6 +457,11 @@ _DENSE_BUILDERS = {
         g, SimilaritySpec(kind=kind)) for kind in KINDS},
     "graphwave_signature": graphwave_signature,
     "heat_wavelets": heat_wavelets,
+    # the full-softmax loss normalizes each pair over every node
+    "train_shallow-softmax": lambda g: train_shallow(
+        g, "deepwalk", ShallowConfig(dim=2, loss="softmax", epochs=1,
+                                     walk_length=3, walks_per_node=1,
+                                     window=2)),
 }
 
 
@@ -507,24 +513,6 @@ def test_random_fixtures_match_the_scalar_double_loop(sizes, p_in, p_out,
     if n > 1:
         assert (oracles.graph_bits(fixtures.erdos_renyi(n, p_in, seed))
                 == oracles.graph_bits(oracles.loop_erdos_renyi(n, p_in, seed)))
-
-
-def test_hop_rings_match_floyd_warshall():
-    g = fixtures.barbell_graph(4, 2)
-    dist = oracles.floyd_warshall_hops(g.edge_pairs, g.node_count)
-    for v in range(g.node_count):
-        for k in range(5):
-            expect = {j for j in range(g.node_count) if dist[v, j] == k}
-            assert g.hop_ring(v, k) == expect
-    assert g.hop_ring(0, 0) == {0}
-
-
-def test_hop_ring_errors():
-    g = fixtures.triangle()
-    with pytest.raises(IndexError):
-        g.hop_ring(7, 1)
-    with pytest.raises(ContractError):
-        g.hop_ring(0, -1)
 
 
 def test_laplacian_properties():
@@ -655,8 +643,9 @@ def test_bfs_distances_match_floyd_warshall():
 def test_attributes_shape_validated():
     g = fixtures.triangle()
     with pytest.raises(ValidationError):
-        g.with_attributes(np.zeros((2, 5)))
-    g2 = g.with_attributes(np.arange(6).reshape(2, 3))
+        Graph(g.node_ids, g.edge_pairs, node_attributes=np.zeros((2, 5)))
+    g2 = Graph(g.node_ids, g.edge_pairs,
+               node_attributes=np.arange(6).reshape(2, 3))
     assert g2.attribute_rows().shape == (3, 2)
 
 

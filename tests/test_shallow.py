@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import hierarchical_softmax_loss, softmax_cross_entropy_loss
 from grembed import autodiff as ad
 from grembed import fixtures, shallow
 from grembed.errors import ContractError, NumericError, ValidationError
@@ -19,13 +20,9 @@ from grembed.shallow import (
     HierarchicalSoftmaxTree,
     ShallowConfig,
     closed_form_factorization,
-    decode_all,
-    decode_pair,
     gram_mse_loss,
     gram_residual,
-    hierarchical_softmax_loss,
     negative_sampling_loss,
-    softmax_cross_entropy_loss,
     _hsoftmax_step,
     _init_table,
     _log_sigmoid_slope,
@@ -59,7 +56,8 @@ def rnd(seed, *shape):
 def test_table_shape_and_lookup():
     t = EmbeddingTable(rnd(0, 4, 3), ["a", "b", "c", "d"])
     assert t.dim == 3 and t.node_count == 4
-    np.testing.assert_array_equal(t.lookup("c"), t.vectors[2])
+    np.testing.assert_array_equal(t.vectors[t.node_ids.index("c")],
+                                  t.vectors[2])
 
 
 def test_table_save_load_round_trip():
@@ -104,73 +102,21 @@ def test_save_load_round_trip_keeps_ids_and_bits(tmp_path_factory, case):
                           vectors.view(np.int64))
 
 
-# -- decoders ---------------------------------------------------------------
-
-
-def test_bilinear_identity_equals_inner():
-    z = rnd(2, 6, 4)
-    maps = {0: np.eye(4)}
-    for i in range(6):
-        for j in range(6):
-            assert decode_pair(z, i, j, "bilinear", edge_type=0,
-                               bilinear_maps=maps) == pytest.approx(
-                decode_pair(z, i, j, "inner"))
-
-
-def test_bilinear_unknown_type_raises():
-    z = rnd(3, 4, 2)
-    with pytest.raises(KeyError):
-        decode_pair(z, 0, 1, "bilinear", edge_type=9, bilinear_maps={0: np.eye(2)})
-
-
-def test_decoder_basic_properties():
-    z = rnd(4, 5, 3)
-    assert decode_pair(z, 2, 2, "sq_distance") == 0.0
-    assert decode_pair(z, 0, 1, "sq_distance") == pytest.approx(
-        float(((z[0] - z[1]) ** 2).sum()))
-    s = decode_pair(z, 0, 1, "sigmoid_inner")
-    assert 0.0 < s < 1.0
-    soft = decode_all(z, "softmax_inner")
-    np.testing.assert_allclose(soft.sum(axis=1), 1.0)
-    np.testing.assert_allclose(decode_all(z, "inner"), z @ z.T)
-    with pytest.raises(ContractError):
-        decode_pair(z, 0, 1, "hamming")
-
-
-@pytest.mark.parametrize("kind", ["inner", "sigmoid_inner", "sq_distance",
-                                  "softmax_inner"])
-def test_decode_all_entries_match_decode_pair(kind):
-    z = rnd(5, 6, 3)
-    want = [[decode_pair(z, i, j, kind) for j in range(6)] for i in range(6)]
-    np.testing.assert_allclose(decode_all(z, kind), want, rtol=1e-12,
-                               atol=1e-12)
+# -- the dense gate ---------------------------------------------------------
 
 
 def test_dense_scores_refuse_a_table_over_the_dense_cap(monkeypatch):
-    # an n-row table's pairwise scores are an n x n matrix, gated like a
-    # graph's dense matrices
+    # an n-row table's Gram residual is over an n x n matrix, gated like
+    # a graph's dense matrices
     from grembed import graph
     from grembed.errors import ResourceLimitError
     z, s = rnd(1, 6, 2), rnd(2, 6, 6)
     monkeypatch.setattr(graph, "DENSE_NODE_CAP", 5)
-    for kind in ("inner", "sigmoid_inner", "sq_distance", "softmax_inner"):
-        with pytest.raises(ResourceLimitError,
-                           match="on 6 nodes exceeds DENSE_NODE_CAP = 5"):
-            decode_all(z, kind)
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError,
+                       match="on 6 nodes exceeds DENSE_NODE_CAP = 5"):
         gram_residual(z, s)
     monkeypatch.setattr(graph, "DENSE_NODE_CAP", 6)
-    np.testing.assert_allclose(decode_all(z), z @ z.T)
     assert gram_residual(z, s) == pytest.approx(((z @ z.T - s) ** 2).sum())
-
-
-def test_softmax_inner_pair_matches_matrix():
-    z = rnd(5, 4, 3)
-    soft = decode_all(z, "softmax_inner")
-    for i in range(4):
-        for j in range(4):
-            assert decode_pair(z, i, j, "softmax_inner") == pytest.approx(
-                soft[i, j])
 
 
 # -- losses vs hand-computed values ------------------------------------------

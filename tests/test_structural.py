@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import dtw_distance
 from grembed import graph, structural
 from grembed.errors import ContractError, ResourceLimitError, ValidationError
 from grembed.fixtures import (
@@ -20,7 +21,6 @@ from grembed.structural import (
     _layered_graph,
     degree_refinement_classes,
     degree_sequences,
-    dtw_distance,
     graphwave_signature,
     heat_wavelets,
     struc2vec_distances,

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grembed import fixtures, walks
-from grembed.errors import ContractError, EdgeListParseError, ValidationError
+from grembed.errors import ContractError, ValidationError
 from grembed.graph import Graph
 from grembed.rng import derived_rng, hashed_uniforms, walk_states
 from grembed.walks import (
@@ -15,7 +15,6 @@ from grembed.walks import (
     WalkConfig,
     WalkPairs,
     extract_pairs,
-    load_corpus,
     sample_metapath_walks,
     sample_node2vec_walks,
     sample_uniform_walks,
@@ -33,19 +32,16 @@ def test_alias_table_matches_weights():
     np.testing.assert_allclose(freq, w / w.sum(), atol=0.01)
 
 
-@pytest.mark.parametrize("size", [7, (40, 5), None])
+@pytest.mark.parametrize("size", [7, (40, 5)])
 def test_alias_table_sample_is_one_pick_and_one_coin(size):
     # one uniform u per draw: the pick is floor(u * n), the coin u * n - pick
     t = AliasTable([1.0, 3.0, 6.0, 0.0, 2.5])
     for make_rng in (np.random.default_rng, derived_rng):
         got = t.sample(make_rng(2), size=size)
-        u = np.asarray(make_rng(2).random(size=size)) * t.n
+        u = make_rng(2).random(size=size) * t.n
         k = np.floor(u).astype(np.int64)
         want = np.where(u - k < t.prob[k], k, t.alias[k])
-        if size is None:
-            assert type(got) is int and got == want
-        else:
-            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_alias_table_validation():
@@ -323,15 +319,8 @@ def test_corpus_dump_and_load_round_trip():
     buf2 = io.StringIO()
     corpus.dump(buf2)
     assert buf2.getvalue() == text  # byte determinism
-    loaded = load_corpus(io.StringIO(text), g)
-    assert all(np.array_equal(a, b) for a, b in zip(corpus.walks, loaded.walks))
-
-
-
-def test_load_corpus_refuses_an_unknown_id_with_its_line():
-    g = fixtures.triangle()
-    with pytest.raises(EdgeListParseError, match="line 3: unknown node id '7'"):
-        load_corpus(io.StringIO("0 1 2\n# note\n1 7 0\n"), g)
+    loaded = [list(map(g.index_of, line.split())) for line in text.splitlines()]
+    assert loaded == [w.tolist() for w in corpus.walks]
 
 
 @st.composite

@@ -7,13 +7,16 @@
 
 For each workload in ``BENCHMARK.json`` (or each that ``--workload``
 names) and each seed, the benchmark command runs once on an export of
-the parent revision and once on the working tree, alternating which side
-goes first; then once more per side with ``--trace 1`` at seed
-``TRACE_SEED``. The parent is exported with ``git archive`` into a
-temporary directory, so a run that is cut short leaves nothing behind in
-the repository's ``.git``. Both sides must have the same benchmark code
-(the paths ``BENCHMARK.json`` lists, and the file itself), or the
-comparison would measure the benchmark too.
+the parent revision and once on an export of the working tree,
+alternating which side goes first; then once more per side with
+``--trace 1`` at seed ``TRACE_SEED``. The parent is exported with ``git
+archive`` into a temporary directory, so a run that is cut short leaves
+nothing behind in the repository's ``.git``. The working tree's export,
+in a sibling directory, holds its tracked files as they are now and its
+untracked files that are not ignored, so neither side imports bytecode
+or other leftovers that the other lacks. Both sides must have the same
+benchmark code (the paths ``BENCHMARK.json`` lists, and the file
+itself), or the comparison would measure the benchmark too.
 
 With ``--aa`` both sides are exports of the parent, in sibling
 directories, so any gap between them is the harness's own side bias: the
@@ -34,6 +37,7 @@ Python, numpy, BLAS) as the benchmark reports it.
 import argparse
 import io
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -126,6 +130,22 @@ def export(rev, tree):
     return tree
 
 
+def export_working_tree(tree, repo=ROOT):
+    """The working tree of ``repo`` as it is now, copied into the new
+    directory tree: its tracked files and its untracked files that are
+    not ignored, but not the tracked files it has deleted."""
+    names = subprocess.run(
+        ["git", "ls-files", "-z", "-co", "--exclude-standard"], cwd=repo,
+        capture_output=True, check=True).stdout.decode()
+    tree.mkdir()
+    for name in filter(None, names.split("\0")):
+        source = Path(repo, name)
+        if source.is_file():
+            (tree / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, tree / name)
+    return tree
+
+
 def main(argv=None):
     args = parse_args(argv)
     bench_files = [*SPEC["paths"], "BENCHMARK.json"]
@@ -149,7 +169,9 @@ def main(argv=None):
                   "alternating which runs first; "
                   + ("an A/A run: both sides git archive exports of the "
                      "parent, in sibling directories" if args.aa else
-                     "the parent exported with git archive")
+                     "the parent exported with git archive and the change "
+                     "copied from the working tree (tracked and unignored "
+                     "files), in sibling directories")
                   + ", each side run from its own source tree on the same "
                   "host",
         "env": None, "workloads": {}}
@@ -159,9 +181,10 @@ def main(argv=None):
         out.write_text(json.dumps(record, indent=1) + "\n")
 
     with tempfile.TemporaryDirectory(prefix="benchpair-") as tmp:
+        change = Path(tmp) / "change"
         trees = {"parent": export(rev, Path(tmp) / "parent"),
-                 "change": export(rev, Path(tmp) / "change") if args.aa
-                 else ROOT}
+                 "change": export(rev, change) if args.aa
+                 else export_working_tree(change)}
         for workload in args.workload:
             entry = record["workloads"][workload] = {
                 "why": None, "input": None, "end_to_end": {}, "failed": {},
