@@ -371,7 +371,7 @@ class Graph:
         frontier, d = [source], 0
         while len(frontier):
             d += 1
-            nbrs = np.unique(np.concatenate(list(map(self.neighbors, frontier))))
+            nbrs = _distinct(np.concatenate(list(map(self.neighbors, frontier))))
             frontier = nbrs[dist[nbrs] == -1]
             dist[frontier] = d
         return dist
@@ -458,6 +458,20 @@ def _open_text(source, mode="r"):
     else:
         with open(source, mode, encoding="utf-8") as fh:
             yield fh
+
+
+def _distinct(values):
+    """Sorted distinct values of an int or str array, flattened.
+
+    Equal to a bare ``np.unique(values)``, which on numpy 2 imports
+    ``numpy.ma`` (about 1.25 MB) on its first call to rule out a masked
+    array; grembed never makes one.
+    """
+    s = np.sort(values, axis=None)
+    first = np.empty(s.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(s[1:], s[:-1], out=first[1:])
+    return s[first]
 
 
 def _edge_line(line, lineno, weighted):

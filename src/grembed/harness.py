@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, ContractError, ValidationError
-from .graph import Graph, _open_text, eigh_columns
+from .graph import Graph, _distinct, _open_text, eigh_columns
 from .report import EvalReport
 from .rng import derived_rng
 
@@ -87,7 +87,7 @@ def stratified_split(labels, train_fraction, seed):
     only the class sizes decide, so there is nothing to redraw.
     """
     labels = np.asarray(labels)
-    members = [np.nonzero(labels == c)[0] for c in np.unique(labels)]
+    members = [np.nonzero(labels == c)[0] for c in _distinct(labels)]
     takes = [int(round(train_fraction * m.size)) for m in members]
     if any(t == 0 or t == m.size for t, m in zip(takes, members)):
         raise ValidationError(
@@ -103,7 +103,7 @@ def macro_f1(y_true, y_pred):
     y_true = np.asarray(y_true)
     y_pred = np.asarray(y_pred)
     scores = []
-    for c in np.unique(y_true):
+    for c in _distinct(y_true):
         tp = np.sum((y_pred == c) & (y_true == c))
         fp = np.sum((y_pred == c) & (y_true != c))
         fn = np.sum((y_pred != c) & (y_true == c))
@@ -127,7 +127,7 @@ def node_classification_eval(z, labels, train_fraction=0.1, seeds=range(10),
     # share one train size and class set and their heads fit as a stack
     masks = np.array([stratified_split(labels, train_fraction, seed)
                       for seed in seeds])
-    if np.unique(labels[masks[0]]).size < 2:
+    if _distinct(labels[masks[0]]).size < 2:
         raise ValidationError("train split lost a class")
     train = np.nonzero(masks)[1].reshape(len(seeds), -1)
     thetas, biases = train_logistic(vectors[train], labels[train],
@@ -209,7 +209,7 @@ def sample_non_edges(g, count, seed):
     n = g.node_count
     pairs = np.sort(g.edge_pairs, axis=1)
     # sorted lo * n + hi keys, capped by n * n so every search lands
-    taken = np.append(np.unique(pairs[:, 0] * n + pairs[:, 1]), n * n)
+    taken = np.append(_distinct(pairs[:, 0] * n + pairs[:, 1]), n * n)
     rng = derived_rng(seed, "non_edges")
     out = np.empty(0, dtype=np.int64)
     budget = 1000 * count
@@ -225,7 +225,8 @@ def sample_non_edges(g, count, seed):
         _, first = np.unique(keys, return_index=True)
         fresh = keys[np.sort(first)][:count - out.size]
         out = np.concatenate([out, fresh])
-        taken = np.union1d(taken, fresh)
+        # fresh keys are distinct and none is taken yet
+        taken = np.sort(np.concatenate([taken, fresh]))
     return np.stack([out // n, out % n], axis=1)
 
 
@@ -244,7 +245,8 @@ def link_prediction_eval(g, embed_fn, holdout_fraction=0.2, seeds=range(10),
     edge_pairs, pair_weights = g.edge_pairs, g.pair_weights
     for seed in seeds:
         held = holdout_edges(g, holdout_fraction, seed)
-        keep = np.setdiff1d(np.arange(g.edge_count), held)
+        keep = np.ones(g.edge_count, dtype=bool)
+        keep[held] = False
         residual = Graph(g.node_ids, edge_pairs[keep], pair_weights[keep],
                          directed=g.directed)
         table = embed_fn(residual, seed)
@@ -319,8 +321,8 @@ def normalized_mutual_information(a, b):
     a = np.asarray(a)
     b = np.asarray(b)
     n = a.size
-    ca = np.unique(a)
-    cb = np.unique(b)
+    ca = _distinct(a)
+    cb = _distinct(b)
     joint = np.zeros((ca.size, cb.size))
     for i, x in enumerate(ca):
         for j, y in enumerate(cb):

@@ -22,7 +22,7 @@ from .errors import (
     EdgeListParseError,
     ValidationError,
 )
-from .graph import Graph, _edge_line, _open_text, disjoint_union
+from .graph import Graph, _distinct, _edge_line, _open_text, disjoint_union
 from .rng import derived_rng
 from .shallow import EmbeddingTable
 
@@ -40,8 +40,7 @@ class SubgraphSpec:
         if self.nodes is None:
             self.nodes = np.arange(self.graph.node_count, dtype=np.int64)
         else:
-            self.nodes = np.unique(
-                np.asarray(self.nodes, dtype=np.int64).reshape(-1))
+            self.nodes = _distinct(np.asarray(self.nodes, dtype=np.int64))
         if self.nodes.size == 0:
             raise ContractError("subgraph needs at least one node")
         if self.nodes.min() < 0 or self.nodes.max() >= self.graph.node_count:
@@ -124,7 +123,7 @@ def coarsen_maxpool(g, z, levels=1, cluster_fn=None, encoder=None):
         if encoder is not None:
             rows = np.asarray(encoder(cur, rows), dtype=np.float64)
         cm = cluster_fn(cur)
-        if np.unique(cm.node_map).size != cm.coarse.node_count:
+        if _distinct(cm.node_map).size != cm.coarse.node_count:
             raise ContractError("clustering produced an empty cluster")
         pooled = np.full((cm.coarse.node_count, rows.shape[1]), -np.inf)
         np.maximum.at(pooled, cm.node_map, rows)

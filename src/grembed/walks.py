@@ -264,7 +264,7 @@ def sample_metapath_walks(g, config):
     if g.node_types is None:
         raise ValidationError("graph has no node_types")
     mp, types = config.metapath, g.node_types
-    present = set(np.unique(types).tolist())
+    present = set(types.tolist())
     missing = [t for t in mp if t not in present]
     if missing:
         raise ValidationError(f"metapath types absent from graph: {missing}")

@@ -1314,6 +1314,19 @@ def test_eval_nodes_call_loads_neither_trainers_nor_encoders(data_dir,
         assert f"grembed.{name}" not in after_eval, name
 
 
+def _exit_and_loaded(module, argv):
+    """The stderr of ``argv`` run in a fresh interpreter, ending in a line
+    with its exit code and whether ``module`` was loaded after importing
+    the CLI and after the call."""
+    script = ("import sys, grembed.cli as cli\n"
+              "at_import = sys.argv[1] in sys.modules\n"
+              "code = cli.main(sys.argv[2:])\n"
+              "print(code, at_import, sys.argv[1] in sys.modules,\n"
+              "      file=sys.stderr)\n")
+    return subprocess.run([sys.executable, "-c", script, module, *argv],
+                          capture_output=True, text=True, env=CHILD_ENV).stderr
+
+
 def test_cli_calls_never_load_numpy_random(data_dir, tmp_path):
     # training and eval streams are grembed.rng's; only fixtures use numpy's
     edges, emb = str(data_dir / "karate.edges"), str(tmp_path / "z.tsv")
@@ -1332,13 +1345,35 @@ def test_cli_calls_never_load_numpy_random(data_dir, tmp_path):
         "walk": ["walk", "--input", edges, "--length", "5",
                  "--out", str(tmp_path / "w.txt")],
     }
-    script = ("import sys, grembed.cli as cli\n"
-              "code = cli.main(sys.argv[1:])\n"
-              "print(code, 'numpy.random' in sys.modules, file=sys.stderr)\n")
     for name, argv in calls.items():
-        r = subprocess.run([sys.executable, "-c", script, *argv],
-                           capture_output=True, text=True, env=CHILD_ENV)
-        assert r.stderr.splitlines()[-1] == "0 False", (name, r.stderr)
+        stderr = _exit_and_loaded("numpy.random", argv)
+        assert stderr.splitlines()[-1] == "0 False False", (name, stderr)
+
+
+def test_benchmark_calls_never_load_numpy_ma(data_dir, tmp_path):
+    # on numpy 2 a bare np.unique, np.setdiff1d or np.union1d imports
+    # numpy.ma (about 1.25 MB), which numpy 1 imports with numpy itself;
+    # these are perfbench/run.py's calls with its flags, on karate
+    edges, emb = str(data_dir / "karate.edges"), str(tmp_path / "z.tsv")
+    calls = {
+        "embed": ["embed", "--input", edges, "--out", emb,
+                  "--method", "deepwalk", "--dim", "16", "--walk-length",
+                  "20", "--walks-per-node", "2", "--window", "5",
+                  "--epochs", "3", "--lr", "1.0"],
+        "eval-nodes": ["eval-nodes", "--embedding", emb,
+                       "--labels", str(data_dir / "karate.labels")],
+        "walk": ["walk", "--input", edges, "--out", str(tmp_path / "w.txt"),
+                 "--kind", "node2vec", "--q", "0.5", "--length", "40",
+                 "--walks-per-node", "2"],
+        "eval-links": ["eval-links", "--input", edges, "--method",
+                       "node2vec", "--q", "0.5", "--lr", "25",
+                       "--walk-length", "20", "--walks-per-node", "1",
+                       "--window", "5", "--epochs", "1", "--eval-seeds", "4"],
+    }
+    for name, argv in calls.items():
+        stderr = _exit_and_loaded("numpy.ma", argv + ["--seed", "1"])
+        code, at_import, at_exit = stderr.splitlines()[-1].split()
+        assert (code, at_exit) == ("0", at_import), (name, stderr)
 
 
 TRACECLI = os.path.join(os.path.dirname(os.path.dirname(__file__)),

@@ -91,6 +91,21 @@ def test_node_order_does_not_depend_on_id_order(ids):
     assert load_edge_list(io.StringIO(text)).node_ids == want
 
 
+@given(st.one_of(
+    st.lists(st.integers(-2**62, 2**62)).map(
+        lambda v: np.array(v, dtype=np.int64)),          # pair keys
+    st.lists(st.integers(0, 4)).map(
+        lambda v: np.array(v, dtype=np.int64)),          # int labels
+    st.lists(st.sampled_from(["", "a", "b", "ab", "9", "10"])).map(
+        lambda v: np.array(v, dtype=str))))              # str labels
+@example(np.array([], dtype=np.int64))
+@example(np.array([], dtype=str))
+def test_distinct_equals_np_unique(values):
+    got, want = graph._distinct(values), np.unique(values)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
 def test_duplicate_edge_with_conflicting_types_rejected():
     with pytest.raises(ValidationError, match="conflicting types"):
         Graph.from_edges([(0, 1), (1, 2), (1, 0)], edge_types=[0, 1, 1])

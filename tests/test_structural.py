@@ -61,9 +61,18 @@ def test_dtw_identical_sequences_cost_zero():
     assert dtw_distance([2], [2, 2, 2]) == 0.0
 
 
-def test_dtw_rejects_empty():
-    with pytest.raises(ContractError):
-        dtw_distance([], [1])
+def test_struc2vec_compares_an_empty_ring_as_the_lone_degree_1():
+    # a star leaf has no 3-hop ring; a path end's is one node of degree 2
+    g, offsets, _ = graph.disjoint_union([star_graph(5), path_graph(5)])
+    leaf, end = 1, int(offsets[1])
+    rings = degree_sequences(g, 3)
+    assert rings[leaf][3].size == 0
+    assert np.array_equal(rings[end][3], [2.0])
+    layers = struc2vec_distances(g, 3)
+    step = layers[2][leaf, end] - layers[1][leaf, end]
+    assert step == pytest.approx(dtw_distance([1.0], rings[end][3]),
+                                 abs=1e-12)
+    assert step > 0
 
 
 def test_degree_sequences_sorted_and_empty_rings():

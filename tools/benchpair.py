@@ -25,10 +25,13 @@ floor that a claimed gain on the same metric has to clear.
 ``BENCH_<tag>.json`` at the root of the working tree is rewritten after
 every run. Per workload and end-to-end metric it holds each side's median
 and inclusive quartiles over the seeds, the number of pairs the change
-won (ties count for neither side), and ``claim_met``: whether a gain on
-that metric may be claimed, that is, at least ten pairs ran, the change
-won at least nine tenths of them, and its median is better than the
-parent's by more than the parent's quartile spread. Per workload it also
+won (ties count for neither side), the workload's A/A side bias on that
+metric (``aa_bias``: the change side's median minus the parent's in the
+committed ``BENCH_aa_<workload>.json``, or null when there is none) and
+``claim_met``: whether a gain on that metric may be claimed, that is, at
+least ten pairs ran, the change won at least nine tenths of them, and its
+median is better than the parent's by more than the parent's quartile
+spread and by more than the size of the A/A bias. Per workload it also
 totals each side's failed operations (``failed``); then come each side's
 traced per-layer numbers and every run, with the host (``nproc``,
 Python, numpy, BLAS) as the benchmark reports it.
@@ -78,9 +81,20 @@ def spread(values):
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summary(runs, units):
-    """Per end-to-end metric: each side's spread, the pairs won and
-    whether a gain may be claimed."""
+def aa_bias(workload, root=ROOT):
+    """Per end-to-end metric, the change side's median minus the parent's
+    in the committed A/A run of ``workload``; empty when there is none."""
+    path = root / f"BENCH_aa_{workload.replace('-', '_')}.json"
+    if not path.is_file():
+        return {}
+    metrics = json.loads(path.read_text())["workloads"][workload]["end_to_end"]
+    return {name: m["change"]["median"] - m["parent"]["median"]
+            for name, m in metrics.items()}
+
+
+def summary(runs, units, bias):
+    """Per end-to-end metric: each side's spread, the pairs won, the A/A
+    side bias (from ``aa_bias``) and whether a gain may be claimed."""
     out = {}
     for metric in SPEC["end_to_end"]:
         name = metric["name"]
@@ -93,13 +107,15 @@ def summary(runs, units):
         out[name] = {"unit": units[name]}
         out[name].update((side, spread(list(sides[side].values())))
                          for side in sides if sides[side])
-        out[name].update(change_better_pairs=won, pairs=len(seeds))
+        out[name].update(change_better_pairs=won, pairs=len(seeds),
+                         aa_bias=bias.get(name))
         if seeds:
             parent, change = out[name]["parent"], out[name]["change"]
             gap = sign * (change["median"] - parent["median"])
             out[name]["claim_met"] = (len(seeds) >= 10
                                       and 10 * won >= 9 * len(seeds)
-                                      and gap > parent["q3"] - parent["q1"])
+                                      and gap > parent["q3"] - parent["q1"]
+                                      and gap > abs(bias.get(name, 0.0)))
     return out
 
 
@@ -186,6 +202,8 @@ def main(argv=None):
                  "change": export(rev, change) if args.aa
                  else export_working_tree(change)}
         for workload in args.workload:
+            # an A/A run measures the bias, so it reads none
+            bias = {} if args.aa else aa_bias(workload)
             entry = record["workloads"][workload] = {
                 "why": None, "input": None, "end_to_end": {}, "failed": {},
                 "per_layer_traced": {}, "runs": []}
@@ -207,7 +225,8 @@ def main(argv=None):
                         "setup_samples": info["setup_samples"]})
                     units = {k: m["unit"] for k, m
                              in result["metrics"].items()}
-                    entry["end_to_end"] = summary(entry["runs"], units)
+                    entry["end_to_end"] = summary(entry["runs"], units,
+                                                  bias)
                     entry["failed"] = {
                         s: sum(r["failed"] for r in entry["runs"]
                                if r["side"] == s) for s in trees}
